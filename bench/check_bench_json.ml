@@ -63,7 +63,11 @@
    Sunflow.schedule microbench must hold its ns/schedule and
    minor-words/schedule under ceilings set with ~2x headroom over the
    measured baseline, so an accidental per-call allocation in the
-   kernel's hot path moves a gated number. *)
+   kernel's hot path moves a gated number.
+
+   Since schema /11 the plan cache section and its gate are gone with
+   the cache itself (it could not hit within one run); the kernel
+   microbench and its ceilings stay. *)
 
 type json =
   | Null
@@ -649,80 +653,6 @@ let check_shards root fast =
           wall_speedup
     end
 
-(* The plan-cache section (schema /10): cache-off vs shared-handle
-   cached replays of the SCF storm. Digest identity across every row
-   is the soundness gate; the speedup and hit-rate floors are the
-   usefulness gates. *)
-let check_plan_cache root fast =
-  match field root "plan_cache" with
-  | Null ->
-    bad "plan_cache: missing — the harness did not run the cache section"
-  | pc ->
-    List.iter
-      (fun key -> check_counter ("plan_cache." ^ key) (field pc key))
-      [ "coflows"; "reps"; "max_windows"; "hits"; "misses"; "invalidations";
-        "replayed_windows"; "entries"; "windows" ];
-    let windows = as_num "plan_cache.windows" (field pc "windows") in
-    let max_windows = as_num "plan_cache.max_windows" (field pc "max_windows") in
-    if windows > max_windows then
-      bad "plan_cache.windows: %g resident windows exceed the %g cap" windows
-        max_windows;
-    let entries = as_num "plan_cache.entries" (field pc "entries") in
-    if entries <= 0. then
-      bad "plan_cache.entries: the cached runs left nothing resident";
-    let rows =
-      List.map
-        (fun row ->
-          let variant =
-            as_str "plan_cache.rows.variant" (field row "variant")
-          in
-          let what fmt = Printf.sprintf "plan_cache.rows[%s].%s" variant fmt in
-          check_counter (what "rep") (field row "rep");
-          let wall = as_num (what "wall_s") (field row "wall_s") in
-          let plan = as_num (what "plan_s") (field row "plan_s") in
-          if wall <= 0. || plan <= 0. then
-            bad "%s: non-positive wall time" (what "wall_s/plan_s");
-          if plan > wall then
-            bad "%s: replan wall %g exceeds the end-to-end wall %g"
-              (what "plan_s") plan wall;
-          (variant, wall, plan, as_str (what "digest") (field row "digest")))
-        (as_arr "plan_cache.rows" (field pc "rows"))
-    in
-    let of_variant v = List.filter (fun (v', _, _, _) -> v' = v) rows in
-    let off = of_variant "off" and warm = of_variant "warm" in
-    if off = [] || warm = [] || List.length (of_variant "cold") <> 1 then
-      bad "plan_cache.rows: expected off rows, one cold row and warm rows";
-    (match rows with
-    | (_, _, _, digest0) :: rest ->
-      List.iter
-        (fun (v, _, _, d) ->
-          if d <> digest0 then
-            bad
-              "plan_cache.rows[%s]: digest %S differs from %S — the cache \
-               changed the answer"
-              v d digest0)
-        rest
-    | [] -> assert false);
-    let hits = as_num "plan_cache.hits" (field pc "hits") in
-    let misses = as_num "plan_cache.misses" (field pc "misses") in
-    if hits +. misses <= 0. then
-      bad "plan_cache: the cached runs made no lookups";
-    let rate = hits /. (hits +. misses) in
-    if rate < 0.5 then
-      bad
-        "plan_cache: hit rate %.2f is under the 0.5 floor — the warm runs \
-         are not replaying"
-        rate;
-    if not fast then begin
-      let min_plan rows =
-        List.fold_left (fun a (_, _, p, _) -> Float.min a p) infinity rows
-      in
-      let speedup = min_plan off /. min_plan warm in
-      if speedup < 1.3 then
-        bad "plan_cache: warm replan speedup %.2fx is below the 1.3x gate"
-          speedup
-    end
-
 (* The kernel microbench (schema /10): steady-state Sunflow.schedule
    against a persistent table. Ceilings sit ~2x over the measured
    baseline — loose enough for machine noise, tight enough that a
@@ -1011,7 +941,7 @@ let check_serve root fast =
 
 let check root json_dir =
   let schema = as_str "schema" (field root "schema") in
-  if schema <> "sunflow-bench-prt/10" then bad "unknown schema %S" schema;
+  if schema <> "sunflow-bench-prt/11" then bad "unknown schema %S" schema;
   let fast =
     match field root "fast" with
     | Bool b -> b
@@ -1055,7 +985,6 @@ let check root json_dir =
   check_replay root fast;
   check_scf_drift root;
   check_shards root fast;
-  check_plan_cache root fast;
   check_kernel root;
   check_report root json_dir;
   check_serve root fast;

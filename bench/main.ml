@@ -17,7 +17,6 @@
 module E = Sunflow_experiments
 module Units = Sunflow_core.Units
 module Prt = Sunflow_core.Prt
-module Plan_cache = Sunflow_core.Plan_cache
 module Sunflow = Sunflow_core.Sunflow
 module Pool = Sunflow_parallel.Pool
 module Obs = Sunflow_obs
@@ -446,7 +445,7 @@ let drift_row : drift_row option ref = ref None
    with a stream of near-identical single-flow mice whose sizes
    decrease monotonically, so under the exact shortest-first order
    every stream arrival head-inserts ahead of the still-draining
-   backlog. Memoised: the replay and plan-cache sections share it. *)
+   backlog. Memoised: the replay sections share it. *)
 let storm_memo : Sunflow_core.Coflow.t list option ref = ref None
 
 let storm_trace s =
@@ -663,113 +662,6 @@ let replay_section ppf s =
      worst per-Coflow %+.1f%%@."
     scf_buckets (100. *. d_rel_mean) d_mean_cct_bucketed_s d_mean_cct_exact_s
     (100. *. d_max_rel)
-
-(* --- plan cache: cross-replay verbatim window replays -----------------
-
-   The PR-10 gate: replay the SCF storm at the PR-6 gate configuration
-   (bucketed incremental, 24 classes at base 2) with and without a
-   footprint-epoch plan cache. Cache-off runs [reps] times; the cached
-   runs share one handle — the first run populates (every lookup
-   misses: within a run the kernel's own reserves advance the
-   footprint epochs past any stored snapshot), and the warm runs
-   replay stored reservations verbatim wherever the fresh table's
-   deterministic mutation history matches the snapshot. The checker
-   requires the warm replan wall (min over reps, the [sim.plan_s]
-   histogram sum) to beat the cache-off replan wall by >= 1.3x, the
-   warm hit rate to clear 50 %, and every row's Sim_result digest to
-   agree — the cache may only change *when* the answer is computed,
-   never the answer. *)
-
-type cache_row = {
-  pcr_variant : string;  (** "off" | "cold" | "warm" *)
-  pcr_rep : int;
-  pcr_wall_s : float;
-  pcr_plan_s : float;  (** summed per-event replan wall for this run *)
-  pcr_digest : string;
-}
-
-type cache_summary = {
-  pc_coflows : int;
-  pc_reps : int;
-  pc_max_windows : int;
-  pc_rows : cache_row list;
-  pc_hits : int;
-  pc_misses : int;
-  pc_invalidations : int;
-  pc_replayed_windows : int;
-  pc_entries : int;  (** resident after the last warm run *)
-  pc_windows : int;
-}
-
-let cache_summary : cache_summary option ref = ref None
-
-let cache_section ppf s =
-  E.Common.section ppf "PLAN CACHE: cross-replay verbatim replays";
-  let storm = storm_trace s in
-  (* gates calibrated at the paper-default fabric speed, like shards *)
-  let delta = Units.ms 10. and bandwidth = Units.gbps 1. in
-  let reps = if fast () then 2 else 3 in
-  let was_enabled = Obs.Control.enabled () in
-  Obs.Control.set_enabled true;
-  let plan_sum () =
-    (Obs.Registry.histogram_value (Obs.Registry.histogram "sim.plan_s"))
-      .Obs.Registry.h_sum
-  in
-  let run_once ?plan_cache () =
-    Gc.full_major ();
-    let p0 = plan_sum () in
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Circuit_sim.run ~policy:Sunflow_core.Inter.Shortest_first
-        ~replan:`Incremental ~buckets:24 ~bucket_base:2. ?plan_cache ~delta
-        ~bandwidth storm
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    (wall, plan_sum () -. p0, digest_result r)
-  in
-  let row pcr_variant pcr_rep (pcr_wall_s, pcr_plan_s, pcr_digest) =
-    Format.fprintf ppf "  %-4s rep %d  wall %6.2fs  replan %6.2fs  digest %s@."
-      pcr_variant pcr_rep pcr_wall_s pcr_plan_s pcr_digest;
-    { pcr_variant; pcr_rep; pcr_wall_s; pcr_plan_s; pcr_digest }
-  in
-  let off = List.init reps (fun i -> row "off" (i + 1) (run_once ())) in
-  (* the handle must be sized above the replay's stored-window working
-     set or the FIFO eviction thrashes: the cold run alone stores one
-     plan per schedule call (~190k entries, ~4.5M windows on the full
-     storm — the default 2M cap replays *nothing* at this scale, 0
-     hits). 8M windows is ~1.8x the measured working set. *)
-  let max_windows = 8_000_000 in
-  let cache = Plan_cache.create ~max_windows () in
-  let cold = row "cold" 1 (run_once ~plan_cache:cache ()) in
-  let warm =
-    List.init reps (fun i -> row "warm" (i + 1) (run_once ~plan_cache:cache ()))
-  in
-  Obs.Tracer.clear ();
-  Obs.Control.set_enabled was_enabled;
-  let st = Plan_cache.stats cache in
-  let min_plan rows =
-    List.fold_left (fun a r -> Float.min a r.pcr_plan_s) infinity rows
-  in
-  Format.fprintf ppf
-    "  warm replan speedup over cache-off: %.2fx  (%d hits, %d misses, %d \
-     stale, %d windows replayed; %d entries / %d windows resident)@."
-    (min_plan off /. min_plan warm)
-    st.Plan_cache.hits st.Plan_cache.misses st.Plan_cache.invalidations
-    st.Plan_cache.replayed_windows st.Plan_cache.entries st.Plan_cache.windows;
-  cache_summary :=
-    Some
-      {
-        pc_coflows = List.length storm;
-        pc_reps = reps;
-        pc_max_windows = max_windows;
-        pc_rows = off @ (cold :: warm);
-        pc_hits = st.Plan_cache.hits;
-        pc_misses = st.Plan_cache.misses;
-        pc_invalidations = st.Plan_cache.invalidations;
-        pc_replayed_windows = st.Plan_cache.replayed_windows;
-        pc_entries = st.Plan_cache.entries;
-        pc_windows = st.Plan_cache.windows;
-      }
 
 (* --- kernel: Sunflow.schedule steady state ----------------------------
 
@@ -1324,7 +1216,7 @@ let emit_json path s domains =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": \"sunflow-bench-prt/10\",\n";
+  add "  \"schema\": \"sunflow-bench-prt/11\",\n";
   add "  \"fast\": %b,\n" (fast ());
   add "  \"domains\": %d,\n" domains;
   add
@@ -1448,29 +1340,6 @@ let emit_json path s domains =
           (if i = List.length sh.sh_rows - 1 then "" else ","))
       sh.sh_rows;
     add "  ]},\n");
-  (match !cache_summary with
-  | None -> add "  \"plan_cache\": null,\n"
-  | Some pc ->
-    add
-      "  \"plan_cache\": {\"coflows\": %d, \"reps\": %d, \"max_windows\": %d, \
-       \"hits\": %d, \"misses\": %d, \"invalidations\": %d, \
-       \"replayed_windows\": %d, \"entries\": %d, \"windows\": %d, \
-       \"rows\": [\n"
-      pc.pc_coflows pc.pc_reps pc.pc_max_windows pc.pc_hits pc.pc_misses
-      pc.pc_invalidations pc.pc_replayed_windows pc.pc_entries pc.pc_windows;
-    List.iteri
-      (fun i row ->
-        add
-          "    {\"variant\": \"%s\", \"rep\": %d, \"wall_s\": %s, \"plan_s\": \
-           %s, \"digest\": \"%s\"}%s\n"
-          (json_escape row.pcr_variant)
-          row.pcr_rep
-          (json_float row.pcr_wall_s)
-          (json_float row.pcr_plan_s)
-          (json_escape row.pcr_digest)
-          (if i = List.length pc.pc_rows - 1 then "" else ","))
-      pc.pc_rows;
-    add "  ]},\n");
   (match !kernel_row with
   | None -> add "  \"kernel\": null,\n"
   | Some k ->
@@ -1537,7 +1406,6 @@ let () =
   obs_section ppf s;
   check_section ppf s;
   replay_section ppf s;
-  cache_section ppf s;
   kernel_section ppf s;
   shard_section ppf s;
   report_section ppf s;

@@ -383,16 +383,7 @@ let intra_cmd =
 (* --- inter --- *)
 
 let inter path gbps ms scheduler replan buckets bucket_base shards shard_block
-    plan_cache plan_cache_windows reps validate csv_out trace_out metrics_out
-    timeline_out =
-  if reps < 1 then begin
-    Format.eprintf "--reps must be >= 1@.";
-    exit 1
-  end;
-  if plan_cache_windows < 1 then begin
-    Format.eprintf "--plan-cache-windows must be >= 1@.";
-    exit 1
-  end;
+    validate csv_out trace_out metrics_out timeline_out =
   let bandwidth = to_bandwidth gbps and delta = to_delta ms in
   let trace = load_trace path in
   if trace.Trace.coflows = [] then begin
@@ -423,35 +414,10 @@ let inter path gbps ms scheduler replan buckets bucket_base shards shard_block
   let result =
     match scheduler with
     | `Sunflow ->
-      let cache =
-        if plan_cache then
-          Some (Sunflow_core.Plan_cache.create ~max_windows:plan_cache_windows ())
-        else None
-      in
-      let last = ref None in
-      for i = 1 to reps do
-        let t0 = Obs.Control.now_ns () in
-        let r =
-          Sunflow_sim.Circuit_sim.run
-            ?on_slice:(if validate && i = reps then Some on_slice else None)
-            ~replan ~buckets ~bucket_base ~shards ~shard_block ~shard_stats
-            ?plan_cache:cache ~delta ~bandwidth trace.Trace.coflows
-        in
-        if reps > 1 then
-          Format.printf "rep %d/%d: %.3f s wall@." i reps
-            (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) t0) /. 1e9);
-        last := Some r
-      done;
-      (match cache with
-      | None -> ()
-      | Some c ->
-        let s = Sunflow_core.Plan_cache.stats c in
-        Format.printf
-          "plan cache: %d hits, %d misses (%d stale), %d windows replayed, \
-           %d entries (%d windows) resident@."
-          s.Sunflow_core.Plan_cache.hits s.misses s.invalidations
-          s.replayed_windows s.entries s.windows);
-      Option.get !last
+      Sunflow_sim.Circuit_sim.run
+        ?on_slice:(if validate then Some on_slice else None)
+        ~replan ~buckets ~bucket_base ~shards ~shard_block ~shard_stats ~delta
+        ~bandwidth trace.Trace.coflows
     | `Varys ->
       Sunflow_sim.Packet_sim.run ~scheduler:Sunflow_packet.Varys.allocate
         ~bandwidth trace.Trace.coflows
@@ -572,43 +538,11 @@ let shard_block_arg =
            $(b,p / W mod S). Align with the trace's pod size so pod-local \
            Coflows stay shard-local.")
 
-let plan_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "plan-cache" ]
-        ~doc:
-          "Thread a footprint-epoch plan cache through every intra-Coflow \
-           scheduling call (circuit fabric only). Decisions are \
-           bit-identical with or without it; the payoff is cross-replay — \
-           combine with $(b,--reps) to replay the trace repeatedly on one \
-           handle and watch later reps replay stored plans verbatim. \
-           Prints the handle's hit/miss counters after the run.")
-
-let plan_cache_windows_arg =
-  Arg.(
-    value & opt int 2_000_000
-    & info [ "plan-cache-windows" ] ~docv:"N"
-        ~doc:
-          "Capacity of the $(b,--plan-cache) handle in stored plan windows \
-           (FIFO eviction). Size it above one replay's stored-window count \
-           — the \"resident\" figure the summary prints — or later reps \
-           evict what they are about to replay and hit nothing.")
-
-let reps_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "reps" ] ~docv:"N"
-        ~doc:
-          "Replay the trace $(docv) times (circuit fabric only), printing \
-           per-rep wall time. With $(b,--plan-cache) the handle is shared \
-           across reps, so reps 2..N hit the cache.")
-
 let inter_term =
   Term.(
     const inter $ trace_file_arg $ bandwidth_arg $ delta_arg $ scheduler_arg
     $ replan_arg $ buckets_arg $ bucket_base_arg $ shards_arg $ shard_block_arg
-    $ plan_cache_arg $ plan_cache_windows_arg $ reps_arg $ validate_arg
-    $ csv_arg $ trace_out_arg $ metrics_out_arg $ timeline_out_arg)
+    $ validate_arg $ csv_arg $ trace_out_arg $ metrics_out_arg $ timeline_out_arg)
 
 let inter_cmd =
   Cmd.v
@@ -877,13 +811,9 @@ let json_string s =
   Buffer.add_char b '"';
   Buffer.contents b
 
-let report path gbps ms replan buckets bucket_base shards shard_block
-    plan_cache plan_cache_windows jobs out samples_out top_k =
+let report path gbps ms replan buckets bucket_base shards shard_block jobs out
+    samples_out top_k =
   set_jobs jobs;
-  if plan_cache_windows < 1 then begin
-    Format.eprintf "--plan-cache-windows must be >= 1@.";
-    exit 1
-  end;
   let bandwidth = to_bandwidth gbps and delta = to_delta ms in
   let trace = load_trace path in
   if trace.Trace.coflows = [] then begin
@@ -913,15 +843,9 @@ let report path gbps ms replan buckets bucket_base shards shard_block
       sigint_flush := (fun () -> Obs.Io.write_file path (Obs.Sampler.to_jsonl ()));
       install_sigint_flush ())
     samples_out;
-  let cache =
-    if plan_cache then
-      Some (Sunflow_core.Plan_cache.create ~max_windows:plan_cache_windows ())
-    else None
-  in
   let result =
     Sunflow_sim.Circuit_sim.run ~replan ~buckets ~bucket_base ~shards
-      ~shard_block ~shard_stats ?plan_cache:cache ~delta ~bandwidth
-      trace.Trace.coflows
+      ~shard_block ~shard_stats ~delta ~bandwidth trace.Trace.coflows
   in
   sigint_flush := (fun () -> ());
   Obs.Control.set_enabled was;
@@ -948,20 +872,6 @@ let report path gbps ms replan buckets bucket_base shards shard_block
       ("shard_rollbacks", string_of_int s.Sunflow_core.Inter.shard_rollbacks);
       ("samples", string_of_int n_samples);
     ]
-    (* the cache counters ride in the run section, not the body: body
-       digests are gated byte-equal across engine variants, and the
-       cache is a variant, not a result *)
-    @ (match cache with
-      | None -> [ ("plan_cache", json_string "off") ]
-      | Some c ->
-        let cs = Sunflow_core.Plan_cache.stats c in
-        [
-          ("plan_cache", json_string "on");
-          ("cache_hits", string_of_int cs.Sunflow_core.Plan_cache.hits);
-          ("cache_misses", string_of_int cs.misses);
-          ("cache_invalidations", string_of_int cs.invalidations);
-          ("cache_replayed_windows", string_of_int cs.replayed_windows);
-        ])
   in
   let rep, violations =
     Check.Attrib_report.build ~top_k ~run ~coflows:trace.Trace.coflows result
@@ -1021,18 +931,13 @@ let report_cmd =
     Term.(
       const report $ trace_file_arg $ bandwidth_arg $ delta_arg $ replan_arg
       $ buckets_arg $ bucket_base_arg $ shards_arg $ shard_block_arg
-      $ plan_cache_arg $ plan_cache_windows_arg $ jobs_arg $ out $ samples_out
-      $ top_k)
+      $ jobs_arg $ out $ samples_out $ top_k)
 
 (* --- serve --- *)
 
-let serve path gbps ms buckets bucket_base shards shard_block plan_cache
-    plan_cache_windows jobs deadline_mult validate trace_out metrics_out =
+let serve path gbps ms buckets bucket_base shards shard_block jobs
+    deadline_mult validate trace_out metrics_out =
   set_jobs jobs;
-  if plan_cache_windows < 1 then begin
-    Format.eprintf "--plan-cache-windows must be >= 1@.";
-    exit 1
-  end;
   let bandwidth = to_bandwidth gbps and delta = to_delta ms in
   let stats, broken =
     with_obs ~trace_out ~metrics_out @@ fun () ->
@@ -1074,14 +979,8 @@ let serve path gbps ms buckets bucket_base shards shard_block plan_cache
       else ((fun _ ~finish:_ -> ()), fun ~id:_ ~t:_ ~cct:_ -> ())
     in
     let w0 = Obs.Control.now_ns () in
-    let cache =
-      if plan_cache then
-        Some (Sunflow_core.Plan_cache.create ~max_windows:plan_cache_windows ())
-      else None
-    in
     let stats =
-      Serve.run ~buckets ~bucket_base ~shards ~shard_block ~runner
-        ?plan_cache:cache ?deadline_of
+      Serve.run ~buckets ~bucket_base ~shards ~shard_block ~runner ?deadline_of
         ~stop:(fun () -> !interrupted)
         ~on_admit ~on_finish ~delta ~bandwidth next
     in
@@ -1159,9 +1058,8 @@ let serve_cmd =
           interrupted.")
     Term.(
       const serve $ stream_arg $ bandwidth_arg $ delta_arg $ buckets_arg
-      $ bucket_base_arg $ shards_arg $ shard_block_arg $ plan_cache_arg
-      $ plan_cache_windows_arg $ jobs_arg $ deadline_arg $ validate_serve_arg
-      $ trace_out_arg $ metrics_out_arg)
+      $ bucket_base_arg $ shards_arg $ shard_block_arg $ jobs_arg
+      $ deadline_arg $ validate_serve_arg $ trace_out_arg $ metrics_out_arg)
 
 let () =
   let info =

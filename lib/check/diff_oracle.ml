@@ -3,7 +3,6 @@ module Demand = Sunflow_core.Demand
 module Inter = Sunflow_core.Inter
 module Order = Sunflow_core.Order
 module Prt = Sunflow_core.Prt
-module Plan_cache = Sunflow_core.Plan_cache
 module Units = Sunflow_core.Units
 module Circuit_sim = Sunflow_sim.Circuit_sim
 module Sim_result = Sunflow_sim.Sim_result
@@ -249,44 +248,6 @@ let fuzz ?(policy = Inter.Shortest_first) ?(check_attrib = false) ?tol ~seed
       (Printf.sprintf "equiv shards=%d buckets=%d" shards buckets)
       (Plan_check.replay_equiv ~policy ~shards ~shard_block ~buckets ~delta
          ~bandwidth trace);
-    (* plan-cache soundness, two layers. First, a cached incremental
-       replay — cold (populating a fresh handle) and then warm
-       (replaying the cold run's entries verbatim) — must produce a
-       Sim_result structurally identical to the uncached replay's. *)
-    let base =
-      Circuit_sim.run ~policy ~replan:`Incremental ~delta ~bandwidth trace
-    in
-    let cache = Plan_cache.create () in
-    let cached label =
-      let r =
-        Circuit_sim.run ~policy ~replan:`Incremental ~plan_cache:cache ~delta
-          ~bandwidth trace
-      in
-      if r <> base then
-        vs :=
-          V.v V.Divergence
-            "[trace seed %d, %s] the plan-cached replay's Sim_result differs \
-             from the uncached replay's"
-            trace_seed label
-          :: !vs
-    in
-    cached "cache cold";
-    cached "cache warm";
-    (* Second, the incremental-vs-rebuild bit-identity must survive a
-       shared cache handle across the bucket/shard grid — both runs
-       populate and replay the same table, so a stale hit or key
-       collision in either surfaces as an equivalence report. Run each
-       configuration twice on its handle: once cold, once warm. *)
-    let cache_grid = Plan_cache.create () in
-    for _ = 1 to 2 do
-      equiv "equiv cache"
-        (Plan_check.replay_equiv ~policy ~plan_cache:cache_grid ~delta
-           ~bandwidth trace);
-      equiv
-        (Printf.sprintf "equiv cache shards=%d buckets=%d" shards buckets)
-        (Plan_check.replay_equiv ~policy ~shards ~shard_block ~buckets
-           ~plan_cache:cache_grid ~delta ~bandwidth trace)
-    done;
     (* every third trace also runs the all-stop ablation, where no
        circuit survives a rescheduling instant, and drives the bucketed
        incremental schedule through the physical switch *)

@@ -105,12 +105,7 @@ val fuzz :
     full replan and incremental — plus {!Plan_check.replay_equiv}'s
     bit-identity check of incremental against rebuild, repeated for a
     sharded engine (shard count cycling over 2/4/8, stripe width over
-    1/2) in both the exact and bucketed orders. Each trace also runs
-    the plan-cache legs: a cached incremental replay cold and warm
-    against the uncached Sim_result, and the replay_equiv bit-identity
-    check with a shared {!Sunflow_core.Plan_cache} handle across the
-    exact and sharded-bucketed configurations, cold and warm. Every
-    third trace
+    1/2) in both the exact and bucketed orders. Every third trace
     additionally repeats both replays with [carry_circuits = false]
     (the all-stop ablation) and drives the sharded engine's executed
     schedule through the physical switch. [check_attrib] forwards to

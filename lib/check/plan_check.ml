@@ -373,7 +373,7 @@ module Circuit_sim = Sunflow_sim.Circuit_sim
 module Sim_result = Sunflow_sim.Sim_result
 
 let replay_equiv ?policy ?order ?carry_circuits ?buckets ?bucket_base ?shards
-    ?shard_block ?plan_cache ~delta ~bandwidth coflows =
+    ?shard_block ~delta ~bandwidth coflows =
   let capture replan =
     let slices = ref [] in
     let on_slice ~t ~t_next ~established ~coflows:_ (plan : Inter.result) =
@@ -385,8 +385,7 @@ let replay_equiv ?policy ?order ?carry_circuits ?buckets ?bucket_base ?shards
        the bit-identity requirement *)
     let r =
       Circuit_sim.run ?policy ?order ?carry_circuits ?buckets ?bucket_base
-        ?shards ?shard_block ?plan_cache ~replan ~on_slice ~delta ~bandwidth
-        coflows
+        ?shards ?shard_block ~replan ~on_slice ~delta ~bandwidth coflows
     in
     (r, List.rev !slices)
   in

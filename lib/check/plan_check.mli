@@ -86,7 +86,6 @@ val replay_equiv :
   ?bucket_base:float ->
   ?shards:int ->
   ?shard_block:int ->
-  ?plan_cache:Sunflow_core.Plan_cache.t ->
   delta:float ->
   bandwidth:float ->
   Sunflow_core.Coflow.t list ->
@@ -105,9 +104,4 @@ val replay_equiv :
     modes. [shards]/[shard_block] shard the incremental run's engine;
     the rebuild oracle coerces shards to one, so any sharding bug —
     optimistic-pass divergence, a missed cross-shard conflict, a bad
-    rollback — surfaces as a report here. [plan_cache] threads a
-    {!Sunflow_core.Plan_cache} handle into {e both} runs: the
-    incremental run populates it and the rebuild run may replay its
-    entries verbatim, so any cache bug — a stale hit, a key
-    collision, a replay diverging from the kernel — surfaces as a
-    bit-identity report too. *)
+    rollback — surfaces as a report here. *)

@@ -1,6 +1,8 @@
 type t = { id : int; arrival : float; demand : Demand.t }
 
 let make ~id ?(arrival = 0.) demand =
+  if not (Float.is_finite arrival) then
+    invalid_arg "Coflow.make: non-finite arrival time";
   if arrival < 0. then invalid_arg "Coflow.make: negative arrival time";
   { id; arrival; demand }
 

@@ -10,7 +10,7 @@ type t = { id : int; arrival : float; demand : Demand.t }
 
 val make : id:int -> ?arrival:float -> Demand.t -> t
 (** [arrival] defaults to [0.]. Raises [Invalid_argument] on a negative
-    arrival time. *)
+    or non-finite arrival time. *)
 
 val n_subflows : t -> int
 (** The paper's [|C|]: non-zero entries of the demand matrix. *)

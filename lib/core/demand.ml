@@ -7,8 +7,12 @@ let check_ports i j =
 
 let get (d : t) i j = match Hashtbl.find_opt d (i, j) with Some v -> v | None -> 0.
 
+let check_finite v =
+  if not (Float.is_finite v) then invalid_arg "Demand: non-finite value"
+
 let set (d : t) i j v =
   check_ports i j;
+  check_finite v;
   if v > 0. then Hashtbl.replace d (i, j) v else Hashtbl.remove d (i, j)
 
 let add (d : t) i j v = set d i j (get d i j +. v)
@@ -19,7 +23,14 @@ let drain (d : t) i j b =
 
 let of_list pairs =
   let d = create () in
-  List.iter (fun ((i, j), v) -> if v > 0. then add d i j v else check_ports i j) pairs;
+  List.iter
+    (fun ((i, j), v) ->
+      if v > 0. then add d i j v
+      else begin
+        check_ports i j;
+        check_finite v
+      end)
+    pairs;
   d
 
 let copy (d : t) = Hashtbl.copy d

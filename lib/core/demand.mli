@@ -17,7 +17,7 @@ val create : unit -> t
 val of_list : ((int * int) * float) list -> t
 (** Build from [((src, dst), bytes)] pairs. Pairs with non-positive
     bytes are dropped; duplicate keys accumulate. Negative port ids
-    raise [Invalid_argument]. *)
+    and non-finite bytes raise [Invalid_argument]. *)
 
 val copy : t -> t
 
@@ -25,10 +25,12 @@ val get : t -> int -> int -> float
 (** Bytes remaining from [src] to [dst] ([0.] if absent). *)
 
 val set : t -> int -> int -> float -> unit
-(** Overwrite one entry; a non-positive value removes it. *)
+(** Overwrite one entry; a non-positive value removes it. Raises
+    [Invalid_argument] on a negative port id or a non-finite value. *)
 
 val add : t -> int -> int -> float -> unit
-(** Accumulate bytes onto one entry. *)
+(** Accumulate bytes onto one entry; raises like {!set} when the sum
+    is not finite. *)
 
 val drain : t -> int -> int -> float -> unit
 (** [drain d i j b] removes up to [b] bytes from entry [(i, j)],

@@ -47,7 +47,7 @@ let m_rounds = Obs.Registry.counter "inter.rounds"
 let h_batch = Obs.Registry.histogram "inter.coflows_per_round"
 
 let schedule ?(now = 0.) ?(order = Order.Ordered_port) ?(established = [])
-    ?plan_cache ~policy ~delta ~bandwidth coflows =
+    ~policy ~delta ~bandwidth coflows =
   (* [finish_of] keys the result on Coflow ids, so duplicates would
      silently shadow one another — reject them like Circuit_sim.run *)
   let ids = List.map (fun c -> c.Coflow.id) coflows in
@@ -73,8 +73,8 @@ let schedule ?(now = 0.) ?(order = Order.Ordered_port) ?(established = [])
     List.map
       (fun c ->
         let r =
-          Sunflow.schedule ~prt ?cache:plan_cache ~now ~order
-            ~established:is_established ~delta ~bandwidth c
+          Sunflow.schedule ~prt ~now ~order ~established:is_established
+            ~delta ~bandwidth c
         in
         (c.Coflow.id, r))
       ordered
@@ -133,7 +133,6 @@ type engine = {
   g_bandwidth : float;
   g_carry : bool;
   g_rebuild : bool;
-  g_cache : Plan_cache.t option;  (* plan cache threaded to every Sunflow call *)
   g_buckets : int;  (* 0 = exact order (buckets off) *)
   g_bucket_base : float;
   g_cmp : entry -> entry -> int;
@@ -219,8 +218,8 @@ let evec_make () = { v_arr = [||]; v_n = 0 }
 
 let engine ?(order = Order.Ordered_port) ?(carry_circuits = true)
     ?(rebuild = false) ?(buckets = 0) ?(bucket_base = 4.) ?(shards = 1)
-    ?(shard_block = 1) ?(runner = sequential_runner) ?plan_cache ~policy ~delta
-    ~bandwidth () =
+    ?(shard_block = 1) ?(runner = sequential_runner) ~policy ~delta ~bandwidth
+    () =
   if buckets < 0 then invalid_arg "Inter.engine: negative bucket count";
   if bucket_base <= 1. then invalid_arg "Inter.engine: bucket_base must be > 1";
   if shards < 1 then invalid_arg "Inter.engine: shards must be >= 1";
@@ -236,7 +235,6 @@ let engine ?(order = Order.Ordered_port) ?(carry_circuits = true)
     g_bandwidth = bandwidth;
     g_carry = carry_circuits;
     g_rebuild = rebuild;
-    g_cache = plan_cache;
     g_buckets = buckets;
     g_bucket_base = bucket_base;
     g_cmp = entry_cmp ~buckets policy;
@@ -434,6 +432,97 @@ let m_sh_rollbacks = Obs.Registry.counter "sim.shard.rollbacks"
 let m_sh_dirty = Obs.Registry.counter "inter.shard.dirty_shards"
 let h_sh_rollback = Obs.Registry.histogram "sim.shard.rollback_s"
 
+(* One bucketed lazy-repair pass over some entry sequence against
+   [prt], parameterised over the table, with [guard] consulted before
+   any eviction (shard passes raise [Cross_conflict] on a cross-shard
+   owner) and every replaced plan recorded for rollback. Returns the
+   per-entry [process] (call it on the suffix in priority order) and
+   the pass's counters.
+
+   No rollback: a dirty entry, at its turn in priority order, clears
+   every later-priority window from the ports its planner can touch
+   (the senders/receivers of its remaining demand), recording the
+   evicted windows per owner, then reschedules. An evicted ("touched")
+   clean entry re-admits its evicted windows verbatim at its own turn
+   when they all still fit exactly, and partially re-plans otherwise;
+   a clean entry nobody touched keeps its plan at zero cost. This
+   matches the rebuild oracle's decisions bit-for-bit:
+   [Sunflow.schedule] reads and writes only the ports of the Coflow's
+   own demand ([probe] / [next_release_on_ports] take explicit ports),
+   so each rescheduled entry sees, on every port it queries, exactly
+   the prefix plus already-processed suffix — the rebuild table's
+   content at the same turn. Windows never evicted sit on ports no new
+   window lands on, and the old windows were mutually disjoint, so
+   they'd pass the oracle's fit test unconditionally; evicted windows
+   are tested against table content identical on their ports. The
+   fit-failure sets therefore coincide, and so do the plans. *)
+let make_pass g ~prt ~now ~remaining ~is_established ~dirty ~guard =
+  let touched : (int, Prt.reservation list ref) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
+  let old_plans = ref [] in
+  let resched = ref 0 and spliced = ref 0 and cascades = ref 0 in
+  let reschedule e =
+    old_plans := (e, e.e_plan) :: !old_plans;
+    let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
+    e.e_plan <-
+      Sunflow.schedule ~prt ~now ~order:g.g_order
+        ~established:is_established ~delta:g.g_delta ~bandwidth:g.g_bandwidth c;
+    incr resched
+  in
+  let clear_demand_ports e d =
+    let clear_port p =
+      if not (Hashtbl.mem ports_cleared p) then begin
+        Hashtbl.replace ports_cleared p ();
+        List.iter
+          (fun r ->
+            match Hashtbl.find_opt g.g_index r.Prt.coflow with
+            | Some o when g.g_cmp e o < 0 ->
+              guard o;
+              (* [remove] is false when the window was already evicted
+                 through its other port — record once *)
+              if Prt.remove prt r then begin
+                let l =
+                  match Hashtbl.find_opt touched r.Prt.coflow with
+                  | Some l -> l
+                  | None ->
+                    let l = ref [] in
+                    Hashtbl.replace touched r.Prt.coflow l;
+                    l
+                in
+                l := r :: !l
+              end
+            | _ -> ())
+          (Prt.port_reservations prt p)
+      end
+    in
+    List.iter (fun p -> clear_port (Prt.In p)) (Demand.senders d);
+    List.iter (fun p -> clear_port (Prt.Out p)) (Demand.receivers d)
+  in
+  let process e =
+    let id = e.e_coflow.Coflow.id in
+    if Hashtbl.mem dirty id then begin
+      Hashtbl.remove touched id;
+      ignore (Prt.retract_coflow prt id : int);
+      clear_demand_ports e (remaining id);
+      reschedule e
+    end
+    else
+      match Hashtbl.find_opt touched id with
+      | None -> incr spliced
+      | Some l ->
+        Hashtbl.remove touched id;
+        if Prt.splice_exact prt !l then incr spliced
+        else begin
+          incr cascades;
+          ignore (Prt.retract_coflow prt id : int);
+          clear_demand_ports e (remaining id);
+          reschedule e
+        end
+  in
+  (process, old_plans, resched, spliced, cascades)
+
 let step_unsharded g ~now ~arrivals ~finished ~remaining =
   let obs = Obs.Control.enabled () in
   if obs then begin
@@ -592,7 +681,7 @@ let step_unsharded g ~now ~arrivals ~finished ~remaining =
   let reschedule e =
     let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
     e.e_plan <-
-      Sunflow.schedule ~prt:g.g_prt ?cache:g.g_cache ~now ~order:g.g_order
+      Sunflow.schedule ~prt:g.g_prt ~now ~order:g.g_order
         ~established:is_established ~delta:g.g_delta ~bandwidth:g.g_bandwidth c;
     g.g_rescheduled <- g.g_rescheduled + 1
   in
@@ -633,82 +722,17 @@ let step_unsharded g ~now ~arrivals ~finished ~remaining =
     if not g.g_rebuild then Prt.forget_history g.g_prt
   end
   else begin
-    (* lazy damage-bounded repair (bucketed incremental mode). No
-       rollback: a dirty entry, at its turn in priority order, clears
-       every later-priority window from the ports its planner can
-       touch (the senders/receivers of its remaining demand), recording
-       the evicted windows per owner, then reschedules. An evicted
-       ("touched") clean entry re-admits its evicted windows verbatim
-       at its own turn when they all still fit exactly, and partially
-       re-plans otherwise; a clean entry nobody touched keeps its plan
-       at zero cost. This matches the rebuild oracle's decisions
-       bit-for-bit: [Sunflow.schedule] reads and writes only the ports
-       of the Coflow's own demand ([probe] / [next_release_on_ports]
-       take explicit ports), so each rescheduled entry sees, on every
-       port it queries, exactly the prefix plus already-processed
-       suffix — the rebuild table's content at the same turn. Windows
-       never evicted sit on ports no new window lands on, and the old
-       windows were mutually disjoint, so they'd pass the oracle's fit
-       test unconditionally; evicted windows are tested against table
-       content identical on their ports. The fit-failure sets therefore
-       coincide, and so do the plans. *)
-    let touched : (int, Prt.reservation list ref) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
-    let clear_demand_ports e d =
-      let clear_port p =
-        if not (Hashtbl.mem ports_cleared p) then begin
-          Hashtbl.replace ports_cleared p ();
-          List.iter
-            (fun r ->
-              match Hashtbl.find_opt g.g_index r.Prt.coflow with
-              | Some o when g.g_cmp e o < 0 ->
-                  (* [remove] is false when the window was already
-                     evicted through its other port — record once *)
-                  if Prt.remove g.g_prt r then begin
-                    let l =
-                      match Hashtbl.find_opt touched r.Prt.coflow with
-                      | Some l -> l
-                      | None ->
-                          let l = ref [] in
-                          Hashtbl.replace touched r.Prt.coflow l;
-                          l
-                    in
-                    l := r :: !l
-                  end
-              | _ -> ())
-            (Prt.port_reservations g.g_prt p)
-        end
-      in
-      List.iter (fun p -> clear_port (Prt.In p)) (Demand.senders d);
-      List.iter (fun p -> clear_port (Prt.Out p)) (Demand.receivers d)
-    in
-    let process e =
-      let id = e.e_coflow.Coflow.id in
-      if Hashtbl.mem dirty id then begin
-        Hashtbl.remove touched id;
-        ignore (Prt.retract_coflow g.g_prt id : int);
-        clear_demand_ports e (remaining id);
-        reschedule e
-      end
-      else
-        match Hashtbl.find_opt touched id with
-        | None -> g.g_spliced <- g.g_spliced + 1
-        | Some l ->
-            Hashtbl.remove touched id;
-            if Prt.splice_exact g.g_prt !l then
-              g.g_spliced <- g.g_spliced + 1
-            else begin
-              if obs then Obs.Registry.incr m_cascades;
-              ignore (Prt.retract_coflow g.g_prt id : int);
-              clear_demand_ports e (remaining id);
-              reschedule e
-            end
+    (* lazy damage-bounded repair (bucketed incremental mode) *)
+    let process, _old, resched, spliced, cascades =
+      make_pass g ~prt:g.g_prt ~now ~remaining ~is_established ~dirty
+        ~guard:ignore
     in
     for i = dirty_pos to g.g_n - 1 do
       process g.g_entries.(i)
     done;
+    g.g_rescheduled <- g.g_rescheduled + !resched;
+    g.g_spliced <- g.g_spliced + !spliced;
+    if obs && !cascades > 0 then Obs.Registry.add m_cascades !cascades;
     (* this engine never rolls back — without this the undo log grows
        with every reserve for the run's lifetime and pins retired
        Coflows' windows against the GC *)
@@ -747,79 +771,6 @@ let step_unsharded g ~now ~arrivals ~finished ~remaining =
 
 exception Cross_conflict
 
-(* one bucketed lazy-repair pass over some entry sequence against
-   [prt] — the same decision procedure as [step_unsharded]'s bucketed
-   branch, parameterised over the table, with [guard] consulted before
-   any eviction (shard passes raise [Cross_conflict] on a cross-shard
-   owner) and every replaced plan recorded for rollback. [cache] is
-   threaded explicitly rather than read off [g]: a [Plan_cache.t] is
-   single-domain mutable state, so the caller must pass [None] to any
-   pass it may execute concurrently with another. *)
-let make_pass g ~prt ~cache ~now ~remaining ~is_established ~dirty ~guard =
-  let touched : (int, Prt.reservation list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
-  let old_plans = ref [] in
-  let resched = ref 0 and spliced = ref 0 and cascades = ref 0 in
-  let reschedule e =
-    old_plans := (e, e.e_plan) :: !old_plans;
-    let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
-    e.e_plan <-
-      Sunflow.schedule ~prt ?cache ~now ~order:g.g_order
-        ~established:is_established ~delta:g.g_delta ~bandwidth:g.g_bandwidth c;
-    incr resched
-  in
-  let clear_demand_ports e d =
-    let clear_port p =
-      if not (Hashtbl.mem ports_cleared p) then begin
-        Hashtbl.replace ports_cleared p ();
-        List.iter
-          (fun r ->
-            match Hashtbl.find_opt g.g_index r.Prt.coflow with
-            | Some o when g.g_cmp e o < 0 ->
-              guard o;
-              if Prt.remove prt r then begin
-                let l =
-                  match Hashtbl.find_opt touched r.Prt.coflow with
-                  | Some l -> l
-                  | None ->
-                    let l = ref [] in
-                    Hashtbl.replace touched r.Prt.coflow l;
-                    l
-                in
-                l := r :: !l
-              end
-            | _ -> ())
-          (Prt.port_reservations prt p)
-      end
-    in
-    List.iter (fun p -> clear_port (Prt.In p)) (Demand.senders d);
-    List.iter (fun p -> clear_port (Prt.Out p)) (Demand.receivers d)
-  in
-  let process e =
-    let id = e.e_coflow.Coflow.id in
-    if Hashtbl.mem dirty id then begin
-      Hashtbl.remove touched id;
-      ignore (Prt.retract_coflow prt id : int);
-      clear_demand_ports e (remaining id);
-      reschedule e
-    end
-    else
-      match Hashtbl.find_opt touched id with
-      | None -> incr spliced
-      | Some l ->
-        Hashtbl.remove touched id;
-        if Prt.splice_exact prt !l then incr spliced
-        else begin
-          incr cascades;
-          ignore (Prt.retract_coflow prt id : int);
-          clear_demand_ports e (remaining id);
-          reschedule e
-        end
-  in
-  (process, old_plans, resched, spliced, cascades)
-
 type pass_out =
   | Pass_ok of (entry * Sunflow.result) list * int * int * int
       (* replaced plans (for rollback), rescheduled, spliced, cascades *)
@@ -829,15 +780,13 @@ type pass_out =
    position. Reads shared engine state only (g_index, dirty, the
    established set — all frozen for the event); mutates only the
    shard's own table and its own entries' plans, so passes are safe to
-   run on separate domains — provided [cache] is [None] whenever the
-   caller dispatches more than one pass to a runner that may span
-   domains (the plan cache is single-domain state). *)
-let run_shard_pass g ~cache ~now ~remaining ~is_established ~dirty s first =
+   run on separate domains. *)
+let run_shard_pass g ~now ~remaining ~is_established ~dirty s first =
   let vec = g.g_slocal.(s) in
   let guard o = if Array.length o.e_shards > 1 then raise Cross_conflict in
   let process, old_plans, resched, spliced, cascades =
-    make_pass g ~prt:g.g_sprt.(s) ~cache ~now ~remaining ~is_established
-      ~dirty ~guard
+    make_pass g ~prt:g.g_sprt.(s) ~now ~remaining ~is_established ~dirty
+      ~guard
   in
   try
     for i = evec_lower g.g_cmp vec first to vec.v_n - 1 do
@@ -895,9 +844,8 @@ let resolve_cross g ~obs ~now ~remaining ~is_established ~dirty ~min_dirty
       List.iter (Prt.reserve merged) e.e_plan.Sunflow.reservations
   done;
   let process, _old, resched, spliced, cascades =
-    (* single pass on the calling domain: the engine's cache is safe *)
-    make_pass g ~prt:merged ~cache:g.g_cache ~now ~remaining ~is_established
-      ~dirty ~guard:(fun _ -> ())
+    make_pass g ~prt:merged ~now ~remaining ~is_established ~dirty
+      ~guard:ignore
   in
   (match min_dirty with
   | None -> ()
@@ -1132,27 +1080,11 @@ let sharded_step g ~now ~arrivals ~finished ~remaining =
         | Some m -> targets := (s, m) :: !targets
         | None -> ()
       done;
-      (* the plan cache is single-domain mutable state (plain Hashtbl +
-         Queue): when more than one pass goes through a runner that may
-         execute them on separate domains, the passes run uncached —
-         sharing the handle would race its table and counters. The
-         default [sequential_runner] keeps the cache (it runs the
-         thunks on the calling domain), as does a single-pass round;
-         decisions are bit-identical either way, the skipped round just
-         neither consults nor refreshes the entries. *)
-      let cache =
-        if
-          g.g_runner == sequential_runner
-          || List.compare_length_with !targets 1 <= 0
-        then g.g_cache
-        else None
-      in
       let thunks =
         Array.of_list
           (List.map
              (fun (s, m) () ->
-               run_shard_pass g ~cache ~now ~remaining ~is_established ~dirty
-                 s m)
+               run_shard_pass g ~now ~remaining ~is_established ~dirty s m)
              !targets)
       in
       let outs =

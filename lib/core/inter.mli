@@ -41,7 +41,6 @@ val schedule :
   ?now:float ->
   ?order:Order.t ->
   ?established:(int * int) list ->
-  ?plan_cache:Plan_cache.t ->
   policy:policy ->
   delta:float ->
   bandwidth:float ->
@@ -52,11 +51,9 @@ val schedule :
     [established] lists circuits physically up at [now]; any Coflow's
     first reservation on such a circuit starting exactly at [now] pays
     no reconfiguration delay. Coflows with empty demand get an empty
-    plan finishing at [now]. [plan_cache] threads a {!Plan_cache}
-    handle into every intra-Coflow [Sunflow.schedule] call; results
-    are bit-identical with or without it. Raises [Invalid_argument]
-    on duplicate Coflow ids — {!finish_of} keys on ids, so duplicates
-    would silently shadow one another. *)
+    plan finishing at [now]. Raises [Invalid_argument] on duplicate
+    Coflow ids — {!finish_of} keys on ids, so duplicates would
+    silently shadow one another. *)
 
 val finish_of : result -> int -> float option
 (** Planned finish time of a Coflow by id. *)
@@ -110,7 +107,6 @@ val engine :
   ?shards:int ->
   ?shard_block:int ->
   ?runner:pass_runner ->
-  ?plan_cache:Plan_cache.t ->
   policy:policy ->
   delta:float ->
   bandwidth:float ->
@@ -152,21 +148,7 @@ val engine :
     bit-identical to [shards = 1] for every shard count; [rebuild]
     coerces [shards] to [1] (the from-scratch oracle is inherently
     global). Raises [Invalid_argument] if [shards < 1] or
-    [shard_block < 1].
-
-    [plan_cache] threads a {!Plan_cache} handle into the
-    [Sunflow.schedule] calls the engine makes on the calling domain:
-    every unsharded stepping mode, the rebuild oracle, the sharded
-    cross-shard resolution pass, and optimistic shard passes that run
-    sequentially (the default {!sequential_runner}, or a round with a
-    single dirty shard). A round that dispatches several passes
-    through a non-default [runner] — which may execute them on
-    separate domains — runs those passes uncached: the handle is
-    single-domain mutable state and must not be shared across domains.
-    Decisions are bit-identical with or without the cache; a handle
-    shared across repeated replays of the same workload turns the
-    repeated replans into verbatim window replays. Default: no
-    cache. *)
+    [shard_block < 1]. *)
 
 val schedule_incremental :
   engine ->

@@ -99,13 +99,6 @@ type slot = {
   mutable res : reservation array;  (* sorted by start *)
   mutable stops : float array;  (* the same windows' stops, sorted *)
   mutable len : int;
-  (* change tracking for the plan cache: [epoch] counts every mutation
-     that ever touched the port (monotone, never reset), [sig_] is an
-     XOR-fold of the resident windows' hashes (self-inverse, so a
-     remove undoes the matching insert in O(1)). Together with [len]
-     they fingerprint the port's content; see [mark] below. *)
-  mutable epoch : int;
-  mutable sig_ : int;
 }
 
 (* The interval index: every live window once (keyed on its input-port
@@ -191,8 +184,6 @@ let copy t =
           res = Array.sub s.res 0 s.len;
           stops = Array.sub s.stops 0 s.len;
           len = s.len;
-          epoch = s.epoch;
-          sig_ = s.sig_;
         })
     t.ports;
   let owners = Hashtbl.create (Hashtbl.length t.owners) in
@@ -211,52 +202,13 @@ let copy t =
 
 let is_empty t = t.n_res = 0
 
-(* Shared read-only stand-in for ports that never held a window. Its
-   epoch/signature stay 0 forever — a port with no slot reports the
-   same fingerprint as a freshly created slot before its first insert,
-   which is exactly right: both have empty content and no history.
+(* Shared read-only stand-in for ports that never held a window.
    [slot_insert] materialises a fresh slot on first use, so this record
    is never mutated. *)
-let empty_slot = { res = [||]; stops = [||]; len = 0; epoch = 0; sig_ = 0 }
+let empty_slot = { res = [||]; stops = [||]; len = 0 }
 
 let find_slot t p =
   match Hashtbl.find_opt t.ports p with Some s -> s | None -> empty_slot
-
-(* --- change tracking --------------------------------------------------
-
-   Every mutation funnels through [slot_insert] / [slot_remove] (reserve,
-   remove, retract_coflow, rollback and the failed-reserve In-undo all
-   bottom out there), so bumping the per-port epoch and XOR signature in
-   those two functions covers the whole mutation surface. *)
-
-(* FNV-1a over the window's identity; float fields enter by their IEEE
-   bit patterns so dust-distinct windows hash apart *)
-let res_hash (r : reservation) =
-  let fb f = Int64.to_int (Int64.bits_of_float f) in
-  let mix h x = (h lxor x) * 0x100000001b3 in
-  let h = mix 0x3bf29ce484222325 r.coflow in
-  let h = mix h r.src in
-  let h = mix h r.dst in
-  let h = mix h (fb r.start) in
-  let h = mix h (fb r.setup) in
-  mix h (fb r.length)
-
-let slot_touch s r =
-  s.epoch <- s.epoch + 1;
-  s.sig_ <- s.sig_ lxor res_hash r
-
-let epoch t p = (find_slot t p).epoch
-
-let epochs_of t ports =
-  Array.of_list (List.map (fun p -> (find_slot t p).epoch) ports)
-
-(* (epoch, window count, content signature) — the triple the plan cache
-   snapshots per footprint port. Equal marks mean equal resident window
-   multisets (up to a 63-bit hash collision): [len] + XOR [sig_] pin the
-   content, the epoch additionally pins the mutation count. *)
-let mark t p =
-  let s = find_slot t p in
-  (s.epoch, s.len, s.sig_)
 
 (* --- binary searches --------------------------------------------------
 
@@ -454,7 +406,7 @@ let slot_insert c t p r =
     match Hashtbl.find_opt t.ports p with
     | Some s -> s
     | None ->
-      let s = { res = [||]; stops = [||]; len = 0; epoch = 0; sig_ = 0 } in
+      let s = { res = [||]; stops = [||]; len = 0 } in
       Hashtbl.replace t.ports p s;
       s
   in
@@ -500,12 +452,10 @@ let slot_insert c t p r =
   Array.blit s.stops sk s.stops (sk + 1) (s.len - sk);
   s.stops.(sk) <- stop r;
   s.len <- s.len + 1;
-  slot_touch s r;
   k
 
 let slot_remove c t p k stop_time =
   let s = find_slot t p in
-  slot_touch s s.res.(k);
   Array.blit s.res (k + 1) s.res k (s.len - k - 1);
   let sk =
     (* any entry equal to [stop_time] is interchangeable *)

@@ -138,33 +138,8 @@ val splice_exact : t -> reservation list -> bool
     of the contract: sibling windows of one plan may overlap each
     other by sub-[time_tolerance] rounding dust, which [reserve]
     tolerates but [fits_exact] rejects, so interleaving the check with
-    the reserves would spuriously fail such plans. This is the single
-    splice primitive behind the incremental engine's verbatim
-    re-admission and the plan cache's replay path. *)
-
-(** {1 Change tracking}
-
-    Every mutation — {!reserve}, {!remove}, {!retract_coflow},
-    {!rollback}, including the internal undo of a reserve that failed
-    on its second port — bumps a monotone per-port epoch counter and
-    updates a per-port content signature. The plan cache keys its
-    validity on these: a port whose mark is unchanged holds exactly
-    the windows it held when the plan was computed. *)
-
-val epoch : t -> port -> int
-(** Number of mutations that ever touched the port (never resets; a
-    port never touched reports [0]). *)
-
-val epochs_of : t -> port list -> int array
-(** {!epoch} over a footprint, one hash lookup per port. *)
-
-val mark : t -> port -> int * int * int
-(** [(epoch, window count, content signature)] for the port. The
-    signature is an XOR-fold of the resident windows' 63-bit hashes
-    (remove undoes the matching insert), so equal marks mean equal
-    resident window multisets up to hash collision — count and
-    signature pin the content, the epoch additionally pins the
-    mutation history. {!copy} preserves marks. *)
+    the reserves would spuriously fail such plans. This is the splice
+    primitive behind the incremental engines' verbatim re-admission. *)
 
 val remove : t -> reservation -> bool
 (** Remove the window physically equal to the argument from both of its

@@ -42,12 +42,12 @@ let dummy_res =
    (parallel arrays — unboxed times next to their flows) and the
    growable accumulator of made reservations, all reused across calls
    so the kernel's steady state allocates nothing proportional to the
-   flow count. Reuse rules (see DESIGN.md "Plan cache & schedule
-   kernel"): the arena owns only scalar-field [pending] records;
-   every slot that ever referenced a caller-visible value (a made
-   reservation, a popped heap flow) is cleared back to a dummy before
-   the call returns, so a retained arena never pins schedule outputs
-   against the GC. A reentrant call (a hostile [established] closure
+   flow count. Reuse rules (see DESIGN.md "Schedule kernel"): the
+   arena owns only scalar-field [pending] records; every slot that
+   ever referenced a caller-visible value (a made reservation, a
+   popped heap flow) is cleared back to a dummy before the call
+   returns, so a retained arena never pins schedule outputs against
+   the GC. A reentrant call (a hostile [established] closure
    calling [schedule]) finds the arena busy and falls back to a fresh
    one. *)
 type scratch = {
@@ -218,7 +218,7 @@ let no_circuit _ = false
    strictly before the state the flow was already waiting on clears.
    This replays the round-robin loop reservation for reservation while
    doing O(1) retries per release instead of O(|pending|). *)
-let schedule ?prt ?cache ?(now = 0.) ?(order = Order.Ordered_port)
+let schedule ?prt ?(now = 0.) ?(order = Order.Ordered_port)
     ?(established = no_circuit) ?(quantum = 0.) ~delta ~bandwidth coflow =
   if bandwidth <= 0. then invalid_arg "Sunflow.schedule: bandwidth <= 0";
   if delta < 0. then invalid_arg "Sunflow.schedule: negative delta";
@@ -268,86 +268,41 @@ let schedule ?prt ?cache ?(now = 0.) ?(order = Order.Ordered_port)
       Obs.Tracer.end_span ~cat:"core" "sunflow.candidates";
       Obs.Tracer.begin_span ~cat:"core" "sunflow.reserve"
     end;
-    let kernel () =
-      for i = 0 to n_pending - 1 do
-        wk_push sc now sc.pool.(i)
-      done;
-      let n_wakes = ref 0 in
-      while sc.wk_len > 0 do
-        let t = sc.wk_time.(0) in
-        let p = sc.wk_flow.(0) in
-        wk_drop sc;
-        incr n_wakes;
-        make_reservation sc prt ~coflow:coflow.Coflow.id ~now ~delta
-          ~established t p;
-        if p.remaining > 0. then begin
-          let t' = Prt.next_release_pair prt ~src:p.src ~dst:p.dst t in
-          if t' = infinity then
-            (* Impossible: a blocked flow implies a reservation releasing
-               after [t] (see the progress argument in the design doc). *)
-            invalid_arg "Sunflow.schedule: stuck with pending demand"
-          else wk_push sc t' p
-        end
-      done;
-      if obs then Obs.Registry.add m_wakes !n_wakes;
-      let finish = ref now and setups = ref 0 in
-      for i = 0 to sc.n_made - 1 do
-        let r = sc.made.(i) in
-        finish := Float.max !finish (Prt.stop r);
-        if r.Prt.setup > 0. then incr setups
-      done;
-      let reservations = ref [] in
-      for i = sc.n_made - 1 downto 0 do
-        reservations := sc.made.(i) :: !reservations;
-        sc.made.(i) <- dummy_res
-      done;
-      sc.n_made <- 0;
-      { reservations = !reservations; finish = !finish; setups = !setups }
-    in
+    for i = 0 to n_pending - 1 do
+      wk_push sc now sc.pool.(i)
+    done;
+    let n_wakes = ref 0 in
+    while sc.wk_len > 0 do
+      let t = sc.wk_time.(0) in
+      let p = sc.wk_flow.(0) in
+      wk_drop sc;
+      incr n_wakes;
+      make_reservation sc prt ~coflow:coflow.Coflow.id ~now ~delta
+        ~established t p;
+      if p.remaining > 0. then begin
+        let t' = Prt.next_release_pair prt ~src:p.src ~dst:p.dst t in
+        if t' = infinity then
+          (* Impossible: a blocked flow implies a reservation releasing
+             after [t] (see the progress argument in the design doc). *)
+          invalid_arg "Sunflow.schedule: stuck with pending demand"
+        else wk_push sc t' p
+      end
+    done;
+    if obs then Obs.Registry.add m_wakes !n_wakes;
+    let finish = ref now and setups = ref 0 in
+    for i = 0 to sc.n_made - 1 do
+      let r = sc.made.(i) in
+      finish := Float.max !finish (Prt.stop r);
+      if r.Prt.setup > 0. then incr setups
+    done;
+    let reservations = ref [] in
+    for i = sc.n_made - 1 downto 0 do
+      reservations := sc.made.(i) :: !reservations;
+      sc.made.(i) <- dummy_res
+    done;
+    sc.n_made <- 0;
     let result =
-      match cache with
-      | Some cch when n_pending > 0 ->
-        (* Key: everything the kernel's output depends on besides the
-           table — bandwidth and quantum are folded into [remaining],
-           the order into the sequence itself, and the established
-           predicate into one pre-evaluated bool per flow (the kernel
-           consults it only at [t = now] on fresh flows, i.e. exactly
-           once per flow, before any reservation of this call lands). *)
-        let src = Array.init n_pending (fun i -> sc.pool.(i).src) in
-        let dst = Array.init n_pending (fun i -> sc.pool.(i).dst) in
-        let rem = Array.init n_pending (fun i -> sc.pool.(i).remaining) in
-        let est = Array.init n_pending (fun i -> established (src.(i), dst.(i))) in
-        let k =
-          Plan_cache.key ~coflow:coflow.Coflow.id ~now ~delta ~src ~dst ~rem
-            ~est
-        in
-        (match Plan_cache.find_and_replay cch prt k with
-         | Some p ->
-           {
-             reservations = p.Plan_cache.p_reservations;
-             finish = p.Plan_cache.p_finish;
-             setups = p.Plan_cache.p_setups;
-           }
-         | None ->
-           (* snapshot the footprint before the kernel's own reserves
-              touch it: validity must mean "the table looks exactly as
-              the kernel found it" *)
-           let fp = ref [] in
-           for i = n_pending - 1 downto 0 do
-             fp :=
-               Prt.In sc.pool.(i).src :: Prt.Out sc.pool.(i).dst :: !fp
-           done;
-           let ports = Array.of_list (List.sort_uniq compare !fp) in
-           let marks = Array.map (Prt.mark prt) ports in
-           let r = kernel () in
-           Plan_cache.store cch k ~ports ~marks
-             {
-               Plan_cache.p_reservations = r.reservations;
-               p_finish = r.finish;
-               p_setups = r.setups;
-             };
-           r)
-      | _ -> kernel ()
+      { reservations = !reservations; finish = !finish; setups = !setups }
     in
     if obs then begin
       Obs.Tracer.end_span ~cat:"core" "sunflow.reserve";

@@ -25,7 +25,6 @@ type result = {
 
 val schedule :
   ?prt:Prt.t ->
-  ?cache:Plan_cache.t ->
   ?now:float ->
   ?order:Order.t ->
   ?established:(int * int -> bool) ->
@@ -41,24 +40,6 @@ val schedule :
       it are never preempted (they belong to higher-priority Coflows in
       inter-Coflow scheduling). The table is extended in place.
       Defaults to a fresh table.
-    - [cache]: optional {!Plan_cache} handle. When the cache holds a
-      plan for an identical call (same Coflow id, start time, delta,
-      pending flows and established set) and every footprint port's
-      {!Prt.mark} still equals the snapshot taken when that plan was
-      computed, the stored reservations are re-reserved verbatim —
-      one [Prt.reserve] per window, no probe loop — and the stored
-      result is returned, bit-identical to what the kernel would
-      recompute. On a miss the kernel runs and the entry is
-      refreshed. With a cache, [established] must be a pure function
-      of the circuit pair for the duration of the call: building the
-      key evaluates it once per pending flow up front, on a hit the
-      kernel's own lazy probes never run at all, and on a miss they
-      run in addition to the key build — so a stateful or effectful
-      closure observes different call counts and ordering than the
-      uncached path (the schedule itself stays bit-identical whenever
-      the closure's answers are stable). Default: no cache; the
-      uncached path is untouched, including its [established] call
-      pattern.
     - [now]: scheduling start time (default [0.]).
     - [order]: reservation consideration order (default
       {!Order.Ordered_port}).

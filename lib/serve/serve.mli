@@ -63,7 +63,6 @@ val run :
   ?shards:int ->
   ?shard_block:int ->
   ?runner:Sunflow_core.Inter.pass_runner ->
-  ?plan_cache:Sunflow_core.Plan_cache.t ->
   ?deadline_of:(Sunflow_core.Coflow.t -> float) ->
   ?stop:(unit -> bool) ->
   ?on_admit:(Sunflow_core.Coflow.t -> finish:float -> unit) ->

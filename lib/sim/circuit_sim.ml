@@ -82,8 +82,8 @@ let sample_slice ~t ~t_next ~n_active ~rescheduled ~spliced ~conflicts
 
 type replan = [ `Full | `Rebuild | `Incremental ]
 
-let run_full ~policy ~order ~carry_circuits ~plan_cache ~on_complete ~on_slice
-    ~delta ~bandwidth coflows =
+let run_full ~policy ~order ~carry_circuits ~on_complete ~on_slice ~delta
+    ~bandwidth coflows =
   let arrivals = Event_queue.create () in
   List.iter
     (fun c -> Event_queue.push arrivals ~time:c.Coflow.arrival c)
@@ -135,8 +135,8 @@ let run_full ~policy ~order ~carry_circuits ~plan_cache ~on_complete ~on_slice
         List.map (fun a -> Coflow.with_demand a.orig a.remaining) actives
       in
       let replan () =
-        Inter.schedule ~now:t ~order ~established ?plan_cache ~policy ~delta
-          ~bandwidth scheduled
+        Inter.schedule ~now:t ~order ~established ~policy ~delta ~bandwidth
+          scheduled
       in
       let plan =
         if not obs then replan ()
@@ -313,8 +313,8 @@ let shard_runner () =
   else Inter.sequential_runner
 
 let run_anchored ~rebuild ~policy ~order ~carry_circuits ~buckets ~bucket_base
-    ~shards ~shard_block ~shard_stats ~plan_cache ~on_complete ~on_slice ~delta
-    ~bandwidth coflows =
+    ~shards ~shard_block ~shard_stats ~on_complete ~on_slice ~delta ~bandwidth
+    coflows =
   let arrivals = Event_queue.create () in
   List.iter
     (fun c -> Event_queue.push arrivals ~time:c.Coflow.arrival c)
@@ -323,7 +323,7 @@ let run_anchored ~rebuild ~policy ~order ~carry_circuits ~buckets ~bucket_base
   let runner = if shards > 1 then shard_runner () else Inter.sequential_runner in
   let eng =
     Inter.engine ~order ~carry_circuits ~rebuild ~buckets ~bucket_base ~shards
-      ~shard_block ~runner ?plan_cache ~policy ~delta ~bandwidth ()
+      ~shard_block ~runner ~policy ~delta ~bandwidth ()
   in
   let active_tbl : (int, active) Hashtbl.t = Hashtbl.create 64 in
   let actives : active list ref = ref [] in
@@ -544,8 +544,7 @@ let run_anchored ~rebuild ~policy ~order ~carry_circuits ~buckets ~bucket_base
 let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
     ?(carry_circuits = true) ?(replan = `Full) ?(buckets = 0)
     ?(bucket_base = 4.) ?(shards = 1) ?(shard_block = 1) ?shard_stats
-    ?plan_cache ?(on_complete = no_release) ?on_slice ~delta ~bandwidth
-    coflows =
+    ?(on_complete = no_release) ?on_slice ~delta ~bandwidth coflows =
   if bandwidth <= 0. then invalid_arg "Circuit_sim.run: bandwidth <= 0";
   if delta < 0. then invalid_arg "Circuit_sim.run: negative delta";
   check_unique_ids coflows;
@@ -555,12 +554,11 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
       invalid_arg "Circuit_sim.run: buckets need an anchored replan mode";
     if shards <> 1 then
       invalid_arg "Circuit_sim.run: shards need an anchored replan mode";
-    run_full ~policy ~order ~carry_circuits ~plan_cache ~on_complete ~on_slice
-      ~delta ~bandwidth coflows
+    run_full ~policy ~order ~carry_circuits ~on_complete ~on_slice ~delta
+      ~bandwidth coflows
   | (`Rebuild | `Incremental) as mode ->
     run_anchored ~rebuild:(mode = `Rebuild) ~policy ~order ~carry_circuits
-      ~buckets ~bucket_base ~shards ~shard_block ~shard_stats ~plan_cache
-      ~on_complete ~on_slice ~delta ~bandwidth coflows
+      ~buckets ~bucket_base ~shards ~shard_block ~shard_stats ~on_complete ~on_slice ~delta ~bandwidth coflows
 
 let intra_cct ?(order = Order.Ordered_port) ~delta ~bandwidth coflow =
   Sunflow.schedule ~order ~delta ~bandwidth

@@ -41,7 +41,6 @@ val run :
   ?shards:int ->
   ?shard_block:int ->
   ?shard_stats:Sunflow_core.Inter.shard_stats ref ->
-  ?plan_cache:Sunflow_core.Plan_cache.t ->
   ?on_complete:(int -> float -> Sunflow_core.Coflow.t list) ->
   ?on_slice:
     (t:float ->
@@ -80,12 +79,6 @@ val run :
     coerces to one shard (it is the inherently global oracle).
     [shard_stats], when given, receives the engine's cumulative
     event/conflict/rollback counts after an anchored replay.
-
-    [plan_cache] threads a {!Sunflow_core.Plan_cache} handle into every
-    intra-Coflow scheduling call the replay makes (all replan modes).
-    Results are bit-identical with or without it; a handle shared
-    across repeated replays of the same trace turns repeated replans
-    into verbatim window replays. Default: no cache.
 
     [on_complete id t] is called once per completed Coflow and may
     release new Coflows into the fabric (their arrivals must be

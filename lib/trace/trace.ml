@@ -19,9 +19,12 @@ let int_tok line tok =
   | Some v -> v
   | None -> fail line "expected an integer, got %S" tok
 
+(* [float_of_string] also accepts "nan", "inf" and overflowing
+   literals such as "1e400"; none of them is a time or a size *)
 let float_tok line tok =
   match float_of_string_opt tok with
-  | Some v -> v
+  | Some v when Float.is_finite v -> v
+  | Some _ -> fail line "expected a finite number, got %S" tok
   | None -> fail line "expected a number, got %S" tok
 
 let parse_coflow ~n_ports ~line toks =
@@ -63,7 +66,13 @@ let parse_coflow ~n_ports ~line toks =
             let size = Units.mb (float_tok line size_mb) in
             if size <= 0. then fail line "coflow %d: non-positive size %S" id tok;
             let share = size /. float_of_int n_mappers in
-            List.iter (fun m -> Demand.add demand m rack share) mappers
+            (* a finite size can still overflow in bytes or summed *)
+            List.iter
+              (fun m ->
+                try Demand.add demand m rack share
+                with Invalid_argument _ ->
+                  fail line "coflow %d: size %S overflows" id tok)
+              mappers
           | _ -> fail line "coflow %d: malformed reducer %S" id tok)
         rest;
       Coflow.make ~id ~arrival demand

@@ -26,7 +26,8 @@ exception Parse_error of { line : int; message : string }
 val parse : string -> t
 (** Parse the format from a string. Raises {!Parse_error} with a
     1-based line number on malformed input (bad counts, rack out of
-    range, non-positive size, negative arrival, duplicate Coflow id).
+    range, non-positive size, negative arrival, a non-finite number
+    such as [nan], [inf] or [1e400], duplicate Coflow id).
     Blank lines and lines starting with [#] are skipped. *)
 
 val load : string -> t

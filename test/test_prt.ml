@@ -572,121 +572,6 @@ let test_fits_exact () =
   Alcotest.(check int) "while reserve tolerates it as abutment" 2
     (List.length (Prt.all_reservations t))
 
-(* --- change tracking (plan cache validity, PR 10) --- *)
-
-let test_epoch_marks () =
-  let t = Prt.create () in
-  let pin = Prt.In 0 and pout = Prt.Out 1 in
-  Alcotest.(check int) "untouched port reports 0" 0 (Prt.epoch t (Prt.In 7));
-  let m0 = Prt.mark t pin in
-  let w = r ~coflow:3 ~src:0 ~dst:1 ~start:1. ~setup:0.1 ~length:2. () in
-  Prt.reserve t w;
-  Alcotest.(check int) "reserve bumps In" 1 (Prt.epoch t pin);
-  Alcotest.(check int) "reserve bumps Out" 1 (Prt.epoch t pout);
-  Alcotest.(check bool) "mark changed by reserve" true (Prt.mark t pin <> m0);
-  Alcotest.(check (list int)) "epochs_of snapshots the footprint" [ 1; 1; 0 ]
-    (Array.to_list (Prt.epochs_of t [ pin; pout; Prt.In 7 ]));
-  (* remove restores the content (count and signature) but not the
-     epoch: marks distinguish "same windows again" from "never touched" *)
-  Alcotest.(check bool) "remove finds the window" true (Prt.remove t w);
-  let e0, len0, sig0 = m0 and e2, len2, sig2 = Prt.mark t pin in
-  Alcotest.(check int) "window count restored" len0 len2;
-  Alcotest.(check int) "content signature restored" sig0 sig2;
-  Alcotest.(check bool) "epoch still advanced" true (e2 > e0);
-  Alcotest.(check int) "remove bumps again" 2 (Prt.epoch t pin);
-  (* a reserve that conflicts on its second port undoes the first
-     port's insert — and the undo is a mutation of that port too *)
-  Prt.reserve t w;
-  let e_in5 = Prt.epoch t (Prt.In 5) and m_in5 = Prt.mark t (Prt.In 5) in
-  (try
-     Prt.reserve t (r ~src:5 ~dst:1 ~start:1.5 ~setup:0. ~length:1. ());
-     Alcotest.fail "conflicting reserve not rejected"
-   with Invalid_argument _ -> ());
-  let e', len', sig' = Prt.mark t (Prt.In 5) and _, len5, sig5 = m_in5 in
-  Alcotest.(check int) "failed reserve bumped the first port twice"
-    (e_in5 + 2) e';
-  Alcotest.(check bool) "but restored its content" true
-    (len' = len5 && sig' = sig5);
-  (* rollback and retraction count as mutations of every touched port *)
-  let cp = Prt.checkpoint t in
-  Prt.reserve t (r ~coflow:9 ~src:2 ~dst:3 ~start:0. ~setup:0. ~length:1. ());
-  let m_in2 = Prt.mark t (Prt.In 2) in
-  Prt.rollback t cp;
-  Alcotest.(check bool) "rollback bumps the port" true
-    (Prt.mark t (Prt.In 2) <> m_in2);
-  let e_before = Prt.epoch t pin in
-  Alcotest.(check int) "retract removes the window" 1 (Prt.retract_coflow t 3);
-  Alcotest.(check bool) "retract bumps the port" true
-    (Prt.epoch t pin > e_before);
-  (* copy preserves marks bit-for-bit *)
-  let u = Prt.copy t in
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "copy preserves marks" true
-        (Prt.mark u p = Prt.mark t p))
-    [ pin; pout; Prt.In 2; Prt.In 5; Prt.In 7 ]
-
-let test_epoch_monotone () =
-  let rng = Sunflow_stats.Rng.create 77 in
-  let t = Prt.create () in
-  let n_ports = 4 in
-  let snap () =
-    Array.init (2 * n_ports) (fun i ->
-        if i < n_ports then Prt.epoch t (Prt.In i)
-        else Prt.epoch t (Prt.Out (i - n_ports)))
-  in
-  let prev = ref (snap ()) in
-  let kept = ref [] in
-  for _ = 1 to 300 do
-    (match Sunflow_stats.Rng.int rng 4 with
-    | 0 | 1 ->
-      let w =
-        r
-          ~coflow:(Sunflow_stats.Rng.int rng 5)
-          ~src:(Sunflow_stats.Rng.int rng n_ports)
-          ~dst:(Sunflow_stats.Rng.int rng n_ports)
-          ~start:(float_of_int (Sunflow_stats.Rng.int rng 80) /. 4.)
-          ~setup:0.
-          ~length:(float_of_int (1 + Sunflow_stats.Rng.int rng 8) /. 4.)
-          ()
-      in
-      (try
-         Prt.reserve t w;
-         kept := w :: !kept
-       with Invalid_argument _ -> ())
-    | 2 -> (
-      match !kept with
-      | w :: rest ->
-        ignore (Prt.remove t w : bool);
-        kept := rest
-      | [] -> ())
-    | _ ->
-      if Sunflow_stats.Rng.int rng 2 = 0 then begin
-        ignore (Prt.retract_coflow t (Sunflow_stats.Rng.int rng 5) : int);
-        kept := []
-      end
-      else begin
-        let cp = Prt.checkpoint t in
-        (try
-           Prt.reserve t
-             (r
-                ~src:(Sunflow_stats.Rng.int rng n_ports)
-                ~dst:(Sunflow_stats.Rng.int rng n_ports)
-                ~start:(float_of_int (Sunflow_stats.Rng.int rng 80) /. 4.)
-                ~setup:0. ~length:0.5 ())
-         with Invalid_argument _ -> ());
-        Prt.rollback t cp
-      end);
-    let cur = snap () in
-    Array.iteri
-      (fun i e ->
-        if e < !prev.(i) then
-          Alcotest.failf "epoch of port %d went backwards: %d -> %d" i
-            !prev.(i) e)
-      cur;
-    prev := cur
-  done
-
 let test_splice_exact () =
   let t = Prt.create () in
   Prt.reserve t (r ~coflow:1 ~src:0 ~dst:1 ~start:5. ~setup:0.01 ~length:1. ());
@@ -706,13 +591,15 @@ let test_splice_exact () =
       r ~coflow:3 ~src:0 ~dst:1 ~start:5.2 ~setup:0.01 ~length:0.5 ();
     ]
   in
-  let marks_before = List.map (fun i -> Prt.mark t (Prt.In i)) [ 0; 1; 3 ] in
+  let touched = [ Prt.In 3; Prt.Out 4; Prt.In 0; Prt.Out 1 ] in
+  let windows () = List.map (Prt.port_reservations t) touched in
+  let before = windows () in
   Alcotest.(check bool) "blocked plan refused" false
     (Prt.splice_exact t blocked);
   Alcotest.(check int) "nothing reserved" 3
     (List.length (Prt.all_reservations t));
-  Alcotest.(check bool) "no port touched by the refusal" true
-    (marks_before = List.map (fun i -> Prt.mark t (Prt.In i)) [ 0; 1; 3 ])
+  Alcotest.(check bool) "no port changed by the refusal" true
+    (windows () = before)
 
 let suite =
   [
@@ -741,9 +628,6 @@ let suite =
     Alcotest.test_case "interval index vs stabbing oracle" `Quick
       test_interval_index_oracle;
     Alcotest.test_case "fits_exact strictness" `Quick test_fits_exact;
-    Alcotest.test_case "epoch and mark semantics" `Quick test_epoch_marks;
-    Alcotest.test_case "epochs monotone under mixed mutations" `Quick
-      test_epoch_monotone;
     Alcotest.test_case "splice_exact atomicity" `Quick test_splice_exact;
     prop_oracle_vs_list_reference;
     prop_no_overlap;

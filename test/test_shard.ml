@@ -232,21 +232,18 @@ let test_timeline_identical_under_shards () =
       Alcotest.(check bool) (label "sampler port ledger") true (p = p1))
     [ 2; 4; 8 ]
 
-(* --- plan cache under a multi-domain runner --- *)
+(* --- sharded run under a multi-domain runner --- *)
 
-module Plan_cache = Sunflow_core.Plan_cache
 module Pool = Sunflow_parallel.Pool
 
 (* Same-instant arrivals in distinct stripes make the optimistic round
-   dispatch several passes at once through the domain-pool runner. A
-   shared Plan_cache.t is single-domain state, so those rounds must run
-   uncached (the engine drops the handle for them) while the
-   single-pass and cross-shard rounds keep it — either way every
-   decision stays bit-identical to the unsharded cached run. Forcing a
-   4-domain pool makes the runner genuinely parallel even on a 1-core
-   machine, so a reintroduced shared-handle race is at least exposed to
-   the memory model rather than hidden by a sequential fallback. *)
-let test_cache_under_parallel_runner () =
+   dispatch several passes at once through the domain-pool runner.
+   Forcing a 4-domain pool makes the runner genuinely parallel even on
+   a 1-core machine, so a pass that reached outside its own shard's
+   table and entries would at least be exposed to the memory model
+   rather than hidden by a sequential fallback. Every decision must
+   stay bit-identical to the unsharded run. *)
+let test_parallel_runner_identity () =
   let trace =
     List.concat
       (List.init 3 (fun wave ->
@@ -263,20 +260,11 @@ let test_cache_under_parallel_runner () =
   let base = run ~buckets:4 ~shards:1 trace in
   Pool.set_jobs (Some 4);
   Fun.protect ~finally:(fun () -> Pool.set_jobs None) @@ fun () ->
-  let cache = Plan_cache.create () in
-  let sharded ?plan_cache () =
+  let sharded =
     Circuit_sim.run ~policy:Inter.Shortest_first ~replan:`Incremental
-      ~buckets:4 ~shards:4 ~shard_block:4 ?plan_cache ~delta ~bandwidth trace
+      ~buckets:4 ~shards:4 ~shard_block:4 ~delta ~bandwidth trace
   in
-  Alcotest.(check bool)
-    "cold cached parallel run bit-identical" true
-    (sharded ~plan_cache:cache () = base);
-  Alcotest.(check bool)
-    "warm cached parallel run bit-identical" true
-    (sharded ~plan_cache:cache () = base);
-  Alcotest.(check bool)
-    "uncached parallel run bit-identical" true
-    (sharded () = base)
+  Alcotest.(check bool) "parallel run bit-identical" true (sharded = base)
 
 (* --- argument validation --- *)
 
@@ -325,8 +313,9 @@ let suite =
       test_pod_trace_identity;
     Alcotest.test_case "timeline event-for-event identical under shards"
       `Quick test_timeline_identical_under_shards;
-    Alcotest.test_case "plan cache under a multi-domain runner" `Quick
-      test_cache_under_parallel_runner;
+    Alcotest.test_case
+      "sharded run under a multi-domain runner is bit-identical to unsharded"
+      `Quick test_parallel_runner_identity;
     Alcotest.test_case "argument validation" `Quick test_validation;
     prop_equiv_sharded;
   ]

@@ -214,6 +214,41 @@ let test_cct_wrapper () =
   (* arrival is ignored: scheduling starts at 0 *)
   Util.check_close "default setting" 0.09 (Sunflow.cct c)
 
+(* The schedule kernel's scratch arena lives on past the call (that is
+   the point: zero steady-state allocation). It must not pin what the
+   call produced — every arena slot that held a reservation or a wake
+   entry is cleared to a dummy before returning, including the slot
+   vacated by each heap pop. Mirrors the engine's no-GC-pinning test
+   from the incremental engine's tests. *)
+let test_arena_no_pinning () =
+  let coflow id =
+    let d = Demand.create () in
+    Demand.set d 0 1 (Units.mb 20.);
+    Demand.set d 1 2 (Units.mb 5.);
+    Demand.set d 2 0 (Units.mb 12.);
+    Coflow.make ~id ~arrival:0. d
+  in
+  let bandwidth = b in
+  let n_weak = 8 in
+  let weak_c : Coflow.t Weak.t = Weak.create 1 in
+  let weak_r : Prt.reservation Weak.t = Weak.create n_weak in
+  let () =
+    let c = coflow 0 in
+    Weak.set weak_c 0 (Some c);
+    let res = Sunflow.schedule ~delta ~bandwidth c in
+    List.iteri
+      (fun i r -> if i < n_weak then Weak.set weak_r i (Some r))
+      res.Sunflow.reservations
+  in
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "Coflow collected" false (Weak.check weak_c 0);
+  for i = 0 to n_weak - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "reservation %d collected" i)
+      false (Weak.check weak_r i)
+  done
+
 let suite =
   [
     Alcotest.test_case "empty coflow" `Quick test_empty_coflow;
@@ -234,4 +269,6 @@ let suite =
     Alcotest.test_case "quantum approximation" `Quick test_quantum_approximation;
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "cct wrapper" `Quick test_cct_wrapper;
+    Alcotest.test_case "arena pins nothing after return" `Quick
+      test_arena_no_pinning;
   ]

@@ -239,6 +239,55 @@ let test_stream_error_semantics () =
     Alcotest.(check int) "load rejects duplicate at its line" 3 e.line
   | _ -> Alcotest.fail "expected a duplicate-id error"
 
+(* [float_of_string] parses "nan", "inf" and "1e400" (to infinity);
+   none of them may reach the scheduler as an arrival or a size. NaN
+   would pass the [< 0.] / [<= 0.] guards. Both the batch parser and
+   the streaming reader must reject each at its line. *)
+let test_non_finite_rejected () =
+  let bad_values = [ "nan"; "inf"; "-inf"; "1e400"; "infinity" ] in
+  let head = "10 2\n0 0 1 0 1 1:5\n" in
+  let texts =
+    List.concat_map
+      (fun v ->
+        [
+          ("arrival " ^ v, Printf.sprintf "%s1 %s 1 0 1 1:5\n" head v);
+          ("size " ^ v, Printf.sprintf "%s1 5 1 0 1 1:%s\n" head v);
+        ])
+      bad_values
+    (* finite megabytes that overflow once converted to bytes *)
+    @ [ ("size overflow", head ^ "1 5 1 0 1 1:1e305\n") ]
+  in
+  List.iter
+    (fun (what, text) ->
+      (match Trace.parse text with
+      | exception Trace.Parse_error e ->
+        Alcotest.(check int) ("parse: " ^ what) 3 e.line
+      | _ -> Alcotest.failf "parse accepted %s" what);
+      match
+        with_text_channel text (fun ic ->
+            let next = Trace.reader ic in
+            let rec pull n =
+              match next () with None -> n | Some _ -> pull (n + 1)
+            in
+            pull 0)
+      with
+      | exception Trace.Parse_error e ->
+        Alcotest.(check int) ("reader: " ^ what) 3 e.line
+      | n -> Alcotest.failf "reader accepted %s (%d coflows)" what n)
+    texts;
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  List.iter
+    (fun v ->
+      raises "Coflow.make non-finite arrival" (fun () ->
+          ignore (Coflow.make ~id:0 ~arrival:v (Demand.create ())));
+      raises "Demand.set non-finite value" (fun () ->
+          Demand.set (Demand.create ()) 0 1 v))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let suite =
   [
     Alcotest.test_case "parse" `Quick test_parse;
@@ -257,4 +306,6 @@ let suite =
     Alcotest.test_case "fold over a pipe" `Quick test_fold_over_pipe;
     Alcotest.test_case "streaming error semantics" `Quick
       test_stream_error_semantics;
+    Alcotest.test_case "non-finite numbers rejected" `Quick
+      test_non_finite_rejected;
   ]
