@@ -12,6 +12,9 @@
      report       replay a trace with CCT attribution on and render a
                   machine-validatable JSON report (blame breakdown,
                   CCT CDFs by width, per-port utilization)
+     gantt        render one Coflow's Sunflow schedule as a Gantt chart
+     serve        consume an unbounded arrival stream through the
+                  incremental engine, with optional deadline admission
 
    intra, inter/sim and experiments also take --validate, which runs
    the Sunflow_check plan validator on every plan produced (and the
@@ -491,10 +494,10 @@ let replan_arg =
           "Replanning engine for the circuit fabric (ignored by the packet \
            schedulers): $(b,full) re-plans every active Coflow at each \
            event, $(b,incremental) reschedules only the priority-order \
-           suffix an event invalidates (rollback-capable reservation \
-           table), $(b,rebuild) makes the incremental decisions from a \
-           fresh table each event — the differential oracle for \
-           $(b,incremental).")
+           suffix an event invalidates (repairing one persistent \
+           reservation table in place), $(b,rebuild) makes the \
+           incremental decisions from a fresh table each event — the \
+           differential oracle for $(b,incremental).")
 
 let buckets_arg =
   Arg.(
@@ -963,10 +966,6 @@ let serve path gbps ms buckets bucket_base shards shard_block jobs
        Sys.set_signal Sys.sigint
          (Sys.Signal_handle (fun _ -> interrupted := true))
      with Invalid_argument _ | Sys_error _ -> ());
-    let runner =
-      if shards > 1 then Sunflow_sim.Circuit_sim.shard_runner ()
-      else Sunflow_core.Inter.sequential_runner
-    in
     (* --validate buffers every admitted Coflow and its finish —
        O(stream) memory, for bounded test runs only *)
     let kept = ref [] and ccts = ref [] and finishes = ref [] in
@@ -980,7 +979,7 @@ let serve path gbps ms buckets bucket_base shards shard_block jobs
     in
     let w0 = Obs.Control.now_ns () in
     let stats =
-      Serve.run ~buckets ~bucket_base ~shards ~shard_block ~runner ?deadline_of
+      Serve.run ~buckets ~bucket_base ~shards ~shard_block ?deadline_of
         ~stop:(fun () -> !interrupted)
         ~on_admit ~on_finish ~delta ~bandwidth next
     in

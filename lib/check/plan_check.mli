@@ -91,13 +91,13 @@ val replay_equiv :
   Sunflow_core.Coflow.t list ->
   Violation.t list
 (** Replay the trace through [Circuit_sim.run] twice — [`Incremental]
-    (rollback-capable persistent PRT, suffix-only rescheduling) and
+    (persistent PRT repaired in place, suffix-only rescheduling) and
     [`Rebuild] (the same decisions recomputed from a fresh table at
     every event) — and require them bit-identical: every [Sim_result]
     field compared with structural equality (no tolerance), and every
     slice's span, carried-circuit set and per-Coflow plan compared
-    window for window. Any report means the rollback/ownership
-    machinery corrupted port state. [buckets]/[bucket_base] select a
+    window for window. Any report means the in-place repair
+    (retraction, eviction, splicing) corrupted port state. [buckets]/[bucket_base] select a
     coarsened priority order ({!Sunflow_core.Inter.engine}); both runs
     get the same configuration, so the bit-identity requirement is
     unchanged — the splice path must make identical decisions in both

@@ -44,6 +44,10 @@ let make_result prt per_coflow =
 module Obs = Sunflow_obs
 
 let m_rounds = Obs.Registry.counter "inter.rounds"
+(* Coflows per round: all of them for a [schedule] call, the dirty ones
+   (arrivals, straddlers, stale finishes, poisoned bucket-mates and,
+   under the exact order, the whole suffix from the first of those)
+   for an incremental step — the rebuild oracle included *)
 let h_batch = Obs.Registry.histogram "inter.coflows_per_round"
 
 let schedule ?(now = 0.) ?(order = Order.Ordered_port) ?(established = [])
@@ -100,26 +104,55 @@ let finish_of result id =
 
    Priority keys are fixed at admission (the Coflow's original demand),
    whereas [schedule] re-keys [Shortest_first] on remaining demand at
-   every event; the engine's plans are anchored at each Coflow's last
-   (re)scheduling instant rather than recomputed from the current
-   remaining demand. Both are faithful Sunflow semantics, but they
-   round differently at the ulp level, so the engine's oracle is its
-   own [rebuild] mode — same decisions recomputed from a fresh table
-   every event — not [schedule]. *)
+   every event. That is a different policy, not a rounding difference:
+   a Coflow that has drained below a later arrival's size keeps its
+   lead under [schedule] and yields to the arrival here. The engine's
+   plans are also anchored at each Coflow's last (re)scheduling instant
+   rather than recomputed from the current remaining demand, which
+   rounds window boundaries differently. The engine's oracle is
+   therefore its own [rebuild] mode — same decisions recomputed from a
+   fresh table every event — not [schedule].
+
+   One step serves every incremental engine. Ports are striped over S
+   shards (S = 1 unless [shards] asks for more); each shard owns a
+   [Prt] holding every window with an endpoint in the shard (a
+   cross-shard Coflow's window is mirrored into both endpoint shards,
+   so every shard table is complete for its own ports). A Coflow whose
+   whole footprint maps to one shard lives in that shard's entry
+   vector; per event, each shard with dirty entries runs the lazy
+   repair pass ([run_pass]) over its own vector against its own table
+   — [Sunflow.schedule] reads and writes only the ports of the
+   Coflow's own demand, and those ports all belong to the shard, so
+   the pass sees exactly the state one global walk would show it,
+   regardless of how passes interleave. The passes are independent
+   (disjoint ports, disjoint entries) and run through [g_runner] —
+   sequentially by default, on a domain pool when one is plugged in.
+   At S = 1 there is one table, the shard's vector is the service
+   order itself, and the step is one pass from the first dirty entry.
+
+   Cross-shard Coflows break the independence, so they are handled
+   pessimistically-correct: a pass that would evict a cross-shard
+   owner's window aborts ([Cross_conflict]), every pass of the event is
+   rolled back (stored plans restored; the shard tables are rebuilt
+   from the plans), and the event is re-resolved by one global pass
+   over the closure of affected shards — Time-Warp's optimistic
+   execution with a deterministic arbiter. A dirty cross-shard entry
+   skips the optimistic round entirely. Either way the decisions made
+   are those of a single pass over one table, bit for bit. *)
 
 type entry = {
   e_coflow : Coflow.t;  (* original record: fixed priority-key inputs *)
   e_key : float;  (* cached priority key (policy-dependent) *)
   e_bucket : int;  (* quantized priority class; 0 when buckets are off *)
   e_shards : int array;
-      (* sorted distinct shards of the original demand footprint;
-         [[||]] in unsharded engines (never consulted there) *)
+      (* sorted distinct shards of the original demand footprint *)
   mutable e_plan : Sunflow.result;
+  mutable e_mark : int;  (* dirty in the step with this stamp *)
 }
 
-(* a sorted vector of entries — the same layout as [g_entries], one per
-   shard plus one for cross-shard Coflows, so a shard pass walks only
-   its own entries *)
+(* a sorted vector of entries: the service order, and one per shard
+   plus one for cross-shard Coflows, so a shard pass walks only its own
+   entries *)
 type evec = { mutable v_arr : entry array; mutable v_n : int }
 
 type pass_runner = { run_passes : 'a. (unit -> 'a) array -> 'a array }
@@ -136,25 +169,24 @@ type engine = {
   g_buckets : int;  (* 0 = exact order (buckets off) *)
   g_bucket_base : float;
   g_cmp : entry -> entry -> int;
-  mutable g_entries : entry array;  (* active Coflows in service order *)
-  mutable g_n : int;
-  mutable g_prt : Prt.t;
+  g_all : evec;  (* active Coflows in service order *)
   mutable g_established : (int * int) list;
   g_index : (int, entry) Hashtbl.t;
   mutable g_rescheduled : int;  (* suffix entries re-run through Sunflow *)
   mutable g_spliced : int;  (* suffix entries whose stored plan was kept *)
-  (* --- sharded mode (g_shards > 1) --- *)
-  g_shards : int;  (* port-group shard count; 1 = unsharded *)
+  g_shards : int;  (* port-group shard count S; 1 for the rebuild oracle *)
   g_shard_block : int;  (* contiguous ports per shard stripe *)
   g_runner : pass_runner;  (* executes independent shard passes *)
-  g_sprt : Prt.t array;  (* per-shard tables; [[||]] when unsharded *)
-  g_slocal : evec array;  (* per-shard single-shard entries *)
-  g_scross : evec;  (* entries whose footprint spans shards *)
+  g_prts : Prt.t array;  (* one reservation table per shard *)
+  g_local : evec array;
+      (* per-shard single-shard entries; at S = 1 the one slot is [g_all] *)
+  g_cross : evec;  (* entries whose footprint spans shards *)
   g_smin : float array;  (* cached min finish per vec; slot [g_shards] = cross *)
   g_smin_stale : bool array;
-  mutable g_ssteps : int;  (* sharded scheduling events *)
+  mutable g_ssteps : int;  (* scheduling events taken with S > 1 *)
   mutable g_sconflicts : int;  (* events resolved by the cross-shard pass *)
   mutable g_srollbacks : int;  (* optimistic shard passes rolled back *)
+  mutable g_stamp : int;  (* steps taken; stamps the step's dirty marks *)
 }
 
 let entry_key policy ~bandwidth c =
@@ -226,8 +258,9 @@ let engine ?(order = Order.Ordered_port) ?(carry_circuits = true)
   if shard_block < 1 then invalid_arg "Inter.engine: shard_block must be >= 1";
   (* rebuild is the inherently global from-scratch oracle: coerce it to
      one shard so [replay_equiv] always compares a sharded incremental
-     run against the unsharded decision procedure *)
+     run against one table's decision procedure *)
   let shards = if rebuild then 1 else shards in
+  let all = evec_make () in
   {
     g_policy = policy;
     g_order = order;
@@ -238,9 +271,7 @@ let engine ?(order = Order.Ordered_port) ?(carry_circuits = true)
     g_buckets = buckets;
     g_bucket_base = bucket_base;
     g_cmp = entry_cmp ~buckets policy;
-    g_entries = [||];
-    g_n = 0;
-    g_prt = Prt.create ();
+    g_all = all;
     g_established = [];
     g_index = Hashtbl.create 64;
     g_rescheduled = 0;
@@ -248,19 +279,20 @@ let engine ?(order = Order.Ordered_port) ?(carry_circuits = true)
     g_shards = shards;
     g_shard_block = shard_block;
     g_runner = runner;
-    g_sprt =
-      (if shards > 1 then Array.init shards (fun _ -> Prt.create ()) else [||]);
-    g_slocal =
-      (if shards > 1 then Array.init shards (fun _ -> evec_make ()) else [||]);
-    g_scross = evec_make ();
+    g_prts = Array.init shards (fun _ -> Prt.create ());
+    g_local =
+      (if shards = 1 then [| all |]
+       else Array.init shards (fun _ -> evec_make ()));
+    g_cross = evec_make ();
     g_smin = Array.make (shards + 1) infinity;
     g_smin_stale = Array.make (shards + 1) true;
     g_ssteps = 0;
     g_sconflicts = 0;
     g_srollbacks = 0;
+    g_stamp = 0;
   }
 
-(* filler for unused [g_entries] slots, so spare capacity and vacated
+(* filler for unused vector slots, so spare capacity and vacated
    positions never pin a retired Coflow (and its demand matrix) against
    the GC. Lazy because building it needs a Coflow. *)
 let dummy_entry =
@@ -271,45 +303,10 @@ let dummy_entry =
       e_bucket = 0;
       e_shards = [||];
       e_plan = { Sunflow.reservations = []; finish = neg_infinity; setups = 0 };
+      e_mark = 0;
     }
 
 (* first index whose entry sorts at or after [e] *)
-let lower_bound g e =
-  let lo = ref 0 and hi = ref g.g_n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if g.g_cmp g.g_entries.(mid) e < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let insert_entry g e =
-  let k = lower_bound g e in
-  let cap = Array.length g.g_entries in
-  if g.g_n = cap then begin
-    let arr = Array.make (max 8 (2 * cap)) (Lazy.force dummy_entry) in
-    Array.blit g.g_entries 0 arr 0 g.g_n;
-    g.g_entries <- arr
-  end;
-  Array.blit g.g_entries k g.g_entries (k + 1) (g.g_n - k);
-  g.g_entries.(k) <- e;
-  g.g_n <- g.g_n + 1
-
-let remove_entry g e =
-  let k = lower_bound g e in
-  (* unconditional (must survive [-noassert]): an inconsistent [Custom]
-     comparator — one whose answers changed since this entry was
-     inserted — sends the binary search to the wrong position, and a
-     blind blit from there would silently corrupt the service order *)
-  if not (k < g.g_n && g.g_entries.(k) == e) then
-    invalid_arg
-      "Inter.remove_entry: entry not found at its ordered position \
-       (inconsistent comparator?)";
-  Array.blit g.g_entries (k + 1) g.g_entries k (g.g_n - k - 1);
-  g.g_n <- g.g_n - 1;
-  (* clear the vacated slot — same GC-pinning concern as growth *)
-  g.g_entries.(g.g_n) <- Lazy.force dummy_entry
-
-(* the same ordered insert/remove over a shard's entry vector *)
 let evec_lower cmp v e =
   let lo = ref 0 and hi = ref v.v_n in
   while !lo < !hi do
@@ -332,39 +329,65 @@ let evec_insert cmp v e =
 
 let evec_remove cmp v e =
   let k = evec_lower cmp v e in
+  (* unconditional (must survive [-noassert]): an inconsistent [Custom]
+     comparator — one whose answers changed since this entry was
+     inserted — sends the binary search to the wrong position, and a
+     blind blit from there would silently corrupt the service order *)
   if not (k < v.v_n && v.v_arr.(k) == e) then
     invalid_arg
-      "Inter.evec_remove: entry not found at its ordered position \
+      "Inter.remove_entry: entry not found at its ordered position \
        (inconsistent comparator?)";
   Array.blit v.v_arr (k + 1) v.v_arr k (v.v_n - k - 1);
   v.v_n <- v.v_n - 1;
+  (* clear the vacated slot — same GC-pinning concern as growth *)
   v.v_arr.(v.v_n) <- Lazy.force dummy_entry
 
 (* contiguous [shard_block]-wide port stripes, round-robin over shards —
    pod-aligned when [shard_block] matches the pod size *)
 let shard_of g p = p / g.g_shard_block mod g.g_shards
 
+let shard0 = [| 0 |]
+
 (* distinct shards of a Coflow's original demand footprint, sorted.
    Fixed at admission like the priority key: remaining demand only ever
    shrinks, so every window the Coflow will ever reserve stays inside
    this set. An empty demand pins the (instantly complete) Coflow to
-   shard 0. *)
+   shard 0, and so does a one-shard engine. *)
 let coflow_shards g c =
-  let d = c.Coflow.demand in
-  let ss =
-    List.rev_append
-      (List.map (shard_of g) (Demand.senders d))
-      (List.map (shard_of g) (Demand.receivers d))
-    |> List.sort_uniq compare
-  in
-  match ss with [] -> [| 0 |] | l -> Array.of_list l
+  if g.g_shards = 1 then shard0
+  else
+    let d = c.Coflow.demand in
+    let ss =
+      List.rev_append
+        (List.map (shard_of g) (Demand.senders d))
+        (List.map (shard_of g) (Demand.receivers d))
+      |> List.sort_uniq compare
+    in
+    match ss with [] -> shard0 | l -> Array.of_list l
 
-let entry_vec g e =
-  if Array.length e.e_shards > 1 then (g.g_scross, g.g_shards)
-  else (g.g_slocal.(e.e_shards.(0)), e.e_shards.(0))
+(* vec slot [g_shards] is the cross vector *)
+let vec g i = if i = g.g_shards then g.g_cross else g.g_local.(i)
 
-let refresh_smin g i v =
+let entry_slot g e =
+  if Array.length e.e_shards > 1 then g.g_shards else e.e_shards.(0)
+
+(* insert into / remove from the service order and the entry's shard
+   vector — one vector when S = 1, where the two are the same *)
+let add_entry g e =
+  evec_insert g.g_cmp g.g_all e;
+  let i = entry_slot g e in
+  if vec g i != g.g_all then evec_insert g.g_cmp (vec g i) e;
+  g.g_smin_stale.(i) <- true
+
+let drop_entry g e =
+  evec_remove g.g_cmp g.g_all e;
+  let i = entry_slot g e in
+  if vec g i != g.g_all then evec_remove g.g_cmp (vec g i) e;
+  g.g_smin_stale.(i) <- true
+
+let refresh_smin g i =
   if g.g_smin_stale.(i) then begin
+    let v = vec g i in
     let m = ref infinity in
     for k = 0 to v.v_n - 1 do
       m := Float.min !m v.v_arr.(k).e_plan.Sunflow.finish
@@ -373,7 +396,7 @@ let refresh_smin g i v =
     g.g_smin_stale.(i) <- false
   end
 
-let engine_size g = g.g_n
+let engine_size g = g.g_all.v_n
 let engine_established g = g.g_established
 
 let engine_finish g id =
@@ -381,23 +404,15 @@ let engine_finish g id =
   | Some e -> Some e.e_plan.Sunflow.finish
   | None -> None
 
+(* fold the cached per-vec minima instead of walking every entry;
+   [Float.min] is exact, so the value does not depend on S *)
 let engine_min_finish g =
-  if g.g_n = 0 then None
-  else if g.g_shards > 1 then begin
-    (* fold the cached per-vec minima instead of walking every entry;
-       [Float.min] is exact, so the value is the unsharded one *)
-    for s = 0 to g.g_shards - 1 do
-      refresh_smin g s g.g_slocal.(s)
-    done;
-    refresh_smin g g.g_shards g.g_scross;
-    let m = ref infinity in
-    Array.iter (fun v -> m := Float.min !m v) g.g_smin;
-    Some !m
-  end
+  if g.g_all.v_n = 0 then None
   else begin
-    let m = ref g.g_entries.(0).e_plan.Sunflow.finish in
-    for i = 1 to g.g_n - 1 do
-      m := Float.min !m g.g_entries.(i).e_plan.Sunflow.finish
+    let m = ref infinity in
+    for i = 0 to g.g_shards do
+      refresh_smin g i;
+      m := Float.min !m g.g_smin.(i)
     done;
     Some !m
   end
@@ -407,9 +422,7 @@ let engine_spliced g = g.g_spliced
 let engine_shards g = g.g_shards
 
 let engine_journal_length g =
-  if g.g_shards > 1 then
-    Array.fold_left (fun acc p -> acc + Prt.journal_length p) 0 g.g_sprt
-  else Prt.journal_length g.g_prt
+  Array.fold_left (fun acc p -> acc + Prt.journal_length p) 0 g.g_prts
 
 type shard_stats = {
   shard_steps : int;
@@ -432,121 +445,71 @@ let m_sh_rollbacks = Obs.Registry.counter "sim.shard.rollbacks"
 let m_sh_dirty = Obs.Registry.counter "inter.shard.dirty_shards"
 let h_sh_rollback = Obs.Registry.histogram "sim.shard.rollback_s"
 
-(* One bucketed lazy-repair pass over some entry sequence against
-   [prt], parameterised over the table, with [guard] consulted before
-   any eviction (shard passes raise [Cross_conflict] on a cross-shard
-   owner) and every replaced plan recorded for rollback. Returns the
-   per-entry [process] (call it on the suffix in priority order) and
-   the pass's counters.
+(* --- one event: the dirty set ---------------------------------------- *)
 
-   No rollback: a dirty entry, at its turn in priority order, clears
-   every later-priority window from the ports its planner can touch
-   (the senders/receivers of its remaining demand), recording the
-   evicted windows per owner, then reschedules. An evicted ("touched")
-   clean entry re-admits its evicted windows verbatim at its own turn
-   when they all still fit exactly, and partially re-plans otherwise;
-   a clean entry nobody touched keeps its plan at zero cost. This
-   matches the rebuild oracle's decisions bit-for-bit:
-   [Sunflow.schedule] reads and writes only the ports of the Coflow's
-   own demand ([probe] / [next_release_on_ports] take explicit ports),
-   so each rescheduled entry sees, on every port it queries, exactly
-   the prefix plus already-processed suffix — the rebuild table's
-   content at the same turn. Windows never evicted sit on ports no new
-   window lands on, and the old windows were mutually disjoint, so
-   they'd pass the oracle's fit test unconditionally; evicted windows
-   are tested against table content identical on their ports. The
-   fit-failure sets therefore coincide, and so do the plans. *)
-let make_pass g ~prt ~now ~remaining ~is_established ~dirty ~guard =
-  let touched : (int, Prt.reservation list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
-  let old_plans = ref [] in
-  let resched = ref 0 and spliced = ref 0 and cascades = ref 0 in
-  let reschedule e =
-    old_plans := (e, e.e_plan) :: !old_plans;
-    let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
-    e.e_plan <-
-      Sunflow.schedule ~prt ~now ~order:g.g_order
-        ~established:is_established ~delta:g.g_delta ~bandwidth:g.g_bandwidth c;
-    incr resched
-  in
-  let clear_demand_ports e d =
-    let clear_port p =
-      if not (Hashtbl.mem ports_cleared p) then begin
-        Hashtbl.replace ports_cleared p ();
-        List.iter
-          (fun r ->
-            match Hashtbl.find_opt g.g_index r.Prt.coflow with
-            | Some o when g.g_cmp e o < 0 ->
-              guard o;
-              (* [remove] is false when the window was already evicted
-                 through its other port — record once *)
-              if Prt.remove prt r then begin
-                let l =
-                  match Hashtbl.find_opt touched r.Prt.coflow with
-                  | Some l -> l
-                  | None ->
-                    let l = ref [] in
-                    Hashtbl.replace touched r.Prt.coflow l;
-                    l
-                in
-                l := r :: !l
-              end
-            | _ -> ())
-          (Prt.port_reservations prt p)
-      end
-    in
-    List.iter (fun p -> clear_port (Prt.In p)) (Demand.senders d);
-    List.iter (fun p -> clear_port (Prt.Out p)) (Demand.receivers d)
-  in
-  let process e =
-    let id = e.e_coflow.Coflow.id in
-    if Hashtbl.mem dirty id then begin
-      Hashtbl.remove touched id;
-      ignore (Prt.retract_coflow prt id : int);
-      clear_demand_ports e (remaining id);
-      reschedule e
+(* an event's dirty set — the entries whose [e_mark] is [stamp] — with
+   the per-shard view the passes need: each shard's least dirty entry
+   (entries, not positions — positions shift under admission) *)
+type marks = {
+  stamp : int;
+  mutable n_dirty : int;
+  first : entry option array;  (* per shard; [None] = shard clean *)
+  mutable cross_dirty : bool;  (* some dirty entry spans shards *)
+  mutable min_dirty : entry option;  (* least dirty entry overall *)
+}
+
+let is_dirty m e = e.e_mark = m.stamp
+
+let mark g m e =
+  if not (is_dirty m e) then begin
+    e.e_mark <- m.stamp;
+    m.n_dirty <- m.n_dirty + 1;
+    let least = function Some l -> g.g_cmp l e > 0 | None -> true in
+    let new_min = least m.min_dirty in
+    if new_min then m.min_dirty <- Some e;
+    if Array.length e.e_shards > 1 then m.cross_dirty <- true
+    else begin
+      (* the overall least is its shard's least, and a shard whose
+         least is the overall one (always, at S = 1) keeps it *)
+      let s = e.e_shards.(0) in
+      if new_min then m.first.(s) <- m.min_dirty
+      else if m.first.(s) != m.min_dirty && least m.first.(s) then
+        m.first.(s) <- Some e
     end
-    else
-      match Hashtbl.find_opt touched id with
-      | None -> incr spliced
-      | Some l ->
-        Hashtbl.remove touched id;
-        if Prt.splice_exact prt !l then incr spliced
-        else begin
-          incr cascades;
-          ignore (Prt.retract_coflow prt id : int);
-          clear_demand_ports e (remaining id);
-          reschedule e
-        end
-  in
-  (process, old_plans, resched, spliced, cascades)
+  end
 
-let step_unsharded g ~now ~arrivals ~finished ~remaining =
-  let obs = Obs.Control.enabled () in
-  if obs then begin
-    Obs.Registry.incr m_rounds;
-    Obs.Registry.incr m_steps;
-    Obs.Tracer.begin_span ~cat:"core" "inter.step"
-  end;
+(* The engine's semantics: retire [finished], admit [arrivals] and
+   decide which plans the event invalidates. Shared by the incremental
+   step and the rebuild oracle; only the repair that follows differs. *)
+let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
   (* 1. retire finished Coflows. Every window of a finished Coflow
      stops at or before its recorded finish <= now, and every table
      query made on behalf of the remaining Coflows is a strict-greater
      successor search at an instant >= now, so the removal is invisible
-     to them: no rescheduling. *)
+     to them: no rescheduling. [e_shards] covers every window's
+     endpoints, so retracting on those tables removes the windows and
+     their mirrors. *)
   List.iter
     (fun id ->
       match Hashtbl.find_opt g.g_index id with
       | None -> invalid_arg "Inter.schedule_incremental: unknown finished id"
       | Some e ->
-        remove_entry g e;
+        drop_entry g e;
         Hashtbl.remove g.g_index id;
-        if not g.g_rebuild then ignore (Prt.retract_coflow g.g_prt id : int))
+        Array.iter
+          (fun s -> ignore (Prt.retract_coflow g.g_prts.(s) id : int))
+          e.e_shards)
     finished;
   (* 2. admit arrivals at their priority positions *)
-  let dirty = Hashtbl.create 8 in
-  let arrived = Hashtbl.create 8 in
+  let m =
+    {
+      stamp = g.g_stamp;
+      n_dirty = 0;
+      first = Array.make g.g_shards None;
+      cross_dirty = false;
+      min_dirty = None;
+    }
+  in
   List.iter
     (fun c ->
       if Hashtbl.mem g.g_index c.Coflow.id then
@@ -559,30 +522,36 @@ let step_unsharded g ~now ~arrivals ~finished ~remaining =
           e_bucket =
             bucket_of ~policy:g.g_policy ~buckets:g.g_buckets
               ~bucket_base:g.g_bucket_base ~delta:g.g_delta key;
-          e_shards = [||];
+          e_shards = coflow_shards g c;
           e_plan = { Sunflow.reservations = []; finish = now; setups = 0 };
+          e_mark = 0;
         }
       in
-      insert_entry g e;
+      add_entry g e;
       Hashtbl.replace g.g_index c.Coflow.id e;
-      Hashtbl.replace arrived c.Coflow.id ();
-      Hashtbl.replace dirty c.Coflow.id ())
+      mark g m e)
     arrivals;
   (* 3. further dirty sources. Without carry-over every event restarts
      every circuit (all-stop), so everything is dirty. *)
+  let all = g.g_all in
   if not g.g_carry then
-    for i = 0 to g.g_n - 1 do
-      Hashtbl.replace dirty g.g_entries.(i).e_coflow.Coflow.id ()
+    for i = 0 to all.v_n - 1 do
+      mark g m all.v_arr.(i)
     done;
-  (* circuits physically up at [now], read before any rollback (a
-     rolled-back Coflow's transmitting circuit is still up, and its
+  (* circuits physically up at [now], read before any repair (a
+     rescheduled Coflow's transmitting circuit is still up, and its
      replacement plan may carry it delta-free). Windows of retired
-     Coflows are filtered out in both modes: [rebuild] keeps them in
-     its stale table, the incremental path has already retracted them. *)
+     Coflows are filtered out: the rebuild oracle's table is the stale
+     one of the previous event. Mirrors surface twice; [sort_uniq]
+     collapses them, and double-marking a straddler is idempotent. *)
   let covering =
-    List.filter
-      (fun r -> Hashtbl.mem g.g_index r.Prt.coflow)
-      (Prt.covering_at g.g_prt now)
+    Array.fold_left
+      (fun acc prt ->
+        List.fold_left
+          (fun acc r ->
+            if Hashtbl.mem g.g_index r.Prt.coflow then r :: acc else acc)
+          acc (Prt.covering_at prt now))
+      [] g.g_prts
   in
   g.g_established <-
     (if g.g_carry then
@@ -600,21 +569,27 @@ let step_unsharded g ~now ~arrivals ~finished ~remaining =
   List.iter
     (fun r ->
       if r.Prt.start +. r.Prt.setup > now then begin
-        if obs && not (Hashtbl.mem dirty r.Prt.coflow) then
-          Obs.Registry.incr m_straddlers;
-        Hashtbl.replace dirty r.Prt.coflow ()
+        let e = Hashtbl.find g.g_index r.Prt.coflow in
+        if obs && not (is_dirty m e) then Obs.Registry.incr m_straddlers;
+        mark g m e
       end)
     covering;
   (* defensive: a stored finish at or before [now] with demand left
-     would stall the event loop; re-anchor such plans *)
-  for i = 0 to g.g_n - 1 do
-    let e = g.g_entries.(i) in
-    let id = e.e_coflow.Coflow.id in
-    if
-      e.e_plan.Sunflow.finish <= now
-      && (not (Hashtbl.mem dirty id))
-      && not (Demand.is_empty (remaining id))
-    then Hashtbl.replace dirty id ()
+     would stall the event loop; re-anchor such plans. A vec whose
+     cached minimum finish is past [now] cannot hold one. *)
+  for i = 0 to g.g_shards do
+    refresh_smin g i;
+    if g.g_smin.(i) <= now then begin
+      let v = vec g i in
+      for k = 0 to v.v_n - 1 do
+        let e = v.v_arr.(k) in
+        if
+          e.e_plan.Sunflow.finish <= now
+          && (not (is_dirty m e))
+          && not (Demand.is_empty (remaining e.e_coflow.Coflow.id))
+        then mark g m e
+      done
+    end
   done;
   (* an arrival poisons the rest of its own bucket: within a bucket the
      order is FIFO, so a retained entry sorting after a new arrival in
@@ -622,152 +597,101 @@ let step_unsharded g ~now ~arrivals ~finished ~remaining =
      policy, where every Coflow shares class 0) — in either case the
      within-class order shifted under the retained plan, so it must be
      re-derived rather than spliced. Entries in strictly later buckets
-     are left clean and handled by splice-or-reschedule below. *)
-  if g.g_buckets > 0 && arrivals <> [] then begin
+     are left clean and handled by splice-or-reschedule. Buckets are
+     contiguous runs of the service order, so "some retained entry
+     sorts after an arrival in its class" is "some arrival's immediate
+     successor shares its class" — checked in O(arrivals log n) before
+     the scan. *)
+  if
+    g.g_buckets > 0
+    && List.exists
+         (fun c ->
+           let e = Hashtbl.find g.g_index c.Coflow.id in
+           let k = evec_lower g.g_cmp all e in
+           k + 1 < all.v_n && all.v_arr.(k + 1).e_bucket = e.e_bucket)
+         arrivals
+  then begin
+    let arrived = Hashtbl.create 8 in
+    List.iter (fun c -> Hashtbl.replace arrived c.Coflow.id ()) arrivals;
     let poisoned = Array.make g.g_buckets false in
-    for i = 0 to g.g_n - 1 do
-      let e = g.g_entries.(i) in
-      let id = e.e_coflow.Coflow.id in
-      if poisoned.(e.e_bucket) then Hashtbl.replace dirty id ()
-      else if Hashtbl.mem arrived id then poisoned.(e.e_bucket) <- true
+    for i = 0 to all.v_n - 1 do
+      let e = all.v_arr.(i) in
+      if poisoned.(e.e_bucket) then mark g m e
+      else if Hashtbl.mem arrived e.e_coflow.Coflow.id then
+        poisoned.(e.e_bucket) <- true
     done
   end;
-  (* 4. the dirty suffix starts at the first dirty position *)
-  let dirty_pos =
-    let p = ref g.g_n in
-    (try
-       for i = 0 to g.g_n - 1 do
-         if Hashtbl.mem dirty g.g_entries.(i).e_coflow.Coflow.id then begin
-           p := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !p
-  in
-  (* 5. bring the table to prefix-only *)
-  if g.g_rebuild then begin
-    (* oracle mode: identical decisions recomputed from scratch — fresh
-       table, re-reserving the retained prefix's stored windows *)
-    g.g_prt <- Prt.create ();
-    for i = 0 to dirty_pos - 1 do
-      List.iter (Prt.reserve g.g_prt)
-        g.g_entries.(i).e_plan.Sunflow.reservations
-    done
-  end
-  else if g.g_buckets = 0 && dirty_pos < g.g_n then
-    (* clear the suffix by ownership rather than by undo-log rollback:
-       the windows removed are exactly the suffix entries' stored
-       reservations either way (prefix windows belong to Coflows
-       sorting before the suffix, which this step never touches), so
-       the table content is identical — but retraction does not need
-       the undo log to survive across steps. A long-running engine
-       that rolled back to per-entry marks had to keep the log for the
-       life of the table, growing it with every reserve and pinning
-       retired Coflows' windows against the GC; see forget_history
-       below. Bucketed engines skip this: they repair the table in
-       place (step 6), touching only the ports the dirty entries'
-       planners can see. *)
-    for i = dirty_pos to g.g_n - 1 do
-      let e = g.g_entries.(i) in
-      if not (Hashtbl.mem arrived e.e_coflow.Coflow.id) then
-        ignore (Prt.retract_coflow g.g_prt e.e_coflow.Coflow.id : int)
-    done;
-  (* 6. re-run Sunflow for the suffix, in priority order, against the
-     retained prefix *)
+  (* exact order: the whole suffix from the first dirty entry is
+     re-derived (anchored plans re-round at the ulp scale if re-derived
+     at a different [now], so clean suffix entries cannot be kept
+     without diverging from the oracle) *)
+  (if g.g_buckets = 0 then
+     match m.min_dirty with
+     | None -> ()
+     | Some d ->
+       for i = evec_lower g.g_cmp all d to all.v_n - 1 do
+         mark g m all.v_arr.(i)
+       done);
+  m
+
+let established_pred g =
   let est_set = Hashtbl.create 16 in
   List.iter (fun cc -> Hashtbl.replace est_set cc ()) g.g_established;
-  let is_established cc = Hashtbl.mem est_set cc in
+  fun cc -> Hashtbl.mem est_set cc
+
+let replan g ~prt ~now ~remaining ~is_established e =
+  let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
+  e.e_plan <-
+    Sunflow.schedule ~prt ~now ~order:g.g_order ~established:is_established
+      ~delta:g.g_delta ~bandwidth:g.g_bandwidth c
+
+(* --- the rebuild oracle ----------------------------------------------- *)
+
+(* identical decisions recomputed from scratch: a fresh table holding
+   the clean prefix's stored windows, then the suffix in priority order
+   — dirty entries rescheduled (under the exact order that is all of
+   them), a clean entry spliced back verbatim when every window still
+   fits with zero overlap and rescheduled otherwise. The whole plan is
+   re-derived rather than patched around the surviving windows: a
+   merged plan would break non-preemption (a kept split-window whose
+   blocking neighbour moved ends with demand left and nothing occupying
+   its port) and double-count circuit setups. The fit test must be
+   exact, not [reserve]'s dust-tolerant one: a rescheduled upstream
+   neighbour can land within rounding dust of a stored boundary, and
+   re-admitting that would break the validator's strict per-port
+   disjointness — [Prt.splice_exact] is exactly that
+   check-all-then-reserve-all primitive. No eviction, no shard pass:
+   this is what [run_pass] is checked against. *)
+let rebuild_repair g ~obs ~now ~remaining m =
+  let prt = Prt.create () in
+  g.g_prts.(0) <- prt;
+  let all = g.g_all in
+  let first =
+    match m.min_dirty with
+    | None -> all.v_n
+    | Some d -> evec_lower g.g_cmp all d
+  in
+  for i = 0 to first - 1 do
+    List.iter (Prt.reserve prt) all.v_arr.(i).e_plan.Sunflow.reservations
+  done;
+  let is_established = established_pred g in
   let reschedule e =
-    let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
-    e.e_plan <-
-      Sunflow.schedule ~prt:g.g_prt ~now ~order:g.g_order
-        ~established:is_established ~delta:g.g_delta ~bandwidth:g.g_bandwidth c;
+    replan g ~prt ~now ~remaining ~is_established e;
     g.g_rescheduled <- g.g_rescheduled + 1
   in
-  if g.g_rebuild || g.g_buckets = 0 then begin
-    for i = dirty_pos to g.g_n - 1 do
-      let e = g.g_entries.(i) in
-      if g.g_buckets = 0 || Hashtbl.mem dirty e.e_coflow.Coflow.id then
-        reschedule e
-      else begin
-        (* clean entry under a bucketed order (oracle mode): its table
-           prefix may have changed, but only by entries in other
-           classes — splice the stored plan back verbatim when every
-           window still fits with zero overlap, and fall back to a
-           full re-run otherwise. The whole plan is re-derived rather
-           than patched around the surviving windows: a merged plan
-           would break non-preemption (a kept split-window whose
-           blocking neighbour moved ends with demand left and nothing
-           occupying its port) and double-count circuit setups. The
-           fit test must be exact, not [reserve]'s dust-tolerant one:
-           a rescheduled upstream neighbour can land within rounding
-           dust of a stored boundary, and re-admitting that would
-           break the validator's strict per-port disjointness —
-           [Prt.splice_exact] is exactly that check-all-then-reserve-all
-           primitive. *)
-        if Prt.splice_exact g.g_prt e.e_plan.Sunflow.reservations then
-          g.g_spliced <- g.g_spliced + 1
-        else begin
-          if obs then Obs.Registry.incr m_cascades;
-          reschedule e
-        end
-      end
-    done;
-    (* nothing rolls the table back any more (suffix clearing goes
-       through [retract_coflow]) — drop the log so a persistent engine
-       cannot grow it with every reserve for the life of the process.
-       The rebuild oracle skips this: its table is rebuilt from scratch
-       next step anyway. *)
-    if not g.g_rebuild then Prt.forget_history g.g_prt
-  end
-  else begin
-    (* lazy damage-bounded repair (bucketed incremental mode) *)
-    let process, _old, resched, spliced, cascades =
-      make_pass g ~prt:g.g_prt ~now ~remaining ~is_established ~dirty
-        ~guard:ignore
-    in
-    for i = dirty_pos to g.g_n - 1 do
-      process g.g_entries.(i)
-    done;
-    g.g_rescheduled <- g.g_rescheduled + !resched;
-    g.g_spliced <- g.g_spliced + !spliced;
-    if obs && !cascades > 0 then Obs.Registry.add m_cascades !cascades;
-    (* this engine never rolls back — without this the undo log grows
-       with every reserve for the run's lifetime and pins retired
-       Coflows' windows against the GC *)
-    Prt.forget_history g.g_prt
-  end;
-  if obs then begin
-    Obs.Registry.observe h_batch (float_of_int (g.g_n - dirty_pos));
-    Obs.Tracer.end_span ~cat:"core" "inter.step"
-  end
+  for i = first to all.v_n - 1 do
+    let e = all.v_arr.(i) in
+    if is_dirty m e then reschedule e
+    else if Prt.splice_exact prt e.e_plan.Sunflow.reservations then
+      g.g_spliced <- g.g_spliced + 1
+    else begin
+      if obs then Obs.Registry.incr m_cascades;
+      reschedule e
+    end
+  done;
+  g.g_smin_stale.(0) <- true
 
-(* --- sharded stepping (g_shards > 1) ----------------------------------
-
-   Ports are striped over S shards; each shard owns a [Prt] holding
-   every window with an endpoint in the shard (a cross-shard Coflow's
-   window is mirrored into both endpoint shards, so every shard table
-   is complete for its own ports). A Coflow whose whole footprint maps
-   to one shard lives in that shard's entry vector; per event, each
-   shard with dirty entries runs the bucketed lazy repair over its own
-   vector against its own table — [Sunflow.schedule] reads and writes
-   only the ports of the Coflow's own demand (PR 6's footprint-locality
-   argument), and those ports all belong to the shard, so the pass sees
-   exactly the state the unsharded walk would show it, regardless of
-   how passes interleave. The passes are independent (disjoint ports,
-   disjoint entries) and run through [g_runner] — sequentially by
-   default, on a domain pool when one is plugged in.
-
-   Cross-shard Coflows break the independence, so they are handled
-   pessimistically-correct: a pass that would evict a cross-shard
-   owner's window aborts ([Cross_conflict]), every pass of the event is
-   rolled back (stored plans restored; the shard tables are rebuilt
-   from the plans), and the event is re-resolved by one global pass
-   over the closure of affected shards — Time-Warp's optimistic
-   execution with a deterministic arbiter. A dirty cross-shard entry
-   skips the optimistic round entirely. Either way the decisions made
-   are the unsharded engine's, bit for bit. *)
+(* --- the incremental repair ------------------------------------------- *)
 
 exception Cross_conflict
 
@@ -776,53 +700,151 @@ type pass_out =
       (* replaced plans (for rollback), rescheduled, spliced, cascades *)
   | Pass_conflict of (entry * Sunflow.result) list
 
-(* optimistic pass over one shard's entries from its first dirty
-   position. Reads shared engine state only (g_index, dirty, the
-   established set — all frozen for the event); mutates only the
-   shard's own table and its own entries' plans, so passes are safe to
-   run on separate domains. *)
-let run_shard_pass g ~now ~remaining ~is_established ~dirty s first =
-  let vec = g.g_slocal.(s) in
-  let guard o = if Array.length o.e_shards > 1 then raise Cross_conflict in
-  let process, old_plans, resched, spliced, cascades =
-    make_pass g ~prt:g.g_sprt.(s) ~now ~remaining ~is_established ~dirty
-      ~guard
+(* One lazy-repair pass over the entries of [v] from position [first]
+   that satisfy [keep], in priority order, against [prt]. [guard] is
+   consulted before any eviction (shard passes raise [Cross_conflict]
+   on a cross-shard owner, which aborts the pass), and every replaced
+   plan is recorded for rollback.
+
+   No rollback: a dirty entry, at its turn in priority order, clears
+   every later-priority window from the ports its planner can touch
+   (the senders/receivers of its remaining demand), recording the
+   evicted windows per owner, then reschedules. An evicted ("touched")
+   clean entry re-admits its evicted windows verbatim at its own turn
+   when they all still fit exactly, and partially re-plans otherwise;
+   a clean entry nobody touched keeps its plan at zero cost. This
+   matches the rebuild oracle's decisions bit-for-bit:
+   [Sunflow.schedule] reads and writes only the ports of the Coflow's
+   own demand ([probe] / [next_release_on_ports] take explicit ports),
+   so each rescheduled entry sees, on every port it queries, exactly
+   the prefix plus already-processed suffix — the rebuild table's
+   content at the same turn. Windows never evicted sit on ports no new
+   window lands on, and the old windows were mutually disjoint, so
+   they'd pass the oracle's fit test unconditionally; evicted windows
+   are tested against table content identical on their ports. The
+   fit-failure sets therefore coincide, and so do the plans.
+
+   [tail] is the first entry of the service order's trailing run of
+   dirty entries: nothing clean sorts after it. The run's windows are
+   retracted before the pass starts, and its entries then evict
+   nothing — every later window is the run's own (a cross-shard
+   Coflow in the run is dirty, which sends the event straight to the
+   cross-shard pass, whose table holds the whole run). That is the
+   same table content on every port an earlier entry reschedules on
+   (its eviction would have removed them), and windows that were
+   disjoint from a clean entry's in the previous table cannot fail its
+   fit test. Under the exact order the run is the whole suffix from
+   the first dirty entry: retract it, reschedule it in order. *)
+let run_pass g ~prt ~now ~remaining ~is_established ~m ~tail ~guard ~keep v
+    first =
+  let old_plans = ref [] in
+  let resched = ref 0 and spliced = ref 0 and cascades = ref 0 in
+  let reschedule e =
+    old_plans := (e, e.e_plan) :: !old_plans;
+    replan g ~prt ~now ~remaining ~is_established e;
+    incr resched
   in
+  let tail_pos =
+    match tail with
+    | Some t -> max first (evec_lower g.g_cmp v t)
+    | None -> v.v_n
+  in
+  for i = tail_pos to v.v_n - 1 do
+    let e = v.v_arr.(i) in
+    if keep e then ignore (Prt.retract_coflow prt e.e_coflow.Coflow.id : int)
+  done;
   try
-    for i = evec_lower g.g_cmp vec first to vec.v_n - 1 do
-      process vec.v_arr.(i)
+    if first < tail_pos then begin
+      let touched : (int, Prt.reservation list ref) Hashtbl.t =
+        Hashtbl.create 16
+      in
+      let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
+      let clear_port e p =
+        if not (Hashtbl.mem ports_cleared p) then begin
+          Hashtbl.replace ports_cleared p ();
+          List.iter
+            (fun r ->
+              match Hashtbl.find_opt g.g_index r.Prt.coflow with
+              | Some o when g.g_cmp e o < 0 ->
+                guard o;
+                (* [remove] is false when the window was already evicted
+                   through its other port — record once *)
+                if Prt.remove prt r then begin
+                  let l =
+                    match Hashtbl.find_opt touched r.Prt.coflow with
+                    | Some l -> l
+                    | None ->
+                      let l = ref [] in
+                      Hashtbl.replace touched r.Prt.coflow l;
+                      l
+                  in
+                  l := r :: !l
+                end
+              | _ -> ())
+            (Prt.port_reservations prt p)
+        end
+      in
+      let repair e =
+        let id = e.e_coflow.Coflow.id in
+        Hashtbl.remove touched id;
+        ignore (Prt.retract_coflow prt id : int);
+        let d = remaining id in
+        List.iter (fun p -> clear_port e (Prt.In p)) (Demand.senders d);
+        List.iter (fun p -> clear_port e (Prt.Out p)) (Demand.receivers d);
+        reschedule e
+      in
+      for i = first to tail_pos - 1 do
+        let e = v.v_arr.(i) in
+        if keep e then
+          if is_dirty m e then repair e
+          else
+            match Hashtbl.find_opt touched e.e_coflow.Coflow.id with
+            | None -> incr spliced
+            | Some l ->
+              if Prt.splice_exact prt !l then begin
+                Hashtbl.remove touched e.e_coflow.Coflow.id;
+                incr spliced
+              end
+              else begin
+                incr cascades;
+                repair e
+              end
+      done
+    end;
+    for i = tail_pos to v.v_n - 1 do
+      let e = v.v_arr.(i) in
+      if keep e then reschedule e
     done;
     Pass_ok (!old_plans, !resched, !spliced, !cascades)
   with Cross_conflict -> Pass_conflict !old_plans
 
 (* deterministic cross-shard resolution: compute the closure of shards
    reachable from the dirty set through cross-shard footprints, merge
-   the closure's stored plans into one table, run the unsharded repair
-   over the closure's entries in global priority order, then rebuild
-   the affected shard tables from the resulting plans (mirroring cross
-   windows into both endpoint shards). Entries wholly outside the
-   closure share no port with anything the repair may move — the
-   unsharded walk would have spliced them untouched — so skipping them
-   changes nothing. *)
-let resolve_cross g ~obs ~now ~remaining ~is_established ~dirty ~min_dirty
-    ~shard_dirty =
+   the closure's stored plans into one table, run one repair pass over
+   the closure's entries in global priority order, then rebuild the
+   affected shard tables from the resulting plans (mirroring cross
+   windows into both endpoint shards). Every dirty entry is inside the
+   closure; entries wholly outside it share no port with anything the
+   repair may move — a pass over one global table would have spliced
+   them untouched — so skipping them changes nothing. *)
+let resolve_cross g ~obs ~now ~remaining ~is_established ~tail m =
   g.g_sconflicts <- g.g_sconflicts + 1;
   if obs then Obs.Registry.incr m_sh_conflicts;
   let t0 = if obs then Obs.Control.now_ns () else 0L in
-  let c = Array.copy shard_dirty in
+  let c = Array.map Option.is_some m.first in
+  let cross = g.g_cross in
   (* seed: shards of dirty cross entries *)
-  for i = 0 to g.g_scross.v_n - 1 do
-    let e = g.g_scross.v_arr.(i) in
-    if Hashtbl.mem dirty e.e_coflow.Coflow.id then
-      Array.iter (fun s -> c.(s) <- true) e.e_shards
+  for i = 0 to cross.v_n - 1 do
+    let e = cross.v_arr.(i) in
+    if is_dirty m e then Array.iter (fun s -> c.(s) <- true) e.e_shards
   done;
   (* fixpoint: any cross entry touching the closure pulls all its
      shards in — its windows sit on ports the repair may reuse *)
   let changed = ref true in
   while !changed do
     changed := false;
-    for i = 0 to g.g_scross.v_n - 1 do
-      let e = g.g_scross.v_arr.(i) in
+    for i = 0 to cross.v_n - 1 do
+      let e = cross.v_arr.(i) in
       if
         Array.exists (fun s -> c.(s)) e.e_shards
         && not (Array.for_all (fun s -> c.(s)) e.e_shards)
@@ -832,48 +854,44 @@ let resolve_cross g ~obs ~now ~remaining ~is_established ~dirty ~min_dirty
       end
     done
   done;
-  let in_c e =
-    Array.length e.e_shards > 0 && Array.for_all (fun s -> c.(s)) e.e_shards
-  in
+  let in_c e = Array.for_all (fun s -> c.(s)) e.e_shards in
   (* merged mirror-free table of every in-closure stored plan — the
-     unsharded table's content restricted to the closure's ports *)
+     single table's content restricted to the closure's ports *)
+  let all = g.g_all in
   let merged = Prt.create () in
-  for i = 0 to g.g_n - 1 do
-    let e = g.g_entries.(i) in
+  for i = 0 to all.v_n - 1 do
+    let e = all.v_arr.(i) in
     if in_c e then
       List.iter (Prt.reserve merged) e.e_plan.Sunflow.reservations
   done;
-  let process, _old, resched, spliced, cascades =
-    make_pass g ~prt:merged ~now ~remaining ~is_established ~dirty
-      ~guard:ignore
-  in
-  (match min_dirty with
+  (match m.min_dirty with
   | None -> ()
-  | Some m ->
-    for i = lower_bound g m to g.g_n - 1 do
-      let e = g.g_entries.(i) in
-      if in_c e then process e
-    done);
-  g.g_rescheduled <- g.g_rescheduled + !resched;
-  g.g_spliced <- g.g_spliced + !spliced;
-  if obs && !cascades > 0 then Obs.Registry.add m_cascades !cascades;
+  | Some d -> (
+    match
+      run_pass g ~prt:merged ~now ~remaining ~is_established ~m ~tail ~guard:ignore ~keep:in_c all (evec_lower g.g_cmp all d)
+    with
+    | Pass_ok (_, resched, spliced, cascades) ->
+      g.g_rescheduled <- g.g_rescheduled + resched;
+      g.g_spliced <- g.g_spliced + spliced;
+      if obs && cascades > 0 then Obs.Registry.add m_cascades cascades
+    | Pass_conflict _ -> assert false));
   (* rebuild the affected shard tables from the now-current plans *)
   for s = 0 to g.g_shards - 1 do
-    if c.(s) then g.g_sprt.(s) <- Prt.create ()
+    if c.(s) then g.g_prts.(s) <- Prt.create ()
   done;
-  for i = 0 to g.g_n - 1 do
-    let e = g.g_entries.(i) in
+  for i = 0 to all.v_n - 1 do
+    let e = all.v_arr.(i) in
     if in_c e then
       List.iter
         (fun r ->
           let ss = shard_of g r.Prt.src and sd = shard_of g r.Prt.dst in
-          Prt.reserve g.g_sprt.(ss) r;
-          if sd <> ss then Prt.reserve g.g_sprt.(sd) r)
+          Prt.reserve g.g_prts.(ss) r;
+          if sd <> ss then Prt.reserve g.g_prts.(sd) r)
         e.e_plan.Sunflow.reservations
   done;
   for s = 0 to g.g_shards - 1 do
     if c.(s) then begin
-      Prt.forget_history g.g_sprt.(s);
+      Prt.forget_history g.g_prts.(s);
       g.g_smin_stale.(s) <- true
     end
   done;
@@ -882,260 +900,107 @@ let resolve_cross g ~obs ~now ~remaining ~is_established ~dirty ~min_dirty
     Obs.Registry.observe h_sh_rollback
       (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) t0) /. 1e9)
 
-let sharded_step g ~now ~arrivals ~finished ~remaining =
+(* optimistic per-shard passes, falling back to the deterministic
+   cross-shard pass on any conflict. At S = 1 this is one pass over the
+   service order from its first dirty entry; nothing can conflict. *)
+let repair g ~obs ~now ~remaining m =
+  let is_established = established_pred g in
+  (* first entry of the service order's trailing run of dirty entries
+     (see [run_pass]); the whole suffix under the exact order *)
+  let tail =
+    let all = g.g_all in
+    let i = ref all.v_n in
+    while !i > 0 && is_dirty m all.v_arr.(!i - 1) do
+      decr i
+    done;
+    if !i < all.v_n then Some all.v_arr.(!i) else None
+  in
+  if obs && g.g_shards > 1 then begin
+    let nd = ref (if m.cross_dirty then 1 else 0) in
+    Array.iter (fun f -> if Option.is_some f then incr nd) m.first;
+    Obs.Registry.add m_sh_dirty !nd
+  end;
+  if m.cross_dirty then
+    (* a dirty cross-shard Coflow makes the conflict certain — skip the
+       optimistic round (nothing to roll back) *)
+    resolve_cross g ~obs ~now ~remaining ~is_established ~tail m
+  else begin
+    (* one optimistic pass per dirty shard, over its own entries from
+       its first dirty one. A pass reads shared engine state only
+       (g_index, the service order, the dirty set, the established set
+       — all frozen for the event) and mutates only its shard's table
+       and entries' plans, so passes are safe to run on separate
+       domains. *)
+    let guard o = if Array.length o.e_shards > 1 then raise Cross_conflict in
+    let keep _ = true in
+    let thunks = ref [] in
+    for s = g.g_shards - 1 downto 0 do
+      match m.first.(s) with
+      | Some d ->
+        let v = g.g_local.(s) in
+        thunks :=
+          (fun () ->
+            run_pass g ~prt:g.g_prts.(s) ~now ~remaining ~is_established
+              ~m ~tail ~guard ~keep v (evec_lower g.g_cmp v d))
+          :: !thunks
+      | None -> ()
+    done;
+    let outs =
+      match !thunks with
+      | [ f ] -> [| f () |]
+      | fs -> g.g_runner.run_passes (Array.of_list fs)
+    in
+    if Array.exists (function Pass_conflict _ -> true | _ -> false) outs
+    then begin
+      (* roll back every pass: restore the replaced plans (the shard
+         tables are rebuilt from plans during resolution, so the
+         plan-level undo subsumes any table-level one) *)
+      Array.iter
+        (function
+          | Pass_ok (old, _, _, _) | Pass_conflict old ->
+            List.iter (fun (e, p) -> e.e_plan <- p) old)
+        outs;
+      g.g_srollbacks <- g.g_srollbacks + Array.length outs;
+      if obs then Obs.Registry.add m_sh_rollbacks (Array.length outs);
+      resolve_cross g ~obs ~now ~remaining ~is_established ~tail m
+    end
+    else begin
+      Array.iter
+        (function
+          | Pass_ok (_, r, sp, ca) ->
+            g.g_rescheduled <- g.g_rescheduled + r;
+            g.g_spliced <- g.g_spliced + sp;
+            if obs && ca > 0 then Obs.Registry.add m_cascades ca
+          | Pass_conflict _ -> ())
+        outs;
+      Array.iteri
+        (fun s f ->
+          if Option.is_some f then begin
+            (* the pass never rolls the table back — drop the journal
+               so it cannot pin retired windows *)
+            Prt.forget_history g.g_prts.(s);
+            g.g_smin_stale.(s) <- true
+          end)
+        m.first
+    end
+  end
+
+let schedule_incremental g ~now ~arrivals ~finished ~remaining =
   let obs = Obs.Control.enabled () in
   if obs then begin
     Obs.Registry.incr m_rounds;
     Obs.Registry.incr m_steps;
     Obs.Tracer.begin_span ~cat:"core" "inter.step"
   end;
-  g.g_ssteps <- g.g_ssteps + 1;
-  let sn = g.g_shards in
-  (* 1. retire — as unsharded, plus vector and per-shard table upkeep.
-     [e_shards] covers every window's endpoints, so retracting on those
-     tables removes the windows and their mirrors. *)
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt g.g_index id with
-      | None -> invalid_arg "Inter.schedule_incremental: unknown finished id"
-      | Some e ->
-        remove_entry g e;
-        let v, slot = entry_vec g e in
-        evec_remove g.g_cmp v e;
-        g.g_smin_stale.(slot) <- true;
-        Hashtbl.remove g.g_index id;
-        Array.iter
-          (fun s -> ignore (Prt.retract_coflow g.g_sprt.(s) id : int))
-          e.e_shards)
-    finished;
-  (* 2. dirty tracking: the global dirty set plus, per shard, whether
-     it is dirty and its minimum dirty entry (entries, not positions —
-     positions shift under admission) *)
-  let dirty = Hashtbl.create 8 in
-  let arrived = Hashtbl.create 8 in
-  let shard_dirty = Array.make sn false in
-  let cross_dirty = ref false in
-  let min_dirty = ref None in
-  let s_first = Array.make sn None in
-  let mark_dirty e =
-    let id = e.e_coflow.Coflow.id in
-    if not (Hashtbl.mem dirty id) then begin
-      Hashtbl.replace dirty id ();
-      (match !min_dirty with
-      | Some m when g.g_cmp m e <= 0 -> ()
-      | _ -> min_dirty := Some e);
-      if Array.length e.e_shards > 1 then cross_dirty := true
-      else begin
-        let s = e.e_shards.(0) in
-        shard_dirty.(s) <- true;
-        match s_first.(s) with
-        | Some m when g.g_cmp m e <= 0 -> ()
-        | _ -> s_first.(s) <- Some e
-      end
-    end
-  in
-  (* admit arrivals *)
-  List.iter
-    (fun cf ->
-      if Hashtbl.mem g.g_index cf.Coflow.id then
-        invalid_arg "Inter.schedule_incremental: duplicate Coflow id";
-      let key = entry_key g.g_policy ~bandwidth:g.g_bandwidth cf in
-      let e =
-        {
-          e_coflow = cf;
-          e_key = key;
-          e_bucket =
-            bucket_of ~policy:g.g_policy ~buckets:g.g_buckets
-              ~bucket_base:g.g_bucket_base ~delta:g.g_delta key;
-          e_shards = coflow_shards g cf;
-          e_plan = { Sunflow.reservations = []; finish = now; setups = 0 };
-        }
-      in
-      insert_entry g e;
-      let v, slot = entry_vec g e in
-      evec_insert g.g_cmp v e;
-      g.g_smin_stale.(slot) <- true;
-      Hashtbl.replace g.g_index cf.Coflow.id e;
-      Hashtbl.replace arrived cf.Coflow.id ();
-      mark_dirty e)
-    arrivals;
-  (* 3. further dirty sources — mirror [step_unsharded] exactly *)
-  if not g.g_carry then
-    for i = 0 to g.g_n - 1 do
-      mark_dirty g.g_entries.(i)
-    done;
-  (* circuits physically up at [now]: union over shard tables. Mirrors
-     surface twice; [sort_uniq] collapses them, and double-marking a
-     straddler is idempotent. *)
-  let covering =
-    let acc = ref [] in
-    for s = 0 to sn - 1 do
-      List.iter
-        (fun r -> if Hashtbl.mem g.g_index r.Prt.coflow then acc := r :: !acc)
-        (Prt.covering_at g.g_sprt.(s) now)
-    done;
-    !acc
-  in
-  g.g_established <-
-    (if g.g_carry then
-       covering
-       |> List.filter_map (fun r ->
-              if r.Prt.start +. r.Prt.setup <= now then
-                Some (r.Prt.src, r.Prt.dst)
-              else None)
-       |> List.sort_uniq compare
-     else []);
-  List.iter
-    (fun r ->
-      if r.Prt.start +. r.Prt.setup > now then begin
-        if obs && not (Hashtbl.mem dirty r.Prt.coflow) then
-          Obs.Registry.incr m_straddlers;
-        match Hashtbl.find_opt g.g_index r.Prt.coflow with
-        | Some e -> mark_dirty e
-        | None -> ()
-      end)
-    covering;
-  (* defensive stale-finish scan, pruned by the cached per-vec minimum
-     finish: a vec whose every stored finish is past [now] cannot hold
-     a stale plan *)
-  let scan_stale v =
-    for i = 0 to v.v_n - 1 do
-      let e = v.v_arr.(i) in
-      let id = e.e_coflow.Coflow.id in
-      if
-        e.e_plan.Sunflow.finish <= now
-        && (not (Hashtbl.mem dirty id))
-        && not (Demand.is_empty (remaining id))
-      then mark_dirty e
-    done
-  in
-  for s = 0 to sn - 1 do
-    refresh_smin g s g.g_slocal.(s);
-    if g.g_smin.(s) <= now then scan_stale g.g_slocal.(s)
-  done;
-  refresh_smin g sn g.g_scross;
-  if g.g_smin.(sn) <= now then scan_stale g.g_scross;
-  (* bucket poisoning: an arrival with a same-class successor shifted
-     the within-class FIFO under retained plans. Buckets are contiguous
-     runs of the service order (the comparator sorts on the class
-     first; classless policies share one class), so "some retained
-     entry sorts after an arrival in its class" is equivalent to "some
-     arrival's immediate successor shares its class" — check that in
-     O(arrivals log n) and fall back to the unsharded scan only when it
-     triggers *)
-  if g.g_buckets > 0 && arrivals <> [] then begin
-    let trigger = ref false in
-    List.iter
-      (fun cf ->
-        if not !trigger then begin
-          let e = Hashtbl.find g.g_index cf.Coflow.id in
-          let k = lower_bound g e in
-          if k + 1 < g.g_n && g.g_entries.(k + 1).e_bucket = e.e_bucket then
-            trigger := true
-        end)
-      arrivals;
-    if !trigger then begin
-      let poisoned = Array.make g.g_buckets false in
-      for i = 0 to g.g_n - 1 do
-        let e = g.g_entries.(i) in
-        if poisoned.(e.e_bucket) then mark_dirty e
-        else if Hashtbl.mem arrived e.e_coflow.Coflow.id then
-          poisoned.(e.e_bucket) <- true
-      done
-    end
-  end;
-  (* exact order: [step_unsharded] reschedules the whole suffix from
-     the first dirty position (anchored plans re-round at the ulp scale
-     if re-derived at a different [now], so clean suffix entries cannot
-     be skipped without diverging from the oracle) — mark it all dirty
-     and let the same machinery run it *)
-  if g.g_buckets = 0 then begin
-    match !min_dirty with
-    | None -> ()
-    | Some m ->
-      for i = lower_bound g m to g.g_n - 1 do
-        mark_dirty g.g_entries.(i)
-      done
-  end;
-  (* 4. schedule: optimistic per-shard passes, falling back to the
-     deterministic cross-shard pass on any conflict *)
-  if Hashtbl.length dirty > 0 then begin
-    let est_set = Hashtbl.create 16 in
-    List.iter (fun cc -> Hashtbl.replace est_set cc ()) g.g_established;
-    let is_established cc = Hashtbl.mem est_set cc in
-    if obs then begin
-      let nd = ref (if !cross_dirty then 1 else 0) in
-      Array.iter (fun d -> if d then incr nd) shard_dirty;
-      Obs.Registry.add m_sh_dirty !nd
-    end;
-    if !cross_dirty then
-      (* a dirty cross-shard Coflow makes the conflict certain — skip
-         the optimistic round (nothing to roll back) *)
-      resolve_cross g ~obs ~now ~remaining ~is_established ~dirty
-        ~min_dirty:!min_dirty ~shard_dirty
-    else begin
-      let targets = ref [] in
-      for s = sn - 1 downto 0 do
-        match s_first.(s) with
-        | Some m -> targets := (s, m) :: !targets
-        | None -> ()
-      done;
-      let thunks =
-        Array.of_list
-          (List.map
-             (fun (s, m) () ->
-               run_shard_pass g ~now ~remaining ~is_established ~dirty s m)
-             !targets)
-      in
-      let outs =
-        if Array.length thunks > 1 then g.g_runner.run_passes thunks
-        else Array.map (fun f -> f ()) thunks
-      in
-      let conflicted =
-        Array.exists (function Pass_conflict _ -> true | _ -> false) outs
-      in
-      if conflicted then begin
-        (* roll back every pass: restore the replaced plans (the shard
-           tables are rebuilt from plans during resolution, so the
-           plan-level undo subsumes any table-level one) *)
-        Array.iter
-          (function
-            | Pass_ok (old, _, _, _) | Pass_conflict old ->
-              List.iter (fun (e, p) -> e.e_plan <- p) old)
-          outs;
-        g.g_srollbacks <- g.g_srollbacks + Array.length outs;
-        if obs then Obs.Registry.add m_sh_rollbacks (Array.length outs);
-        resolve_cross g ~obs ~now ~remaining ~is_established ~dirty
-          ~min_dirty:!min_dirty ~shard_dirty
-      end
-      else begin
-        Array.iter
-          (function
-            | Pass_ok (_, r, sp, ca) ->
-              g.g_rescheduled <- g.g_rescheduled + r;
-              g.g_spliced <- g.g_spliced + sp;
-              if obs && ca > 0 then Obs.Registry.add m_cascades ca
-            | Pass_conflict _ -> ())
-          outs;
-        for s = 0 to sn - 1 do
-          if shard_dirty.(s) then begin
-            (* the pass never rolls the table back — drop the journal
-               so it cannot pin retired windows *)
-            Prt.forget_history g.g_sprt.(s);
-            g.g_smin_stale.(s) <- true
-          end
-        done
-      end
-    end
-  end;
+  if g.g_shards > 1 then g.g_ssteps <- g.g_ssteps + 1;
+  g.g_stamp <- g.g_stamp + 1;
+  let m = mark_event g ~obs ~now ~arrivals ~finished ~remaining in
+  if g.g_rebuild then rebuild_repair g ~obs ~now ~remaining m
+  else if m.n_dirty > 0 then repair g ~obs ~now ~remaining m;
   if obs then begin
-    Obs.Registry.observe h_batch (float_of_int (Hashtbl.length dirty));
+    Obs.Registry.observe h_batch (float_of_int m.n_dirty);
     Obs.Tracer.end_span ~cat:"core" "inter.step"
   end
-
-let schedule_incremental g ~now ~arrivals ~finished ~remaining =
-  if g.g_shards > 1 then sharded_step g ~now ~arrivals ~finished ~remaining
-  else step_unsharded g ~now ~arrivals ~finished ~remaining
 
 (* windows overlapping [t0, t1), straddlers clipped to start at [t0].
    After a [schedule_incremental] at [t0] no straddler is mid-setup
@@ -1153,21 +1018,22 @@ let clip_from t0 r =
 
 (* [Prt.reservations_in]'s deterministic physical order — replicated
    here so the sharded merge sorts (and dedupes mirror twins) exactly
-   the way the unsharded table would have emitted the slice *)
+   the way a single table would have emitted the slice *)
 let window_order (a : Prt.reservation) (b : Prt.reservation) =
   compare
     (a.Prt.start, a.Prt.src, a.Prt.dst, a.Prt.coflow, a.Prt.setup, a.Prt.length)
     (b.Prt.start, b.Prt.src, b.Prt.dst, b.Prt.coflow, b.Prt.setup, b.Prt.length)
 
 let engine_slice g ~t0 ~t1 =
-  if g.g_shards > 1 then
+  match g.g_prts with
+  | [| prt |] -> List.map (clip_from t0) (Prt.reservations_in prt t0 t1)
+  | prts ->
     (* union over shard tables; a cross-shard window appears in both
        endpoint shards and [sort_uniq] keeps one copy *)
-    Array.to_list g.g_sprt
+    Array.to_list prts
     |> List.concat_map (fun prt -> Prt.reservations_in prt t0 t1)
     |> List.sort_uniq window_order
     |> List.map (clip_from t0)
-  else List.map (clip_from t0) (Prt.reservations_in g.g_prt t0 t1)
 
 (* materialise the persistent plan as a [result] equivalent to what a
    from-scratch replan at [now] would describe, for the validation
@@ -1178,8 +1044,8 @@ let engine_slice g ~t0 ~t1 =
 let engine_view g ~now ~remaining =
   let per_coflow =
     let acc = ref [] in
-    for i = g.g_n - 1 downto 0 do
-      let e = g.g_entries.(i) in
+    for i = g.g_all.v_n - 1 downto 0 do
+      let e = g.g_all.v_arr.(i) in
       let id = e.e_coflow.Coflow.id in
       let rem = remaining id in
       let kept =

@@ -13,9 +13,13 @@
 type policy =
   | Fifo  (** arrival order — no Coflow jumps the queue *)
   | Shortest_first
-      (** ascending packet-switched lower bound [T_L^p] of the current
-          (remaining) demand — the shortest-Coflow-first policy the
-          evaluation uses, mirroring Varys' SEBF *)
+      (** ascending packet-switched lower bound [T_L^p] — the
+          shortest-Coflow-first policy the evaluation uses. {!schedule}
+          keys it on the demand it is given, so a replay that calls it
+          at every event re-ranks on {e remaining} demand, as Varys'
+          SEBF does; the incremental {!engine} keys it once, on the
+          {e original} demand at admission. These are different
+          policies (see the incremental replanning section). *)
   | Priority_classes of (Coflow.t -> int)
       (** explicit classes, lower class served first; FIFO within a
           class (privileged vs regular users, stage ordering, ...) *)
@@ -69,14 +73,19 @@ val finish_of : result -> int -> float option
     before [now], where no successor query ever looks).
 
     Semantics differ from calling {!schedule} at every event in two
-    deliberate ways: priority keys are fixed at admission (computed
-    from the Coflow's original demand, cached), and a retained
-    Coflow's plan stays anchored at its last (re)scheduling instant
-    instead of being re-derived from the remaining demand — which
-    re-rounds every boundary at each event. The engine's bit-exact
-    oracle is therefore its own [rebuild] mode, which makes the same
-    decisions while reconstructing the table from scratch at every
-    event instead of rolling back. *)
+    deliberate ways. Priority keys are fixed at admission (computed
+    from the Coflow's original demand, cached): under
+    [Shortest_first] this is a different policy from re-keying on
+    remaining demand, not a rounding difference — a Coflow that has
+    drained below a later, smaller arrival yields to it here and
+    keeps its lead under per-event {!schedule}, so finishes can move
+    by whole transfer times. And a retained Coflow's plan stays
+    anchored at its last (re)scheduling instant instead of being
+    re-derived from the remaining demand, which re-rounds every
+    boundary at each event. The engine's bit-exact oracle is
+    therefore its own [rebuild] mode, which makes the same decisions
+    while reconstructing the table from scratch at every event
+    instead of repairing it in place. *)
 
 type engine
 
@@ -136,16 +145,17 @@ val engine :
     exact order is measured (and gated) in the bench harness.
     Raises [Invalid_argument] if [buckets < 0] or [bucket_base <= 1.].
 
-    [shards] (default [1] = the unsharded engine, byte-for-byte the
-    previous behaviour) stripes the fabric's ports over that many
-    shards in contiguous [shard_block]-wide blocks (default [1];
-    set it to the pod size to align shards with pods). Each shard owns
+    [shards] (default [1]: one reservation table, one repair pass per
+    event) stripes the fabric's ports over that many shards in
+    contiguous [shard_block]-wide blocks (default [1]; set it to the
+    pod size to align shards with pods). Each shard owns
     its own reservation table and entry vector; an event replans each
     dirty shard independently — through [runner], so a domain pool can
     execute the passes concurrently — and falls back to one
     deterministic global pass whenever a cross-shard Coflow is
-    involved, after rolling the optimistic passes back. Decisions are
-    bit-identical to [shards = 1] for every shard count; [rebuild]
+    involved, after rolling the optimistic passes back. [shards = 1]
+    is the one-shard case of the same step, and decisions are
+    bit-identical to it for every shard count; [rebuild]
     coerces [shards] to [1] (the from-scratch oracle is inherently
     global). Raises [Invalid_argument] if [shards < 1] or
     [shard_block < 1]. *)
@@ -159,21 +169,26 @@ val schedule_incremental :
   unit
 (** Advance the plan to the event at [now]: retire [finished] (their
     reservations are withdrawn with no rescheduling), admit [arrivals]
-    at their priority positions, and re-run [Sunflow.schedule] — at
-    [now], on the remaining demand reported by [remaining] — for
-    exactly the Coflows whose plans the event invalidated: everything
-    from the first arrival's position on, plus any Coflow whose
-    reservation was mid-reconfiguration at [now]. Under a bucketed
-    order ([buckets > 0]) the repair is damage-bounded: a dirty Coflow
-    evicts later-priority windows only from the ports its own demand
-    touches before re-running, an evicted clean Coflow re-admits its
-    evicted windows verbatim when they still fit (falling back to a
-    full re-run only if a changed upstream plan now occupies one of
-    its ports), and a clean Coflow nobody evicted keeps its plan at
-    zero cost. Raises
-    [Invalid_argument] on an unknown finished id or a duplicate
-    arrival id. O(changed Coflows), not O(active Coflows), per event
-    when circuits carry. *)
+    at their priority positions, and mark {e dirty} the Coflows whose
+    plans the event invalidates — the arrivals, any Coflow whose
+    reservation was mid-reconfiguration at [now], any stored plan
+    finishing at or before [now] with demand left, every Coflow when
+    circuits do not carry over, and under a bucketed order the
+    arrivals' later bucket-mates. Under the exact order
+    ([buckets = 0]) everything from the first dirty Coflow's position
+    on is dirty as well. Dirty Coflows are re-run through
+    [Sunflow.schedule] — at [now], on the remaining demand reported by
+    [remaining] — in priority order. The repair is damage-bounded: a
+    dirty Coflow evicts later-priority windows only from the ports its
+    own demand touches before re-running, an evicted clean Coflow
+    re-admits its evicted windows verbatim when they still fit
+    (falling back to a full re-run only if a changed upstream plan now
+    occupies one of its ports), and a clean Coflow nobody evicted
+    keeps its plan at zero cost. With observability on, the step's
+    dirty count is recorded in the [inter.coflows_per_round]
+    histogram. Raises [Invalid_argument] on an unknown finished id or
+    a duplicate arrival id. O(changed Coflows), not O(active
+    Coflows), per event when circuits carry. *)
 
 val engine_size : engine -> int
 (** Number of Coflows currently admitted and unfinished. *)
@@ -206,20 +221,22 @@ val engine_spliced : engine -> int
     counts (the plans are). *)
 
 val engine_shards : engine -> int
-(** The effective shard count ([1] for unsharded and rebuild engines). *)
+(** The effective shard count ([1] by default and for rebuild engines). *)
 
 val engine_journal_length : engine -> int
 (** Total undo-log length across the engine's reservation tables.
-    Every steady-state stepping mode drops its log at the end of each
-    step (the exact order clears invalidated suffixes through
-    {!Prt.retract_coflow}, the bucketed and sharded repairs never roll
-    back), so between steps this is [0] for incremental engines and
-    bounded by one step's reserves during one — the serving loop's
-    soak test pins that down. The rebuild oracle reports its current
-    from-scratch table's log, bounded by the active plan. *)
+    The incremental repair never rolls a table back (invalidated
+    windows are retracted or evicted by owner), so every step drops
+    the logs of the tables it repaired: between steps this is [0] for
+    incremental engines and bounded by one step's reserves during
+    one — the serving loop's soak test pins that down. The rebuild
+    oracle reports its current from-scratch table's log, bounded by
+    the active plan. *)
 
 val engine_shard_stats : engine -> shard_stats
-(** Cumulative sharded-path statistics; all zero when [shards = 1]. *)
+(** Cumulative sharded-path statistics; all zero when [shards = 1]
+    (one table, nothing to conflict or roll back, and no step counted
+    as sharded). *)
 
 val engine_slice : engine -> t0:float -> t1:float -> Prt.reservation list
 (** The persistent plan's windows overlapping [[t0, t1)], straddlers

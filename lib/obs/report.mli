@@ -11,8 +11,9 @@
       executed schedule, so for the same trace the body is
       byte-identical across [`Incremental]/[`Rebuild] and every
       [--shards] count (the engine modes are bit-identical by
-      construction — [`Full] differs at float-rounding scale, see
-      [Circuit_sim]). {!body_json} renders the body alone so bench
+      construction — [`Full] re-keys [Shortest_first] on remaining
+      demand and re-rounds plans, so it differs, see
+      [Circuit_sim.replan]). {!body_json} renders the body alone so bench
       can digest-gate exactly that invariant.
 
     This module only renders; the caller (CLI, bench — via

@@ -75,7 +75,7 @@ let no_finish ~id:(_ : int) ~t:(_ : float) ~cct:(_ : float) = ()
 
 let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
     ?(carry_circuits = true) ?(buckets = 0) ?(bucket_base = 4.) ?(shards = 1)
-    ?(shard_block = 1) ?(runner = Inter.sequential_runner) ?deadline_of
+    ?(shard_block = 1) ?deadline_of
     ?(stop = no_stop) ?(on_admit = no_admit) ?(on_reject = no_reject)
     ?(on_finish = no_finish) ~delta ~bandwidth next =
   let obs = Obs.Control.enabled () in
@@ -86,7 +86,8 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
   in
   let eng =
     Inter.engine ~order ~carry_circuits ~rebuild:false ~buckets ~bucket_base
-      ~shards ~shard_block ~runner ~policy ~delta ~bandwidth ()
+      ~shards ~shard_block ~runner:(Sunflow_sim.Circuit_sim.shard_runner ())
+      ~policy ~delta ~bandwidth ()
   in
   let active_tbl : (int, active) Hashtbl.t = Hashtbl.create 64 in
   let actives : active list ref = ref [] in

@@ -13,9 +13,9 @@
     Memory invariants the soak test pins down:
     - live engine entries track the active set ({!stats.max_live});
     - the engine's PRT undo journal never outlives a step
-      ({!stats.max_journal} — the exact-order engine clears
-      invalidated suffixes by ownership retraction, so no step leaves
-      journal entries behind to pin retired windows);
+      ({!stats.max_journal} — the repair never rolls its tables back,
+      so every step drops their logs and none is left behind to pin
+      retired windows);
     - a retired Coflow's demand matrix is collectable once the caller
       lets go of it (Weak-pointer test).
 
@@ -62,7 +62,6 @@ val run :
   ?bucket_base:float ->
   ?shards:int ->
   ?shard_block:int ->
-  ?runner:Sunflow_core.Inter.pass_runner ->
   ?deadline_of:(Sunflow_core.Coflow.t -> float) ->
   ?stop:(unit -> bool) ->
   ?on_admit:(Sunflow_core.Coflow.t -> finish:float -> unit) ->
@@ -84,9 +83,11 @@ val run :
     Without [deadline_of] this is exactly [Circuit_sim.run
     ~replan:`Incremental] fed lazily: same engine, same event
     instants, same slice execution — results delivered through
-    [on_finish] are bit-identical to the batch replay's. [policy]
-    defaults to shortest-Coflow-first; empty-demand Coflows complete
-    instantly at their arrival.
+    [on_finish] are bit-identical to the batch replay's, and a
+    sharded engine's passes run on the same executor
+    ([Circuit_sim.shard_runner]). [policy] defaults to
+    shortest-Coflow-first; empty-demand Coflows complete instantly at
+    their arrival.
 
     With [deadline_of] (absolute deadline per Coflow), arrivals pass
     through admission control and [policy] is ignored: the engine

@@ -298,20 +298,21 @@ let run_full ~policy ~order ~carry_circuits ~on_complete ~on_slice ~delta
     total_setups = !setups;
   }
 
-(* The incremental replay: one persistent [Inter.engine] instead of a
-   fresh [Inter.schedule] per event. Plans stay anchored at each
-   Coflow's last (re)scheduling instant; each slice executes the
-   engine's stored windows clipped to [t, t_next). [rebuild] runs the
-   same engine decisions while reconstructing the table from scratch
-   every event — the bit-exact oracle for the rollback machinery. *)
 (* shard passes run on the domain pool when it actually has domains;
    a 1-domain pool would only add submission overhead to a loop that
-   is already sequential *)
+   is already sequential. An unsharded engine has one pass per event
+   and never consults the runner. *)
 let shard_runner () =
   if Sunflow_parallel.Pool.default_jobs () > 1 then
     { Inter.run_passes = (fun fs -> Sunflow_parallel.Pool.run (fun f -> f ()) fs) }
   else Inter.sequential_runner
 
+(* The incremental replay: one persistent [Inter.engine] instead of a
+   fresh [Inter.schedule] per event. Plans stay anchored at each
+   Coflow's last (re)scheduling instant; each slice executes the
+   engine's stored windows clipped to [t, t_next). [rebuild] runs the
+   same engine decisions while reconstructing the table from scratch
+   every event — the bit-exact oracle for the incremental repair. *)
 let run_anchored ~rebuild ~policy ~order ~carry_circuits ~buckets ~bucket_base
     ~shards ~shard_block ~shard_stats ~on_complete ~on_slice ~delta ~bandwidth
     coflows =
@@ -320,10 +321,9 @@ let run_anchored ~rebuild ~policy ~order ~carry_circuits ~buckets ~bucket_base
     (fun c -> Event_queue.push arrivals ~time:c.Coflow.arrival c)
     (List.sort Coflow.compare_arrival coflows);
   let obs = Obs.Control.enabled () in
-  let runner = if shards > 1 then shard_runner () else Inter.sequential_runner in
   let eng =
     Inter.engine ~order ~carry_circuits ~rebuild ~buckets ~bucket_base ~shards
-      ~shard_block ~runner ~policy ~delta ~bandwidth ()
+      ~shard_block ~runner:(shard_runner ()) ~policy ~delta ~bandwidth ()
   in
   let active_tbl : (int, active) Hashtbl.t = Hashtbl.create 64 in
   let actives : active list ref = ref [] in

@@ -16,20 +16,26 @@ type replan = [ `Full | `Rebuild | `Incremental ]
     [`Full] (the default, and the seed's behaviour) re-runs
     [Inter.schedule] over every active Coflow at every event.
     [`Incremental] keeps a persistent [Inter.engine]: arrivals
-    reschedule only the priority-order suffix they invalidate
-    (rollback-capable PRT), finishes retire reservations with no
-    rescheduling — O(changed Coflows) per event. [`Rebuild] makes
-    bit-identical decisions to [`Incremental] while reconstructing the
-    table from scratch at every event; it exists as the differential
-    oracle for the rollback machinery ({!Sunflow_check}).
+    reschedule only the priority-order suffix they invalidate (repaired
+    in place on the persistent reservation table), finishes retire
+    reservations with no rescheduling — O(changed Coflows) per event.
+    [`Rebuild] makes bit-identical decisions to [`Incremental] while
+    reconstructing the table from scratch at every event; it exists as
+    the differential oracle for the incremental repair
+    ({!Sunflow_check}).
 
     The two anchored modes agree with each other bit-exactly but not
-    byte-for-byte with [`Full]: [`Full] re-derives every plan from the
-    drained remaining demand at every event, which re-rounds window
-    boundaries, while the anchored modes keep retained plans fixed at
-    their last scheduling instant (and fix [Shortest_first] keys at
-    admission). Both are faithful Sunflow semantics; finishes differ
-    at the float-rounding scale. *)
+    with [`Full], in two ways. Under [Shortest_first] they are
+    different policies: [`Full] re-keys every Coflow on its
+    {e remaining} demand at every event (SRPT-like), while the
+    anchored modes key on the {e original} demand, fixed at admission.
+    A Coflow that has drained below a later, smaller arrival keeps the
+    circuit under [`Full] and yields it under the anchored modes, so
+    finishes can differ by whole transfer times, not rounding. Under
+    every policy, [`Full] also re-derives each plan from the drained
+    remaining demand, which re-rounds window boundaries, while the
+    anchored modes keep retained plans fixed at their last scheduling
+    instant; that part differs at the float-rounding scale. *)
 
 val run :
   ?policy:Sunflow_core.Inter.policy ->
@@ -98,11 +104,11 @@ val run :
     equivalent from-scratch result ([Inter.engine_view]). *)
 
 val shard_runner : unit -> Sunflow_core.Inter.pass_runner
-(** The executor {!run}'s sharded replan uses: the
+(** The executor {!run}'s anchored replan hands its engine: the
     {!Sunflow_parallel.Pool} domain pool when it has more than one
-    domain, {!Sunflow_core.Inter.sequential_runner} otherwise.
-    Exposed for other event loops driving a sharded engine
-    ([Sunflow_serve]). *)
+    domain, {!Sunflow_core.Inter.sequential_runner} otherwise. Only a
+    sharded engine has several passes per event to hand it. Exposed
+    for the other event loop driving the engine ([Sunflow_serve]). *)
 
 val intra_cct :
   ?order:Sunflow_core.Order.t ->

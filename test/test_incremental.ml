@@ -39,26 +39,32 @@ let policies =
         (fun a b -> compare (a.Coflow.id mod 3) (b.Coflow.id mod 3)) );
   ]
 
+(* buckets = 4 puts every policy's bucketed repair in front of the
+   oracle: Priority_classes clamping, and the one-class poisoning of
+   Fifo and the non-total Custom comparator *)
 let test_equiv_grid () =
   List.iter
     (fun (pname, policy) ->
       List.iter
-        (fun carry ->
+        (fun buckets ->
           List.iter
-            (fun delta ->
-              for i = 0 to 2 do
-                let trace = trace_of_seed (1000 + (17 * i)) in
-                let vs =
-                  Plan_check.replay_equiv ~policy ~carry_circuits:carry ~delta
-                    ~bandwidth trace
-                in
-                Alcotest.(check string)
-                  (Printf.sprintf "%s carry=%b delta=%g trace=%d" pname carry
-                     delta i)
-                  "" (pp_violations vs)
-              done)
-            [ 0.; Units.ms 10. ])
-        [ true; false ])
+            (fun carry ->
+              List.iter
+                (fun delta ->
+                  for i = 0 to 2 do
+                    let trace = trace_of_seed (1000 + (17 * i)) in
+                    let vs =
+                      Plan_check.replay_equiv ~policy ~buckets
+                        ~carry_circuits:carry ~delta ~bandwidth trace
+                    in
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s buckets=%d carry=%b delta=%g trace=%d"
+                         pname buckets carry delta i)
+                      "" (pp_violations vs)
+                  done)
+                [ 0.; Units.ms 10. ])
+            [ true; false ])
+        [ 0; 4 ])
     policies
 
 let test_result_fields_equal () =
@@ -295,6 +301,37 @@ let test_min_finish_option () =
   Alcotest.(check bool) "drained engine back to None" true
     (Inter.engine_min_finish eng = None)
 
+(* --- Full re-keys shortest-first; the anchored engine does not --- *)
+
+(* Coflow 0 (100 MB) has drained to ~39 MB when Coflow 1 (60 MB, same
+   ports) arrives at 0.5 s. [`Full] re-ranks on remaining demand, so
+   Coflow 0 keeps the circuit and finishes first; the anchored modes
+   rank on the demand at admission, so Coflow 1 takes over the carried
+   circuit and Coflow 0 resumes after it. A policy difference of whole
+   transfer times, not float rounding. *)
+let test_full_rekeys_shortest_first () =
+  let coflow id arrival mb =
+    let d = Demand.create () in
+    Demand.set d 0 1 (Units.mb mb);
+    Coflow.make ~id ~arrival d
+  in
+  let trace = [ coflow 0 0. 100.; coflow 1 0.5 60. ] in
+  let finishes replan =
+    (Circuit_sim.run ~policy:Inter.Shortest_first ~replan ~delta:(Units.ms 10.)
+       ~bandwidth:(Units.gbps 1.) trace)
+      .Sim_result.finishes
+  in
+  let check what expected got =
+    List.iter2
+      (fun (id, t) (id', t') ->
+        Alcotest.(check int) (what ^ " id") id id';
+        Alcotest.(check (float 1e-9)) (Printf.sprintf "%s Coflow %d" what id) t t')
+      expected got
+  in
+  check "full" [ (0, 0.81); (1, 1.30) ] (finishes `Full);
+  check "incremental" [ (0, 1.30); (1, 0.98) ] (finishes `Incremental);
+  check "rebuild" [ (0, 1.30); (1, 0.98) ] (finishes `Rebuild)
+
 (* --- QCheck: equivalence on arbitrary seeds --- *)
 
 let prop_equiv =
@@ -333,6 +370,8 @@ let suite =
       test_inconsistent_comparator_detected;
     Alcotest.test_case "engine_min_finish option" `Quick
       test_min_finish_option;
+    Alcotest.test_case "Full re-keys shortest-first, anchored does not" `Quick
+      test_full_rekeys_shortest_first;
     prop_equiv_bucketed;
     Alcotest.test_case "Sim_result fields bit-identical" `Quick
       test_result_fields_equal;
