@@ -2,9 +2,8 @@ module Coflow = Sunflow_core.Coflow
 module Demand = Sunflow_core.Demand
 module Inter = Sunflow_core.Inter
 module Order = Sunflow_core.Order
-module Prt = Sunflow_core.Prt
-module Schedule = Sunflow_core.Schedule
 module Deadline = Sunflow_core.Deadline
+module Slice = Sunflow_sim.Slice
 module Obs = Sunflow_obs
 
 type reject_reason =
@@ -31,11 +30,12 @@ type stats = {
   stopped : bool;
 }
 
-type active = { orig : Coflow.t; remaining : Demand.t }
+type active = Slice.active = { orig : Coflow.t; remaining : Demand.t }
 
 (* Bounded-memory observability: counters, one gauge and one histogram
-   only — all O(1) state. The per-Coflow stores (Timeline, Sampler,
-   Attrib) grow with the stream and are deliberately not fed here. *)
+   here, plus the slice executor's sim.setups / sim.teardowns /
+   sim.delta_s — all O(1) state. The per-Coflow stores (Timeline,
+   Sampler, Attrib) grow with the stream and are deliberately not fed. *)
 let m_events = Obs.Registry.counter "serve.events"
 let m_arrivals = Obs.Registry.counter "serve.arrivals"
 let m_admitted = Obs.Registry.counter "serve.admitted"
@@ -43,14 +43,6 @@ let m_rejected = Obs.Registry.counter "serve.rejected"
 let m_completed = Obs.Registry.counter "serve.completed"
 let g_live = Obs.Registry.gauge "serve.live"
 let h_event = Obs.Registry.histogram "serve.event_s"
-
-let byte_eps bandwidth = Float.max 1e-3 (bandwidth *. 1e-6)
-
-let snap_demand ~bandwidth d =
-  let eps = byte_eps bandwidth in
-  List.iter
-    (fun ((i, j), v) -> if v <= eps then Demand.set d i j 0.)
-    (Demand.entries d)
 
 (* FIFO across arrival instants, EDF within one. A later arrival
    always sorts after every already-admitted Coflow — same-instant
@@ -94,7 +86,8 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
   let newly : Coflow.t list ref = ref [] in
   let retired : int list ref = ref [] in
   let arrivals = ref 0 and admitted = ref 0 and rejected = ref 0 in
-  let completed = ref 0 and n_events = ref 0 and setups = ref 0 in
+  let completed = ref 0 and n_events = ref 0 in
+  let ex = Slice.create ~timeline:false ~bandwidth in
   let max_live = ref 0 and max_journal = ref 0 in
   let makespan = ref 0. in
   let stopped = ref false in
@@ -266,22 +259,10 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
           | None, None ->
             invalid_arg "Serve.run: active Coflows but an idle engine"
         in
-        let reservations = Inter.engine_slice eng ~t0:t ~t1:t_next in
-        List.iter
-          (fun (r : Prt.reservation) ->
-            if r.setup > 0. && r.start >= t && r.start < t_next then
-              incr setups;
-            let seconds = Schedule.transmission_overlap r ~t0:t ~t1:t_next in
-            if seconds > 0. then
-              match Hashtbl.find_opt active_tbl r.coflow with
-              | Some a ->
-                Demand.drain a.remaining r.src r.dst (seconds *. bandwidth)
-              | None ->
-                invalid_arg "Serve.run: reservation for unknown Coflow")
-          reservations;
-        List.iter (fun a -> snap_demand ~bandwidth a.remaining) acts;
         let finished, still =
-          List.partition (fun a -> Demand.is_empty a.remaining) acts
+          Slice.execute ex ~t ~t_next active_tbl
+            (Inter.engine_slice eng ~t0:t ~t1:t_next)
+            acts
         in
         List.iter
           (fun (a : active) ->
@@ -306,13 +287,14 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
   | Some c ->
     admit c.Coflow.arrival;
     loop c.Coflow.arrival);
+  Slice.close ex;
   {
     arrivals = !arrivals;
     admitted = !admitted;
     rejected = !rejected;
     completed = !completed;
     events = !n_events;
-    setups = !setups;
+    setups = Slice.setups ex;
     max_live = !max_live;
     max_journal = !max_journal;
     makespan = !makespan;

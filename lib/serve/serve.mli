@@ -22,9 +22,12 @@
     Observability is bounded too: the loop feeds [Sunflow_obs]
     counters ([serve.arrivals]/[admitted]/[rejected]/[completed]/
     [events]), the [serve.live] gauge and the [serve.event_s]
-    wall-time histogram (p99 per-event scheduling latency), all O(1)
-    state — and deliberately {e not} the per-Coflow stores (Timeline,
-    Sampler, Attrib), which grow with the stream. *)
+    wall-time histogram (p99 per-event scheduling latency), and its
+    slice executor ([Sunflow_sim.Slice]) feeds [sim.setups],
+    [sim.teardowns] and the [sim.delta_s] gauge exactly as the batch
+    replay does. All of that is O(1) state; the loop deliberately does
+    {e not} feed the per-Coflow stores (Timeline, Sampler, Attrib),
+    which grow with the stream. *)
 
 type reject_reason =
   | Expired of { deadline : float }
@@ -82,10 +85,10 @@ val run :
 
     Without [deadline_of] this is exactly [Circuit_sim.run
     ~replan:`Incremental] fed lazily: same engine, same event
-    instants, same slice execution — results delivered through
-    [on_finish] are bit-identical to the batch replay's, and a
-    sharded engine's passes run on the same executor
-    ([Circuit_sim.shard_runner]). [policy] defaults to
+    instants, same slice executor ([Sunflow_sim.Slice]) — results
+    delivered through [on_finish] are bit-identical to the batch
+    replay's, and a sharded engine's passes run on the same pass
+    runner ([Circuit_sim.shard_runner]). [policy] defaults to
     shortest-Coflow-first; empty-demand Coflows complete instantly at
     their arrival.
 

@@ -6,28 +6,17 @@ module Prt = Sunflow_core.Prt
 module Schedule = Sunflow_core.Schedule
 module Sunflow = Sunflow_core.Sunflow
 
-type active = { orig : Coflow.t; remaining : Demand.t }
+type active = Slice.active = { orig : Coflow.t; remaining : Demand.t }
 
 (* Gated observability: wall-time spans around each scheduling event
-   and each replan, counters/gauges for the event loop's work (δ
-   seconds paid, setups and teardowns executed), and the per-Coflow
-   simulated-time timeline (arrival, setups with their δ, subflow
-   finishes, completion). All behind Sunflow_obs.Control. *)
+   and each replan, the event counter, and the per-Coflow
+   simulated-time timeline (arrival, completion; setups and subflow
+   finishes are recorded by the slice executor, which also feeds the
+   setup/teardown/δ metrics). All behind Sunflow_obs.Control. *)
 module Obs = Sunflow_obs
 
 let m_events = Obs.Registry.counter "sim.events"
-let m_setups = Obs.Registry.counter "sim.setups"
-let m_teardowns = Obs.Registry.counter "sim.teardowns"
-let g_delta = Obs.Registry.gauge "sim.delta_s"
 let h_plan = Obs.Registry.histogram "sim.plan_s"
-
-let byte_eps bandwidth = Float.max 1e-3 (bandwidth *. 1e-6)
-
-let snap_demand ~bandwidth d =
-  let eps = byte_eps bandwidth in
-  List.iter
-    (fun ((i, j), v) -> if v <= eps then Demand.set d i j 0.)
-    (Demand.entries d)
 
 let check_unique_ids coflows =
   let ids = List.map (fun c -> c.Coflow.id) coflows in
@@ -39,9 +28,10 @@ let no_release _ _ = []
 (* Executed-slice telemetry (only called when obs is on): record every
    reservation's executed segment — clipped to [t, t_next) — into the
    attribution window store and the per-port ledger, plus one sampler
-   snapshot for the slice. Both replay paths feed it the same
-   slice-overlapping windows, so the recorded series is bit-identical
-   wherever the executed schedules are. *)
+   snapshot for the slice. [`Full] passes every window of its plan and
+   the anchored modes only the slice-overlapping ones; windows outside
+   the slice record nothing, so the series is bit-identical wherever
+   the executed schedules are. *)
 let sample_slice ~t ~t_next ~n_active ~rescheduled ~spliced ~conflicts
     ~rollbacks reservations =
   let circuits = ref 0 and tx_total = ref 0. and su_total = ref 0. in
@@ -82,222 +72,6 @@ let sample_slice ~t ~t_next ~n_active ~rescheduled ~spliced ~conflicts
 
 type replan = [ `Full | `Rebuild | `Incremental ]
 
-let run_full ~policy ~order ~carry_circuits ~on_complete ~on_slice ~delta
-    ~bandwidth coflows =
-  let arrivals = Event_queue.create () in
-  List.iter
-    (fun c -> Event_queue.push arrivals ~time:c.Coflow.arrival c)
-    (List.sort Coflow.compare_arrival coflows);
-  let obs = Obs.Control.enabled () in
-  let active : active list ref = ref [] in
-  let ccts = ref [] and finishes = ref [] in
-  let n_events = ref 0 and setups = ref 0 in
-  let makespan = ref 0. in
-  (* Circuits physically established (their window paid a setup) and
-     not yet torn down. A teardown is counted only when one of these
-     actually closes — when its window stops inside a slice, or when a
-     rescheduling instant drops it from the next plan — so the
-     [sim.setups] / [sim.teardowns] counters balance; carried-over
-     windows (zero setup at the replan instant) keep their circuit
-     alive without touching either counter. *)
-  let live : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* per-slice scratch tables, reused across the whole replay (cleared,
-     not reallocated — the replay hot path runs once per event) *)
-  let reused = Hashtbl.create 8 in
-  let by_id = Hashtbl.create 16 in
-  let admit t =
-    List.iter
-      (fun (_, (c : Coflow.t)) ->
-        if obs then
-          Obs.Timeline.record
-            (Obs.Timeline.Arrival { coflow = c.id; t = c.arrival });
-        if Demand.is_empty c.demand then begin
-          ccts := (c.id, 0.) :: !ccts;
-          finishes := (c.id, c.arrival) :: !finishes;
-          if obs then
-            Obs.Timeline.record
-              (Obs.Timeline.Finish { coflow = c.id; t = c.arrival; cct = 0. })
-        end
-        else active := { orig = c; remaining = Demand.copy c.demand } :: !active)
-      (Event_queue.drain_until arrivals t)
-  in
-  let rec loop t ~established =
-    incr n_events;
-    if obs then Obs.Registry.incr m_events;
-    match (!active, Event_queue.peek arrivals) with
-    | [], None -> ()
-    | [], Some (ta, _) ->
-      admit ta;
-      (* an idle gap: no circuit survives it *)
-      loop ta ~established:[]
-    | actives, next_arrival ->
-      let scheduled =
-        List.map (fun a -> Coflow.with_demand a.orig a.remaining) actives
-      in
-      let replan () =
-        Inter.schedule ~now:t ~order ~established ~policy ~delta ~bandwidth
-          scheduled
-      in
-      let plan =
-        if not obs then replan ()
-        else begin
-          Obs.Tracer.begin_span ~cat:"sim" "sim.replan";
-          let w0 = Obs.Control.now_ns () in
-          let plan = replan () in
-          Obs.Registry.observe h_plan
-            (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) w0) /. 1e9);
-          Obs.Tracer.end_span ~cat:"sim" "sim.replan";
-          plan
-        end
-      in
-      let planned_finish (a : active) =
-        match Inter.finish_of plan a.orig.Coflow.id with
-        | Some f -> f
-        | None -> invalid_arg "Circuit_sim.run: Coflow missing from plan"
-      in
-      let t_done =
-        List.fold_left
-          (fun acc a -> Float.min acc (planned_finish a))
-          infinity actives
-      in
-      let t_next =
-        match next_arrival with
-        | Some (ta, _) -> Float.min ta t_done
-        | None -> t_done
-      in
-      (match on_slice with
-      | Some f -> f ~t ~t_next ~established ~coflows:scheduled plan
-      | None -> ());
-      (* execute the plan over [t, t_next) *)
-      let reservations = Prt.all_reservations plan.Inter.prt in
-      if obs then
-        sample_slice ~t ~t_next ~n_active:(List.length actives) ~rescheduled:0
-          ~spliced:0 ~conflicts:0 ~rollbacks:0 reservations;
-      (* circuits the new plan carries over without a fresh setup *)
-      Hashtbl.clear reused;
-      List.iter
-        (fun (r : Prt.reservation) ->
-          if r.setup = 0. && r.start = t then
-            Hashtbl.replace reused (r.src, r.dst) ())
-        reservations;
-      (* a live circuit the plan does not reuse was torn down at the
-         rescheduling instant *)
-      let stale =
-        Hashtbl.fold
-          (fun circuit () acc ->
-            if Hashtbl.mem reused circuit then acc else circuit :: acc)
-          live []
-      in
-      List.iter
-        (fun circuit ->
-          Hashtbl.remove live circuit;
-          if obs then Obs.Registry.incr m_teardowns)
-        stale;
-      List.iter
-        (fun (r : Prt.reservation) ->
-          if r.setup > 0. && r.start >= t && r.start < t_next then begin
-            incr setups;
-            Hashtbl.replace live (r.src, r.dst) ();
-            if obs then begin
-              Obs.Registry.incr m_setups;
-              Obs.Registry.gauge_add g_delta r.setup;
-              Obs.Timeline.record
-                (Obs.Timeline.Setup
-                   {
-                     coflow = r.coflow;
-                     src = r.src;
-                     dst = r.dst;
-                     t = r.start;
-                     delta = r.setup;
-                   })
-            end
-          end;
-          if
-            Prt.stop r > t
-            && Prt.stop r <= t_next
-            && Hashtbl.mem live (r.src, r.dst)
-          then begin
-            (* an established window closes inside this execution slice:
-               its ports are released (a teardown under not-all-stop) *)
-            Hashtbl.remove live (r.src, r.dst);
-            if obs then Obs.Registry.incr m_teardowns
-          end)
-        reservations;
-      Hashtbl.clear by_id;
-      List.iter (fun a -> Hashtbl.replace by_id a.orig.Coflow.id a) actives;
-      List.iter
-        (fun (r : Prt.reservation) ->
-          let seconds = Schedule.transmission_overlap r ~t0:t ~t1:t_next in
-          if seconds > 0. then
-            match Hashtbl.find_opt by_id r.coflow with
-            | Some a ->
-              Demand.drain a.remaining r.src r.dst (seconds *. bandwidth);
-              if
-                obs
-                && Demand.get a.remaining r.src r.dst <= byte_eps bandwidth
-              then
-                Obs.Timeline.record
-                  (Obs.Timeline.Flow_finish
-                     {
-                       coflow = r.coflow;
-                       src = r.src;
-                       dst = r.dst;
-                       t = Float.min (Prt.stop r) t_next;
-                     })
-            | None -> invalid_arg "Circuit_sim.run: reservation for unknown Coflow")
-        reservations;
-      List.iter (fun a -> snap_demand ~bandwidth a.remaining) actives;
-      let finished, still =
-        List.partition (fun a -> Demand.is_empty a.remaining) actives
-      in
-      List.iter
-        (fun (a : active) ->
-          ccts := (a.orig.Coflow.id, t_next -. a.orig.Coflow.arrival) :: !ccts;
-          finishes := (a.orig.Coflow.id, t_next) :: !finishes;
-          makespan := Float.max !makespan t_next;
-          if obs then
-            Obs.Timeline.record
-              (Obs.Timeline.Finish
-                 {
-                   coflow = a.orig.Coflow.id;
-                   t = t_next;
-                   cct = t_next -. a.orig.Coflow.arrival;
-                 });
-          List.iter
-            (fun (c : Coflow.t) ->
-              if c.arrival < t_next then
-                invalid_arg "Circuit_sim.run: released Coflow arrives in the past";
-              Event_queue.push arrivals ~time:c.arrival c)
-            (on_complete a.orig.Coflow.id t_next))
-        finished;
-      active := still;
-      admit t_next;
-      if !active <> [] || not (Event_queue.is_empty arrivals) then begin
-        let established =
-          if carry_circuits then Prt.established_at plan.Inter.prt t_next
-          else []
-        in
-        loop t_next ~established
-      end
-  in
-  (match Event_queue.peek arrivals with
-  | None -> ()
-  | Some (t0, _) ->
-    admit t0;
-    loop t0 ~established:[]);
-  (* the fabric goes dark when the replay ends: whatever is still
-     established at the last finish is torn down *)
-  if obs then Obs.Registry.add m_teardowns (Hashtbl.length live);
-  Hashtbl.reset live;
-  let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  {
-    Sim_result.ccts = sorted !ccts;
-    finishes = sorted !finishes;
-    makespan = !makespan;
-    n_events = !n_events;
-    total_setups = !setups;
-  }
-
 (* shard passes run on the domain pool when it actually has domains;
    a 1-domain pool would only add submission overhead to a loop that
    is already sequential. An unsharded engine has one pass per event
@@ -307,37 +81,145 @@ let shard_runner () =
     { Inter.run_passes = (fun fs -> Sunflow_parallel.Pool.run (fun f -> f ()) fs) }
   else Inter.sequential_runner
 
-(* The incremental replay: one persistent [Inter.engine] instead of a
+(* What a replan mode contributes to the one replay loop: how the plan
+   advances at an event (given the event's arrivals, the Coflows
+   finished since the last one, and the actives), the earliest
+   planned finish ([infinity] if none), the windows the slice
+   executes, and the carried-in circuits and plan the [on_slice] hook
+   sees. [idle] is told that an idle gap passed. [work] returns the
+   engine's (rescheduled, spliced, conflicts, rollbacks) since its
+   last call, for the sampler; [engine] is the anchored modes'
+   persistent engine. *)
+type planner = {
+  advance :
+    t:float -> arrivals:Coflow.t list -> finished:int list -> active list -> unit;
+  next_finish : active list -> float;
+  slice : t:float -> t_next:float -> Prt.reservation list;
+  view : t:float -> (int * int) list * Inter.result;
+  idle : unit -> unit;
+  work : unit -> int * int * int * int;
+  engine : Inter.engine option;
+}
+
+let scheduled a = Coflow.with_demand a.orig a.remaining
+
+(* [`Full]: a fresh [Inter.schedule] over every active Coflow's
+   remaining demand at every event, carrying in the circuits the
+   previous plan has established at that instant (none after an idle
+   gap). The slice executes every window of the plan. *)
+let full_planner ~policy ~order ~carry_circuits ~delta ~bandwidth =
+  let plan = ref None and established = ref [] in
+  let current () = Option.get !plan in
+  {
+    advance =
+      (fun ~t ~arrivals:_ ~finished:_ acts ->
+        (established :=
+           match !plan with
+           | Some p when carry_circuits -> Prt.established_at p.Inter.prt t
+           | _ -> []);
+        plan :=
+          Some
+            (Inter.schedule ~now:t ~order ~established:!established ~policy
+               ~delta ~bandwidth (List.map scheduled acts)));
+    next_finish =
+      (fun acts ->
+        List.fold_left
+          (fun acc a ->
+            match Inter.finish_of (current ()) a.orig.Coflow.id with
+            | Some f -> Float.min acc f
+            | None -> invalid_arg "Circuit_sim.run: Coflow missing from plan")
+          infinity acts);
+    slice = (fun ~t:_ ~t_next:_ -> Prt.all_reservations (current ()).Inter.prt);
+    view = (fun ~t:_ -> (!established, current ()));
+    idle = (fun () -> plan := None);
+    work = (fun () -> (0, 0, 0, 0));
+    engine = None;
+  }
+
+(* The anchored modes: one persistent [Inter.engine] instead of a
    fresh [Inter.schedule] per event. Plans stay anchored at each
    Coflow's last (re)scheduling instant; each slice executes the
-   engine's stored windows clipped to [t, t_next). [rebuild] runs the
-   same engine decisions while reconstructing the table from scratch
-   every event — the bit-exact oracle for the incremental repair. *)
-let run_anchored ~rebuild ~policy ~order ~carry_circuits ~buckets ~bucket_base
-    ~shards ~shard_block ~shard_stats ~on_complete ~on_slice ~delta ~bandwidth
-    coflows =
+   engine's stored windows clipped to [t, t_next)
+   ([Inter.engine_slice]). [rebuild] runs the same engine decisions
+   while reconstructing the table from scratch every event — the
+   bit-exact oracle for the incremental repair. The hook sees the
+   persistent plan materialised as a from-scratch result. *)
+let anchored_planner ~rebuild ~policy ~order ~carry_circuits ~buckets
+    ~bucket_base ~shards ~shard_block ~delta ~bandwidth ~remaining_of =
+  let eng =
+    Inter.engine ~order ~carry_circuits ~rebuild ~buckets ~bucket_base ~shards
+      ~shard_block ~runner:(shard_runner ()) ~policy ~delta ~bandwidth ()
+  in
+  let counts () =
+    let ss = Inter.engine_shard_stats eng in
+    ( Inter.engine_rescheduled eng,
+      Inter.engine_spliced eng,
+      ss.Inter.shard_conflicts,
+      ss.Inter.shard_rollbacks )
+  in
+  let prev = ref (0, 0, 0, 0) in
+  {
+    advance =
+      (fun ~t ~arrivals ~finished _ ->
+        Inter.schedule_incremental eng ~now:t ~arrivals ~finished
+          ~remaining:remaining_of);
+    next_finish =
+      (fun _ -> Option.value (Inter.engine_min_finish eng) ~default:infinity);
+    slice = (fun ~t ~t_next -> Inter.engine_slice eng ~t0:t ~t1:t_next);
+    view =
+      (fun ~t ->
+        ( Inter.engine_established eng,
+          Inter.engine_view eng ~now:t ~remaining:remaining_of ));
+    idle = ignore;
+    work =
+      (fun () ->
+        let ((r1, s1, c1, b1) as now) = counts () and r0, s0, c0, b0 = !prev in
+        prev := now;
+        (r1 - r0, s1 - s0, c1 - c0, b1 - b0));
+    engine = Some eng;
+  }
+
+let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
+    ?(carry_circuits = true) ?(replan = `Full) ?(buckets = 0)
+    ?(bucket_base = 4.) ?(shards = 1) ?(shard_block = 1) ?shard_stats
+    ?(on_complete = no_release) ?on_slice ~delta ~bandwidth coflows =
+  if bandwidth <= 0. then invalid_arg "Circuit_sim.run: bandwidth <= 0";
+  if delta < 0. then invalid_arg "Circuit_sim.run: negative delta";
+  check_unique_ids coflows;
+  (* the active Coflows by id, kept across the whole replay *)
+  let by_id : (int, active) Hashtbl.t = Hashtbl.create 64 in
+  let remaining_of id =
+    match Hashtbl.find_opt by_id id with
+    | Some a -> a.remaining
+    | None -> invalid_arg "Circuit_sim.run: unknown Coflow in engine"
+  in
+  let p =
+    match replan with
+    | `Full ->
+      if buckets <> 0 then
+        invalid_arg "Circuit_sim.run: buckets need an anchored replan mode";
+      if shards <> 1 then
+        invalid_arg "Circuit_sim.run: shards need an anchored replan mode";
+      full_planner ~policy ~order ~carry_circuits ~delta ~bandwidth
+    | (`Rebuild | `Incremental) as mode ->
+      anchored_planner ~rebuild:(mode = `Rebuild) ~policy ~order
+        ~carry_circuits ~buckets ~bucket_base ~shards ~shard_block ~delta
+        ~bandwidth ~remaining_of
+  in
   let arrivals = Event_queue.create () in
   List.iter
     (fun c -> Event_queue.push arrivals ~time:c.Coflow.arrival c)
     (List.sort Coflow.compare_arrival coflows);
   let obs = Obs.Control.enabled () in
-  let eng =
-    Inter.engine ~order ~carry_circuits ~rebuild ~buckets ~bucket_base ~shards
-      ~shard_block ~runner:(shard_runner ()) ~policy ~delta ~bandwidth ()
-  in
-  let active_tbl : (int, active) Hashtbl.t = Hashtbl.create 64 in
+  let ex = Slice.create ~timeline:true ~bandwidth in
+  (* actives in admission order, newest first; this order reaches the
+     policy's ties *)
   let actives : active list ref = ref [] in
   let newly : Coflow.t list ref = ref [] in
   let retired : int list ref = ref [] in
   let ccts = ref [] and finishes = ref [] in
-  let n_events = ref 0 and setups = ref 0 in
+  let n_events = ref 0 in
   let makespan = ref 0. in
-  let live : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* per-slice scratch, reused across events (cleared, not reallocated) *)
-  let reused = Hashtbl.create 8 in
-  (* cumulative engine counters, differenced per event for the sampler *)
-  let prev_resched = ref 0 and prev_spliced = ref 0 in
-  let prev_conflicts = ref 0 and prev_rollbacks = ref 0 in
   let admit t =
     List.iter
       (fun (_, (c : Coflow.t)) ->
@@ -353,16 +235,28 @@ let run_anchored ~rebuild ~policy ~order ~carry_circuits ~buckets ~bucket_base
         end
         else begin
           let a = { orig = c; remaining = Demand.copy c.demand } in
-          Hashtbl.replace active_tbl c.id a;
+          Hashtbl.replace by_id c.id a;
           actives := a :: !actives;
           newly := c :: !newly
         end)
       (Event_queue.drain_until arrivals t)
   in
-  let remaining_of id =
-    match Hashtbl.find_opt active_tbl id with
-    | Some a -> a.remaining
-    | None -> invalid_arg "Circuit_sim.run: unknown Coflow in engine"
+  let finish t_next (a : active) =
+    let id = a.orig.Coflow.id in
+    let cct = t_next -. a.orig.Coflow.arrival in
+    ccts := (id, cct) :: !ccts;
+    finishes := (id, t_next) :: !finishes;
+    makespan := Float.max !makespan t_next;
+    if obs then
+      Obs.Timeline.record (Obs.Timeline.Finish { coflow = id; t = t_next; cct });
+    Hashtbl.remove by_id id;
+    retired := id :: !retired;
+    List.iter
+      (fun (c : Coflow.t) ->
+        if c.arrival < t_next then
+          invalid_arg "Circuit_sim.run: released Coflow arrives in the past";
+        Event_queue.push arrivals ~time:c.arrival c)
+      (on_complete id t_next)
   in
   let rec loop t =
     incr n_events;
@@ -371,153 +265,49 @@ let run_anchored ~rebuild ~policy ~order ~carry_circuits ~buckets ~bucket_base
     | [], None -> ()
     | [], Some (ta, _) ->
       admit ta;
-      (* an idle gap: no circuit survives it (the engine is empty, so
-         there is nothing to carry) *)
+      (* an idle gap: no circuit survives it *)
+      p.idle ();
       loop ta
     | acts, next_arrival ->
-      let step () =
-        Inter.schedule_incremental eng ~now:t ~arrivals:!newly
-          ~finished:!retired ~remaining:remaining_of
+      let advance () =
+        p.advance ~t ~arrivals:!newly ~finished:!retired acts
       in
-      (if not obs then step ()
+      (if not obs then advance ()
        else begin
          Obs.Tracer.begin_span ~cat:"sim" "sim.replan";
          let w0 = Obs.Control.now_ns () in
-         step ();
+         advance ();
          Obs.Registry.observe h_plan
            (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) w0) /. 1e9);
          Obs.Tracer.end_span ~cat:"sim" "sim.replan"
        end);
       newly := [];
       retired := [];
+      let t_done = p.next_finish acts in
       let t_next =
-        match (next_arrival, Inter.engine_min_finish eng) with
-        | Some (ta, _), Some t_done -> Float.min ta t_done
-        | None, Some t_done -> t_done
-        | Some (ta, _), None -> ta
-        | None, None ->
-          (* this branch has active Coflows, so the engine must hold at
-             least one admitted plan; waking at a fabricated instant
-             (the old [infinity] sentinel) would stall the replay *)
-          invalid_arg "Circuit_sim.run: active Coflows but an idle engine"
+        match next_arrival with
+        | Some (ta, _) -> Float.min ta t_done
+        | None -> t_done
       in
-      let established = Inter.engine_established eng in
+      (* active Coflows always have a planned finish; waking at a
+         fabricated instant would stall the replay *)
+      if t_next = infinity then
+        invalid_arg "Circuit_sim.run: active Coflows but an idle engine";
       (match on_slice with
       | Some f ->
-        let scheduled =
-          List.map (fun a -> Coflow.with_demand a.orig a.remaining) acts
-        in
-        f ~t ~t_next ~established ~coflows:scheduled
-          (Inter.engine_view eng ~now:t ~remaining:remaining_of)
+        let established, plan = p.view ~t in
+        f ~t ~t_next ~established ~coflows:(List.map scheduled acts) plan
       | None -> ());
-      (* execute the persistent plan over [t, t_next): same executor as
-         the full path, fed the slice-overlapping windows only *)
-      let reservations = Inter.engine_slice eng ~t0:t ~t1:t_next in
+      let reservations = p.slice ~t ~t_next in
       if obs then begin
-        let res = Inter.engine_rescheduled eng in
-        let spl = Inter.engine_spliced eng in
-        let ss = Inter.engine_shard_stats eng in
-        sample_slice ~t ~t_next ~n_active:(List.length acts)
-          ~rescheduled:(res - !prev_resched)
-          ~spliced:(spl - !prev_spliced)
-          ~conflicts:(ss.Inter.shard_conflicts - !prev_conflicts)
-          ~rollbacks:(ss.Inter.shard_rollbacks - !prev_rollbacks)
-          reservations;
-        prev_resched := res;
-        prev_spliced := spl;
-        prev_conflicts := ss.Inter.shard_conflicts;
-        prev_rollbacks := ss.Inter.shard_rollbacks
+        let rescheduled, spliced, conflicts, rollbacks = p.work () in
+        sample_slice ~t ~t_next ~n_active:(List.length acts) ~rescheduled
+          ~spliced ~conflicts ~rollbacks reservations
       end;
-      Hashtbl.clear reused;
-      List.iter
-        (fun (r : Prt.reservation) ->
-          if r.setup = 0. && r.start = t then
-            Hashtbl.replace reused (r.src, r.dst) ())
-        reservations;
-      let stale =
-        Hashtbl.fold
-          (fun circuit () acc ->
-            if Hashtbl.mem reused circuit then acc else circuit :: acc)
-          live []
-      in
-      List.iter
-        (fun circuit ->
-          Hashtbl.remove live circuit;
-          if obs then Obs.Registry.incr m_teardowns)
-        stale;
-      List.iter
-        (fun (r : Prt.reservation) ->
-          if r.setup > 0. && r.start >= t && r.start < t_next then begin
-            incr setups;
-            Hashtbl.replace live (r.src, r.dst) ();
-            if obs then begin
-              Obs.Registry.incr m_setups;
-              Obs.Registry.gauge_add g_delta r.setup;
-              Obs.Timeline.record
-                (Obs.Timeline.Setup
-                   {
-                     coflow = r.coflow;
-                     src = r.src;
-                     dst = r.dst;
-                     t = r.start;
-                     delta = r.setup;
-                   })
-            end
-          end;
-          if
-            Prt.stop r > t
-            && Prt.stop r <= t_next
-            && Hashtbl.mem live (r.src, r.dst)
-          then begin
-            Hashtbl.remove live (r.src, r.dst);
-            if obs then Obs.Registry.incr m_teardowns
-          end)
-        reservations;
-      List.iter
-        (fun (r : Prt.reservation) ->
-          let seconds = Schedule.transmission_overlap r ~t0:t ~t1:t_next in
-          if seconds > 0. then
-            match Hashtbl.find_opt active_tbl r.coflow with
-            | Some a ->
-              Demand.drain a.remaining r.src r.dst (seconds *. bandwidth);
-              if
-                obs
-                && Demand.get a.remaining r.src r.dst <= byte_eps bandwidth
-              then
-                Obs.Timeline.record
-                  (Obs.Timeline.Flow_finish
-                     {
-                       coflow = r.coflow;
-                       src = r.src;
-                       dst = r.dst;
-                       t = Float.min (Prt.stop r) t_next;
-                     })
-            | None ->
-              invalid_arg "Circuit_sim.run: reservation for unknown Coflow")
-        reservations;
-      List.iter (fun a -> snap_demand ~bandwidth a.remaining) acts;
       let finished, still =
-        List.partition (fun a -> Demand.is_empty a.remaining) acts
+        Slice.execute ex ~t ~t_next by_id reservations acts
       in
-      List.iter
-        (fun (a : active) ->
-          let id = a.orig.Coflow.id in
-          ccts := (id, t_next -. a.orig.Coflow.arrival) :: !ccts;
-          finishes := (id, t_next) :: !finishes;
-          makespan := Float.max !makespan t_next;
-          if obs then
-            Obs.Timeline.record
-              (Obs.Timeline.Finish
-                 { coflow = id; t = t_next; cct = t_next -. a.orig.Coflow.arrival });
-          Hashtbl.remove active_tbl id;
-          retired := id :: !retired;
-          List.iter
-            (fun (c : Coflow.t) ->
-              if c.arrival < t_next then
-                invalid_arg "Circuit_sim.run: released Coflow arrives in the past";
-              Event_queue.push arrivals ~time:c.arrival c)
-            (on_complete id t_next))
-        finished;
+      List.iter (finish t_next) finished;
       actives := still;
       admit t_next;
       if !actives <> [] || not (Event_queue.is_empty arrivals) then loop t_next
@@ -527,38 +317,18 @@ let run_anchored ~rebuild ~policy ~order ~carry_circuits ~buckets ~bucket_base
   | Some (t0, _) ->
     admit t0;
     loop t0);
-  (match shard_stats with
-  | Some r -> r := Inter.engine_shard_stats eng
-  | None -> ());
-  if obs then Obs.Registry.add m_teardowns (Hashtbl.length live);
-  Hashtbl.reset live;
+  (match (shard_stats, p.engine) with
+  | Some r, Some eng -> r := Inter.engine_shard_stats eng
+  | _ -> ());
+  Slice.close ex;
   let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l in
   {
     Sim_result.ccts = sorted !ccts;
     finishes = sorted !finishes;
     makespan = !makespan;
     n_events = !n_events;
-    total_setups = !setups;
+    total_setups = Slice.setups ex;
   }
-
-let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
-    ?(carry_circuits = true) ?(replan = `Full) ?(buckets = 0)
-    ?(bucket_base = 4.) ?(shards = 1) ?(shard_block = 1) ?shard_stats
-    ?(on_complete = no_release) ?on_slice ~delta ~bandwidth coflows =
-  if bandwidth <= 0. then invalid_arg "Circuit_sim.run: bandwidth <= 0";
-  if delta < 0. then invalid_arg "Circuit_sim.run: negative delta";
-  check_unique_ids coflows;
-  match replan with
-  | `Full ->
-    if buckets <> 0 then
-      invalid_arg "Circuit_sim.run: buckets need an anchored replan mode";
-    if shards <> 1 then
-      invalid_arg "Circuit_sim.run: shards need an anchored replan mode";
-    run_full ~policy ~order ~carry_circuits ~on_complete ~on_slice ~delta
-      ~bandwidth coflows
-  | (`Rebuild | `Incremental) as mode ->
-    run_anchored ~rebuild:(mode = `Rebuild) ~policy ~order ~carry_circuits
-      ~buckets ~bucket_base ~shards ~shard_block ~shard_stats ~on_complete ~on_slice ~delta ~bandwidth coflows
 
 let intra_cct ?(order = Order.Ordered_port) ~delta ~bandwidth coflow =
   Sunflow.schedule ~order ~delta ~bandwidth

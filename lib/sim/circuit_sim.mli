@@ -3,12 +3,15 @@
 
     Like Varys (and like the deployment sketch in paper §6), the
     scheduler recomputes the circuit plan only on Coflow arrivals and
-    completions. At every rescheduling instant the Port Reservation
-    Table is rebuilt from the remaining demands in policy order;
-    circuits physically established (mid-transmission) at that instant
-    carry over without paying a new reconfiguration delay, while a
-    circuit preempted by a newly arrived higher-priority Coflow costs
-    its owner a fresh delta when it is re-established later — the
+    completions, and runs each slice between two events on the shared
+    executor {!Slice}. Under [`Full] the Port Reservation Table is
+    rebuilt at every rescheduling instant from the remaining demands
+    in policy order; the anchored modes repair one persistent table.
+    Either way, circuits physically established (mid-transmission) at
+    that instant carry over without paying a new reconfiguration
+    delay, while a circuit preempted by a newly arrived
+    higher-priority Coflow costs its owner a fresh delta when it is
+    re-established later — the
     inter-Coflow preemption semantics of §4.2. *)
 
 type replan = [ `Full | `Rebuild | `Incremental ]
@@ -104,7 +107,7 @@ val run :
     equivalent from-scratch result ([Inter.engine_view]). *)
 
 val shard_runner : unit -> Sunflow_core.Inter.pass_runner
-(** The executor {!run}'s anchored replan hands its engine: the
+(** The pass runner {!run}'s anchored replan hands its engine: the
     {!Sunflow_parallel.Pool} domain pool when it has more than one
     domain, {!Sunflow_core.Inter.sequential_runner} otherwise. Only a
     sharded engine has several passes per event to hand it. Exposed

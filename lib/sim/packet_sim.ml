@@ -11,18 +11,6 @@ type active = {
   mutable sent : float;
 }
 
-(* Bytes below one microsecond of transmission are rounding dust, not
-   demand: time arithmetic at hour scale carries ~1e-12 s of error,
-   which at high link rates is a fraction of a byte per step. Flows are
-   megabytes, so the tolerance is harmless. *)
-let byte_eps bandwidth = Float.max 1e-3 (bandwidth *. 1e-6)
-
-let snap_demand ~bandwidth d =
-  let eps = byte_eps bandwidth in
-  List.iter
-    (fun ((i, j), v) -> if v <= eps then Demand.set d i j 0.)
-    (Demand.entries d)
-
 let check_unique_ids coflows =
   let ids = List.map (fun c -> c.Coflow.id) coflows in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
@@ -146,7 +134,7 @@ let run ?(sent_thresholds = []) ?(on_complete = no_release) ~scheduler
                 a.sent <- a.sent +. moved
               end)
             (Demand.entries a.remaining);
-          snap_demand ~bandwidth a.remaining)
+          Slice.snap_demand ~bandwidth a.remaining)
         actives;
       let finished, still =
         List.partition (fun a -> Demand.is_empty a.remaining) actives

@@ -2,8 +2,8 @@
    workers have synchronised (1/2/4 domains), histogram bucketing puts
    boundaries where the docs say, tracer events keep emission order
    within a domain and export as Chrome trace JSON that validates, and
-   the always-on PRT counters stay bit-identical whether or not gated
-   instrumentation runs. *)
+   the always-on PRT counters and every replan mode's replay result
+   stay bit-identical whether or not gated instrumentation runs. *)
 
 module Obs = Sunflow_obs
 module Registry = Obs.Registry
@@ -497,6 +497,35 @@ let test_prt_stats_bit_identical_under_obs () =
   Alcotest.(check int) "prt.rollbacks façade" on.Prt.rollbacks
     (reg "prt.rollbacks")
 
+(* --- obs does not change the replay ------------------------------------ *)
+
+(* With obs on the slice executor keeps its live-circuit table and the
+   replay feeds the timeline, sampler and attribution stores; none of
+   that may move a single result bit, in any replan mode. *)
+let test_replay_bit_identical_under_obs () =
+  let module Circuit_sim = Sunflow_sim.Circuit_sim in
+  let module Synthetic = Sunflow_trace.Synthetic in
+  let trace =
+    Synthetic.generate
+      { Synthetic.default_params with seed = 5; n_coflows = 60; span = 150. }
+  in
+  List.iter
+    (fun (name, replan) ->
+      List.iter
+        (fun carry_circuits ->
+          let run () =
+            Circuit_sim.run ~replan ~carry_circuits ~delta:(Units.ms 10.)
+              ~bandwidth:(Units.gbps 1.) trace.Sunflow_trace.Trace.coflows
+          in
+          let off = run () in
+          let on = with_tracing (fun () -> with_attrib run) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s carry=%b: Sim_result bit-identical" name
+               carry_circuits)
+            true (off = on))
+        [ true; false ])
+    [ ("full", `Full); ("rebuild", `Rebuild); ("incremental", `Incremental) ]
+
 let suite =
   [
     Alcotest.test_case "registry merge exact at 1/2/4 domains" `Quick
@@ -526,4 +555,6 @@ let suite =
     Alcotest.test_case "report body rendering" `Quick test_report_body;
     Alcotest.test_case "PRT stats bit-identical under tracing" `Quick
       test_prt_stats_bit_identical_under_obs;
+    Alcotest.test_case "replay bit-identical under obs" `Quick
+      test_replay_bit_identical_under_obs;
   ]

@@ -29,8 +29,28 @@ let stream_of_list coflows =
 
 let by_id l = List.sort (fun (a, _) (x, _) -> compare a x) l
 
+(* Run [f] with obs on; return its result and the [sim.setups] /
+   [sim.teardowns] counts it added. The per-Coflow stores the batch
+   replay feeds are cleared afterwards. *)
+let with_obs_counts f =
+  let module Obs = Sunflow_obs in
+  let value name = Obs.Registry.counter_value (Obs.Registry.counter name) in
+  Obs.Control.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Control.set_enabled false;
+      Obs.Tracer.clear ();
+      Obs.Timeline.clear ();
+      Obs.Sampler.clear ();
+      Obs.Attrib.clear ())
+    (fun () ->
+      let s0 = value "sim.setups" and d0 = value "sim.teardowns" in
+      let r = f () in
+      (r, value "sim.setups" - s0, value "sim.teardowns" - d0))
+
 (* --- without deadlines, serve is the batch `Incremental replay fed
-   lazily: same ccts, finishes, makespan, setups — bit for bit --- *)
+   lazily: same ccts, finishes, makespan, setups — bit for bit — and,
+   on the shared slice executor, the same setup/teardown accounting --- *)
 
 let test_matches_incremental_replay () =
   let trace =
@@ -39,17 +59,19 @@ let test_matches_incremental_replay () =
   in
   List.iter
     (fun (buckets, shards) ->
-      let batch =
-        Circuit_sim.run ~replan:`Incremental ~buckets ~shards ~delta
-          ~bandwidth:b trace.Trace.coflows
+      let batch, batch_setups, batch_teardowns =
+        with_obs_counts (fun () ->
+            Circuit_sim.run ~replan:`Incremental ~buckets ~shards ~delta
+              ~bandwidth:b trace.Trace.coflows)
       in
       let ccts = ref [] and finishes = ref [] in
-      let stats =
-        Serve.run ~buckets ~shards ~delta ~bandwidth:b
-          ~on_finish:(fun ~id ~t ~cct ->
-            ccts := (id, cct) :: !ccts;
-            finishes := (id, t) :: !finishes)
-          (stream_of_list trace.Trace.coflows)
+      let stats, serve_setups, serve_teardowns =
+        with_obs_counts (fun () ->
+            Serve.run ~buckets ~shards ~delta ~bandwidth:b
+              ~on_finish:(fun ~id ~t ~cct ->
+                ccts := (id, cct) :: !ccts;
+                finishes := (id, t) :: !finishes)
+              (stream_of_list trace.Trace.coflows))
       in
       let label fmt =
         Printf.ksprintf
@@ -68,7 +90,17 @@ let test_matches_incremental_replay () =
       Alcotest.(check int) (label "setups") batch.Sim_result.total_setups
         stats.Serve.setups;
       Alcotest.(check int) (label "all admitted") 120 stats.Serve.admitted;
-      Alcotest.(check int) (label "all completed") 120 stats.Serve.completed)
+      Alcotest.(check int) (label "all completed") 120 stats.Serve.completed;
+      Alcotest.(check int) (label "sim.setups matches the batch") batch_setups
+        serve_setups;
+      Alcotest.(check int)
+        (label "sim.teardowns matches the batch")
+        batch_teardowns serve_teardowns;
+      Alcotest.(check int) (label "sim.setups matches stats") stats.Serve.setups
+        serve_setups;
+      Alcotest.(check int)
+        (label "teardowns balance setups")
+        serve_setups serve_teardowns)
     [ (0, 1); (4, 1); (0, 4) ]
 
 (* --- soak: 100k synthetic arrivals at the generator's default load.
