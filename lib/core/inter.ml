@@ -715,7 +715,7 @@ type pass_out =
    a clean entry nobody touched keeps its plan at zero cost. This
    matches the rebuild oracle's decisions bit-for-bit:
    [Sunflow.schedule] reads and writes only the ports of the Coflow's
-   own demand ([probe] / [next_release_on_ports] take explicit ports),
+   own demand ([probe_pair] / [next_release_pair] take explicit ports),
    so each rescheduled entry sees, on every port it queries, exactly
    the prefix plus already-processed suffix — the rebuild table's
    content at the same turn. Windows never evicted sit on ports no new

@@ -86,17 +86,20 @@ let pp_stats ppf s =
 
 (* --- storage ---------------------------------------------------------- *)
 
-(* Per-port reservations in a dynamic array sorted by start time, with a
-   parallel array of the same windows' stop times sorted ascending. The
-   start-sorted view answers [free_at] / [next_start_after] by binary
-   search; the stop-sorted view answers [port_next_release] the same
-   way. Windows on one port never overlap beyond [time_tolerance], so
-   both views stay nearly identical in order — but the tolerance allows
-   sub-nanosecond rounding-dust overlaps, which is why the stop times
-   get their own exactly-sorted array instead of piggybacking on the
-   start order. *)
+(* Per-port reservations in a dynamic array sorted by start time, with
+   the same windows' start times unboxed in a parallel float array (the
+   key every per-slot binary search runs on, so a probe reads flat
+   floats instead of chasing a pointer per step) and a third array of
+   their stop times sorted ascending. The start-sorted view answers
+   [probe_pair] / [fits_exact] by binary search; the stop-sorted view
+   answers [next_release_pair] the same way. Windows on one port never
+   overlap beyond [time_tolerance], so both views stay nearly identical
+   in order — but the tolerance allows sub-nanosecond rounding-dust
+   overlaps, which is why the stop times get their own exactly-sorted
+   array instead of piggybacking on the start order. *)
 type slot = {
   mutable res : reservation array;  (* sorted by start *)
+  mutable starts : float array;  (* [res.(i).start], in step with [res] *)
   mutable stops : float array;  (* the same windows' stops, sorted *)
   mutable len : int;
 }
@@ -121,16 +124,12 @@ type iblock = {
   mutable ib_max_stop : float;  (* max stop over the block's windows *)
 }
 
-(* The release index: every reservation's stop time once (not once per
-   port), kept sorted ascending. This is the priority queue of upcoming
-   releases; it is stored flat (a sorted array rather than a tree-shaped
-   heap) because [next_release_after] asks for the successor of an
-   arbitrary instant — queries are not monotone across Coflows sharing
-   the table — and a heap can only answer successor-of-min. *)
+(* Port slots are dense arrays indexed by port number, one per
+   namespace, grown (doubling) by [reserve] on first use of a port.
+   Cells of ports that never held a window share [empty_slot]. *)
 type t = {
-  ports : (port, slot) Hashtbl.t;
-  mutable releases : float array;
-  mutable n_releases : int;
+  mutable ins : slot array;
+  mutable outs : slot array;
   mutable n_res : int;
   (* ownership index: Coflow id -> the windows it currently holds, so a
      finished Coflow's reservations can be retired in O(own windows)
@@ -149,9 +148,8 @@ type t = {
 
 let create () =
   {
-    ports = Hashtbl.create 64;
-    releases = [||];
-    n_releases = 0;
+    ins = [||];
+    outs = [||];
     n_res = 0;
     owners = Hashtbl.create 64;
     journal = [||];
@@ -168,6 +166,11 @@ let dummy_res =
 
 let dummy_iblock = { ib_res = [||]; ib_len = 0; ib_max_stop = neg_infinity }
 
+(* Shared read-only stand-in for ports that never held a window, and
+   the filler of grown port arrays. [reserve] materialises a fresh slot
+   where it finds this one, so it is never mutated. *)
+let empty_slot = { res = [||]; starts = [||]; stops = [||]; len = 0 }
+
 (* blocks are allocated at full [iblock_cap] capacity so in-place
    inserts never have to grow them *)
 let iblock_copy b =
@@ -175,23 +178,22 @@ let iblock_copy b =
   Array.blit b.ib_res 0 arr 0 b.ib_len;
   { ib_res = arr; ib_len = b.ib_len; ib_max_stop = b.ib_max_stop }
 
+let slot_copy s =
+  if s == empty_slot then empty_slot
+  else
+    {
+      res = Array.sub s.res 0 s.len;
+      starts = Array.sub s.starts 0 s.len;
+      stops = Array.sub s.stops 0 s.len;
+      len = s.len;
+    }
+
 let copy t =
-  let ports = Hashtbl.create (Hashtbl.length t.ports) in
-  Hashtbl.iter
-    (fun p s ->
-      Hashtbl.replace ports p
-        {
-          res = Array.sub s.res 0 s.len;
-          stops = Array.sub s.stops 0 s.len;
-          len = s.len;
-        })
-    t.ports;
   let owners = Hashtbl.create (Hashtbl.length t.owners) in
   Hashtbl.iter (fun id l -> Hashtbl.replace owners id (ref !l)) t.owners;
   {
-    ports;
-    releases = Array.sub t.releases 0 t.n_releases;
-    n_releases = t.n_releases;
+    ins = Array.map slot_copy t.ins;
+    outs = Array.map slot_copy t.outs;
     n_res = t.n_res;
     owners;
     journal = Array.sub t.journal 0 t.n_journal;
@@ -202,13 +204,14 @@ let copy t =
 
 let is_empty t = t.n_res = 0
 
-(* Shared read-only stand-in for ports that never held a window.
-   [slot_insert] materialises a fresh slot on first use, so this record
-   is never mutated. *)
-let empty_slot = { res = [||]; stops = [||]; len = 0 }
+(* the slot of port [p] in one namespace; a negative port or one past
+   the array never held a window *)
+let[@inline] slot_of (slots : slot array) p =
+  if p >= 0 && p < Array.length slots then slots.(p) else empty_slot
 
-let find_slot t p =
-  match Hashtbl.find_opt t.ports p with Some s -> s | None -> empty_slot
+let find_slot t = function
+  | In i -> slot_of t.ins i
+  | Out j -> slot_of t.outs j
 
 (* --- binary searches --------------------------------------------------
 
@@ -216,7 +219,8 @@ let find_slot t p =
    harness can report how much work the table did. *)
 
 (* first index with [key arr.(i) > x], i.e. the successor position;
-   [c] is the calling domain's counter record *)
+   [c] is the calling domain's counter record. The interval index
+   searches its blocks of boxed windows with this. *)
 let bsearch_gt c key arr len x =
   let lo = ref 0 and hi = ref len in
   while !lo < !hi do
@@ -227,59 +231,59 @@ let bsearch_gt c key arr len x =
   !lo
 
 let res_start (r : reservation) = r.start
-let float_id (x : float) = x
+
+(* [bsearch_gt] specialised to a slot's unboxed [starts] / [stops]:
+   no key closure, and every probe is a flat float read *)
+let search_gt c (keys : float array) len (x : float) =
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
+    c.c_scans.v <- c.c_scans.v + 1;
+    let mid = (!lo + !hi) / 2 in
+    if keys.(mid) <= x then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* [start, stop) windows. Chained float sums put consecutive window
    boundaries within an ulp of each other, so an intersection below a
    nanosecond is rounding noise, not a double booking. *)
 let time_tolerance = 1e-9
 
+(* whether a window at or left of index [j] covers [instant]: in a
+   table of (tolerance-)disjoint windows that is the predecessor window
+   of the instant, plus at most a dust neighbourhood of windows whose
+   stops trail within [time_tolerance] of each other *)
+let rec covered c (s : slot) j instant =
+  if j < 0 then false
+  else begin
+    c.c_scans.v <- c.c_scans.v + 1;
+    let st = stop s.res.(j) in
+    if st > instant then true
+    else if st > instant -. time_tolerance then covered c s (j - 1) instant
+    else false
+  end
+
 let free_at t p instant =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
   let s = find_slot t p in
-  (* the only windows that can contain [instant] start at or before it;
-     in a table of (tolerance-)disjoint windows that is the predecessor
-     window, plus at most a dust neighbourhood of windows whose stops
-     trail within [time_tolerance] of each other *)
-  let i = bsearch_gt c res_start s.res s.len instant - 1 in
-  let rec covered j =
-    if j < 0 then false
-    else begin
-      c.c_scans.v <- c.c_scans.v + 1;
-      let st = stop s.res.(j) in
-      if st > instant then true
-      else if st > instant -. time_tolerance then covered (j - 1)
-      else false
-    end
-  in
-  not (covered i)
+  (* the only windows that can contain [instant] start at or before it *)
+  not (covered c s (search_gt c s.starts s.len instant - 1) instant)
 
 let next_start_after t p instant =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
   let s = find_slot t p in
-  let i = bsearch_gt c res_start s.res s.len instant in
-  if i < s.len then s.res.(i).start else infinity
+  let i = search_gt c s.starts s.len instant in
+  if i < s.len then s.starts.(i) else infinity
 
 (* fused free_at + next_start_after: one slot lookup, one search *)
 let probe t p instant =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
   let s = find_slot t p in
-  let i = bsearch_gt c res_start s.res s.len instant in
-  let next_start = if i < s.len then s.res.(i).start else infinity in
-  let rec covered j =
-    if j < 0 then false
-    else begin
-      c.c_scans.v <- c.c_scans.v + 1;
-      let st = stop s.res.(j) in
-      if st > instant then true
-      else if st > instant -. time_tolerance then covered (j - 1)
-      else false
-    end
-  in
-  (not (covered (i - 1)), next_start)
+  let i = search_gt c s.starts s.len instant in
+  let next_start = if i < s.len then s.starts.(i) else infinity in
+  (not (covered c s (i - 1) instant), next_start)
 
 (* The scheduler's inner-loop probe, fused across a circuit's two
    endpoints: when both ports are free at [instant] it returns the
@@ -290,58 +294,54 @@ let probe t p instant =
    query, the Out probe only when the In port was free. *)
 let probe_pair t ~src ~dst instant =
   let c = counters () in
-  let covered (s : slot) j0 =
-    let rec go j =
-      if j < 0 then false
-      else begin
-        c.c_scans.v <- c.c_scans.v + 1;
-        let st = stop s.res.(j) in
-        if st > instant then true
-        else if st > instant -. time_tolerance then go (j - 1)
-        else false
-      end
-    in
-    go j0
-  in
   c.c_queries.v <- c.c_queries.v + 1;
-  let s = find_slot t (In src) in
-  let i = bsearch_gt c res_start s.res s.len instant in
-  let in_next = if i < s.len then s.res.(i).start else infinity in
-  if covered s (i - 1) then neg_infinity
+  let s = slot_of t.ins src in
+  let i = search_gt c s.starts s.len instant in
+  if covered c s (i - 1) instant then neg_infinity
   else begin
+    let in_next = if i < s.len then s.starts.(i) else infinity in
     c.c_queries.v <- c.c_queries.v + 1;
-    let s = find_slot t (Out dst) in
-    let i = bsearch_gt c res_start s.res s.len instant in
-    let out_next = if i < s.len then s.res.(i).start else infinity in
-    if covered s (i - 1) then neg_infinity else Float.min in_next out_next
+    let s = slot_of t.outs dst in
+    let i = search_gt c s.starts s.len instant in
+    if covered c s (i - 1) instant then neg_infinity
+    else Float.min in_next (if i < s.len then s.starts.(i) else infinity)
   end
 
-let port_next_release c t p instant =
-  let s = find_slot t p in
-  let i = bsearch_gt c float_id s.stops s.len instant in
-  if i < s.len then s.stops.(i) else infinity
-
-let next_release_after t instant =
-  let c = counters () in
-  c.c_queries.v <- c.c_queries.v + 1;
-  let i = bsearch_gt c float_id t.releases t.n_releases instant in
-  if i < t.n_releases then t.releases.(i) else infinity
-
-let next_release_on_ports t ports instant =
-  let c = counters () in
-  c.c_queries.v <- c.c_queries.v + 1;
-  List.fold_left
-    (fun acc p -> Float.min acc (port_next_release c t p instant))
-    infinity ports
-
-(* [next_release_on_ports t [In src; Out dst] instant] without consing
-   the port list — the scheduler's retry path *)
+(* the scheduler's blocked-flow retry path: the earliest release on
+   either endpoint of a circuit. Both stops are read inline so neither
+   is boxed on its way to the [min]. *)
 let next_release_pair t ~src ~dst instant =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
-  Float.min
-    (port_next_release c t (In src) instant)
-    (port_next_release c t (Out dst) instant)
+  let s = slot_of t.ins src in
+  let i = search_gt c s.stops s.len instant in
+  let in_next = if i < s.len then s.stops.(i) else infinity in
+  let s = slot_of t.outs dst in
+  let i = search_gt c s.stops s.len instant in
+  Float.min in_next (if i < s.len then s.stops.(i) else infinity)
+
+(* windows of slot [s] starting at or before [r.start], from index [j]
+   leftward: any stop strictly past [r.start] is a positive-measure
+   intersection. The walk crosses the dust run (stops within
+   [time_tolerance] below [r.start]) because tolerated pairwise dust
+   overlaps let an earlier window reach past a later one's stop by up
+   to the tolerance. *)
+let rec clean_left c (s : slot) r j =
+  if j < 0 then true
+  else begin
+    c.c_scans.v <- c.c_scans.v + 1;
+    let st = stop s.res.(j) in
+    if st <= r.start -. time_tolerance then true
+    else if st > r.start then false
+    else clean_left c s r (j - 1)
+  end
+
+(* [r] intersects no window of slot [s] with positive measure *)
+let slot_clean c (s : slot) r =
+  let k = search_gt c s.starts s.len r.start in
+  (* windows starting after [r.start]: the first is the only candidate
+     (later ones start even later) *)
+  (k >= s.len || s.starts.(k) >= stop r) && clean_left c s r (k - 1)
 
 (* true when [r] intersects no existing window on either of its ports
    with positive measure — stricter than [reserve]'s dust-tolerant
@@ -353,31 +353,7 @@ let next_release_pair t ~src ~dst instant =
 let fits_exact t r =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
-  let clean p =
-    let s = find_slot t p in
-    let k = bsearch_gt c res_start s.res s.len r.start in
-    (* windows starting after [r.start]: the first is the only
-       candidate (later ones start even later) *)
-    (k >= s.len || s.res.(k).start >= stop r)
-    &&
-    (* windows starting at or before [r.start]: any stop strictly past
-       [r.start] is a positive-measure intersection. The walk crosses
-       the dust run (stops within [time_tolerance] below [r.start])
-       because tolerated pairwise dust overlaps let an earlier window
-       reach past a later one's stop by up to the tolerance. *)
-    let rec left j =
-      if j < 0 then true
-      else begin
-        c.c_scans.v <- c.c_scans.v + 1;
-        let st = stop s.res.(j) in
-        if st <= r.start -. time_tolerance then true
-        else if st > r.start then false
-        else left (j - 1)
-      end
-    in
-    left (k - 1)
-  in
-  clean (In r.src) && clean (Out r.dst)
+  slot_clean c (slot_of t.ins r.src) r && slot_clean c (slot_of t.outs r.dst) r
 
 (* --- mutation --------------------------------------------------------- *)
 
@@ -386,31 +362,48 @@ let overlaps a b =
 
 let grow_cap n = max 8 (2 * n)
 
-let port_name = function
-  | In i -> "in." ^ string_of_int i
-  | Out j -> "out." ^ string_of_int j
-
-let reject_overlap p r existing =
+let reject_overlap side port r existing =
   invalid_arg
     (Format.asprintf
-       "Prt.reserve: overlap on %s: new [%g, %g) vs existing [%g, %g)"
-       (port_name p) r.start (stop r) existing.start (stop existing))
+       "Prt.reserve: overlap on %s.%d: new [%g, %g) vs existing [%g, %g)" side
+       port r.start (stop r) existing.start (stop existing))
 
-(* Insert [r] into the port's start-sorted array, checking overlaps only
-   against the neighbourhood of the insertion point: in a table of
+(* [slots] extended (doubling, filled with [empty_slot]) to cover port
+   [p] *)
+let cover slots p =
+  let n = Array.length slots in
+  if p < n then slots
+  else begin
+    if p >= Sys.max_array_length then
+      invalid_arg "Prt.reserve: port id too large";
+    let cap = ref (grow_cap n) in
+    while !cap <= p do
+      cap := 2 * !cap
+    done;
+    let arr = Array.make (min !cap Sys.max_array_length) empty_slot in
+    Array.blit slots 0 arr 0 n;
+    arr
+  end
+
+(* the slot at port [p] of [slots] (already covering it), materialised
+   on first use *)
+let own_slot slots p =
+  let s = slots.(p) in
+  if s != empty_slot then s
+  else begin
+    let s = { res = [||]; starts = [||]; stops = [||]; len = 0 } in
+    slots.(p) <- s;
+    s
+  end
+
+(* Insert [r] into the slot's start-sorted arrays, checking overlaps
+   only against the neighbourhood of the insertion point: in a table of
    pairwise (tolerance-)disjoint windows, anything overlapping [r]
    beyond the tolerance lies in the contiguous run of windows whose
-   span touches [r]'s — a couple of probes, not a full scan. *)
-let slot_insert c t p r =
-  let s =
-    match Hashtbl.find_opt t.ports p with
-    | Some s -> s
-    | None ->
-      let s = { res = [||]; stops = [||]; len = 0 } in
-      Hashtbl.replace t.ports p s;
-      s
-  in
-  let k = bsearch_gt c res_start s.res s.len r.start in
+   span touches [r]'s — a couple of probes, not a full scan. [side] and
+   [port] name the port in the overlap error. *)
+let slot_insert c (s : slot) side port r =
+  let k = search_gt c s.starts s.len r.start in
   (* left neighbours: windows starting at or before [r.start] can only
      reach into [r] while their stops stay above [r.start] *)
   let rec check_left j =
@@ -418,7 +411,7 @@ let slot_insert c t p r =
       c.c_scans.v <- c.c_scans.v + 1;
       let e = s.res.(j) in
       if stop e > r.start then begin
-        if overlaps e r then reject_overlap p r e;
+        if overlaps e r then reject_overlap side port r e;
         check_left (j - 1)
       end
     end
@@ -430,7 +423,7 @@ let slot_insert c t p r =
       c.c_scans.v <- c.c_scans.v + 1;
       let e = s.res.(j) in
       if e.start < stop r then begin
-        if overlaps e r then reject_overlap p r e;
+        if overlaps e r then reject_overlap side port r e;
         check_right (j + 1)
       end
     end
@@ -442,41 +435,42 @@ let slot_insert c t p r =
     let res = Array.make cap' r in
     Array.blit s.res 0 res 0 s.len;
     s.res <- res;
+    let starts = Array.make cap' 0. in
+    Array.blit s.starts 0 starts 0 s.len;
+    s.starts <- starts;
     let stops = Array.make cap' 0. in
     Array.blit s.stops 0 stops 0 s.len;
     s.stops <- stops
   end;
   Array.blit s.res k s.res (k + 1) (s.len - k);
   s.res.(k) <- r;
-  let sk = bsearch_gt c float_id s.stops s.len (stop r) in
+  Array.blit s.starts k s.starts (k + 1) (s.len - k);
+  s.starts.(k) <- r.start;
+  let stop_r = stop r in
+  let sk = search_gt c s.stops s.len stop_r in
   Array.blit s.stops sk s.stops (sk + 1) (s.len - sk);
-  s.stops.(sk) <- stop r;
+  s.stops.(sk) <- stop_r;
   s.len <- s.len + 1;
   k
 
-let slot_remove c t p k stop_time =
-  let s = find_slot t p in
+let slot_remove c (s : slot) k stop_time =
   Array.blit s.res (k + 1) s.res k (s.len - k - 1);
+  Array.blit s.starts (k + 1) s.starts k (s.len - k - 1);
   let sk =
     (* any entry equal to [stop_time] is interchangeable *)
-    let i = bsearch_gt c float_id s.stops s.len stop_time - 1 in
+    let i = search_gt c s.stops s.len stop_time - 1 in
     assert (i >= 0 && s.stops.(i) = stop_time);
     i
   in
   Array.blit s.stops (sk + 1) s.stops sk (s.len - sk - 1);
   s.len <- s.len - 1
 
-let release_insert c t v =
-  let cap = Array.length t.releases in
-  if t.n_releases = cap then begin
-    let arr = Array.make (grow_cap cap) 0. in
-    Array.blit t.releases 0 arr 0 t.n_releases;
-    t.releases <- arr
-  end;
-  let k = bsearch_gt c float_id t.releases t.n_releases v in
-  Array.blit t.releases k t.releases (k + 1) (t.n_releases - k);
-  t.releases.(k) <- v;
-  t.n_releases <- t.n_releases + 1
+(* Window identity, field for field: what [remove] matches on. The
+   same answer as polymorphic [=] (which also compares floats with
+   IEEE [=]), without its generic traversal. *)
+let same_window a b =
+  a.coflow = b.coflow && a.src = b.src && a.dst = b.dst
+  && a.start = b.start && a.setup = b.setup && a.length = b.length
 
 (* --- interval index maintenance ---------------------------------------
 
@@ -547,7 +541,7 @@ let iidx_insert c t r =
     end
   end
 
-(* remove the window physically equal to [r]; the caller has already
+(* remove the window field-for-field equal to [r]; the caller has already
    proven presence in the port slots, so absence here means the index
    lost sync with the table — fail loudly (and unconditionally: this
    must survive [-noassert] builds). *)
@@ -558,7 +552,7 @@ let iidx_remove c t r =
     let i = ref (bsearch_gt c res_start b.ib_res b.ib_len r.start - 1) in
     while !found_pos < 0 && !i >= 0 && b.ib_res.(!i).start = r.start do
       c.c_scans.v <- c.c_scans.v + 1;
-      if b.ib_res.(!i) = r then begin
+      if same_window b.ib_res.(!i) r then begin
         found_block := j;
         found_pos := !i
       end
@@ -610,19 +604,21 @@ let reserve t r =
     invalid_arg "Prt.reserve: setup outside [0, length]";
   if r.src < 0 || r.dst < 0 then invalid_arg "Prt.reserve: negative port";
   let c = counters () in
-  let k_in = slot_insert c t (In r.src) r in
+  t.ins <- cover t.ins r.src;
+  t.outs <- cover t.outs r.dst;
+  let s_in = own_slot t.ins r.src in
+  let k_in = slot_insert c s_in "in" r.src r in
   (* the Out insert can still reject on its own overlap; undo the In
      insert so a failed reserve leaves the table exactly as it was *)
-  (try ignore (slot_insert c t (Out r.dst) r : int)
+  (try ignore (slot_insert c (own_slot t.outs r.dst) "out" r.dst r : int)
    with e ->
      c.c_rollbacks.v <- c.c_rollbacks.v + 1;
-     slot_remove c t (In r.src) k_in (stop r);
+     slot_remove c s_in k_in (stop r);
      raise e);
   (* both slots accepted: the window is definitely in, so the interval
      index can take it (the Out-conflict undo path above never touches
      the index) *)
   iidx_insert c t r;
-  release_insert c t (stop r);
   t.n_res <- t.n_res + 1;
   journal_push t r;
   (match Hashtbl.find_opt t.owners r.coflow with
@@ -648,24 +644,17 @@ let splice_exact t rs =
 
 (* --- removal / rollback ----------------------------------------------- *)
 
-(* index of a window physically equal to [r] in the slot's start-sorted
-   array, or -1. Equal starts are contiguous, so only that run is
-   probed. *)
+(* index of a window field-for-field equal to [r] in the slot's
+   start-sorted array, or -1. Equal starts are contiguous, so only that
+   run is probed. *)
 let slot_find c (s : slot) r =
-  let i = ref (bsearch_gt c res_start s.res s.len r.start - 1) in
+  let i = ref (search_gt c s.starts s.len r.start - 1) in
   let found = ref (-1) in
-  while !found < 0 && !i >= 0 && s.res.(!i).start = r.start do
+  while !found < 0 && !i >= 0 && s.starts.(!i) = r.start do
     c.c_scans.v <- c.c_scans.v + 1;
-    if s.res.(!i) = r then found := !i else decr i
+    if same_window s.res.(!i) r then found := !i else decr i
   done;
   !found
-
-(* remove exactly one release-index entry equal to [v] *)
-let release_remove c t v =
-  let i = bsearch_gt c float_id t.releases t.n_releases v - 1 in
-  assert (i >= 0 && t.releases.(i) = v);
-  Array.blit t.releases (i + 1) t.releases i (t.n_releases - i - 1);
-  t.n_releases <- t.n_releases - 1
 
 let owner_remove t r =
   match Hashtbl.find_opt t.owners r.coflow with
@@ -673,7 +662,7 @@ let owner_remove t r =
   | Some l ->
     let rec drop = function
       | [] -> []
-      | x :: tl -> if x = r then tl else x :: drop tl
+      | x :: tl -> if same_window x r then tl else x :: drop tl
     in
     (match drop !l with
      | [] -> Hashtbl.remove t.owners r.coflow
@@ -682,16 +671,16 @@ let owner_remove t r =
 let remove t r =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
-  let s_in = find_slot t (In r.src) in
+  let s_in = slot_of t.ins r.src in
   let k = slot_find c s_in r in
   if k < 0 then false
   else begin
-    slot_remove c t (In r.src) k (stop r);
-    let k_out = slot_find c (find_slot t (Out r.dst)) r in
+    slot_remove c s_in k (stop r);
+    let s_out = slot_of t.outs r.dst in
+    let k_out = slot_find c s_out r in
     assert (k_out >= 0);
-    slot_remove c t (Out r.dst) k_out (stop r);
+    slot_remove c s_out k_out (stop r);
     iidx_remove c t r;
-    release_remove c t (stop r);
     t.n_res <- t.n_res - 1;
     owner_remove t r;
     c.c_rollbacks.v <- c.c_rollbacks.v + 1;
@@ -733,23 +722,25 @@ let forget_history t =
 
 (* --- traversal -------------------------------------------------------- *)
 
-let port_reservations t p =
-  let s = find_slot t p in
-  Array.to_list (Array.sub s.res 0 s.len)
+(* the slot's windows consed onto [acc], in start order *)
+let slot_windows s acc =
+  let acc = ref acc in
+  for i = s.len - 1 downto 0 do
+    acc := s.res.(i) :: !acc
+  done;
+  !acc
+
+let port_reservations t p = slot_windows (find_slot t p) []
 
 let all_reservations t =
-  Hashtbl.fold
-    (fun p s acc ->
-      match p with
-      | In _ ->
-        let acc = ref acc in
-        for i = s.len - 1 downto 0 do
-          acc := s.res.(i) :: !acc
-        done;
-        !acc
-      | Out _ -> acc)
-    t.ports []
-  |> List.sort (fun a b -> compare (a.start, a.src, a.dst) (b.start, b.src, b.dst))
+  let acc = ref [] in
+  for p = Array.length t.ins - 1 downto 0 do
+    let s = t.ins.(p) in
+    if s.len > 0 then acc := slot_windows s !acc
+  done;
+  List.sort
+    (fun a b -> compare (a.start, a.src, a.dst) (b.start, b.src, b.dst))
+    !acc
 
 (* all windows with [start <= instant < stop], answered from the
    interval index: binary-search the last block whose first window
@@ -831,8 +822,14 @@ let reservations_in t t0 t1 =
   List.sort physical_order !acc
 
 let ports_in_use t =
-  Hashtbl.fold (fun p s acc -> if s.len = 0 then acc else p :: acc) t.ports []
-  |> List.sort compare
+  let used mk slots acc =
+    let acc = ref acc in
+    for p = Array.length slots - 1 downto 0 do
+      if slots.(p).len > 0 then acc := mk p :: !acc
+    done;
+    !acc
+  in
+  used (fun i -> In i) t.ins (used (fun j -> Out j) t.outs [])
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

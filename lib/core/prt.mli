@@ -13,11 +13,20 @@
     paper's port constraint (§2.1): an input (output) port carries at
     most one circuit at a time.
 
-    Internally each port keeps its windows in a dynamic array sorted by
-    start time (with a parallel stop-sorted view), and the table keeps a
-    sorted index of every upcoming release, so all point queries run in
-    O(log n) per port instead of scanning the reservation lists — see
-    DESIGN.md, "PRT data structure & complexity". *)
+    Internally the port slots are two dense arrays, one per namespace,
+    indexed by port number: a query reads its port's slot without
+    hashing or allocating a key. Each slot keeps its windows in a
+    dynamic array sorted by start time, with the start times unboxed in
+    a parallel float array and a stop-sorted view of the same windows,
+    so every point query is a binary search over flat floats, O(log n)
+    per port. There is no table-wide release index: releases are asked
+    per port ({!next_release_pair}). See DESIGN.md, "PRT data structure
+    & complexity".
+
+    Memory: the slot arrays reach the highest port id ever reserved, so
+    a table costs O(highest port id) words per namespace on top of its
+    windows, whatever the number of ports in use. The sharded engine
+    keeps one table per shard, each indexed by global port id. *)
 
 type port = In of int | Out of int
 
@@ -39,13 +48,21 @@ val transmission : reservation -> float
 type t
 
 type stats = {
-  queries : int;  (** point queries answered (free_at, next-start, next-release) *)
-  scans : int;  (** binary-search probes + neighbourhood walks *)
+  queries : int;
+      (** public lookups answered: per-port probes (two for a
+          {!probe_pair} whose In port is free), next-release queries,
+          {!fits_exact}, {!remove} and the interval-index queries *)
+  scans : int;
+      (** binary-search probes over the port slots and the interval
+          index, plus neighbourhood walks. There is no release index,
+          so [reserve] and [remove] pay no search for one. *)
   reservations : int;  (** successful {!reserve} calls *)
   rollbacks : int;
       (** windows removed again after having been reserved: reserves
-          undone after an Out-port conflict, plus every removal through
-          {!rollback} and {!retract_coflow} *)
+          undone after an Out-port conflict, plus every successful
+          {!remove}, whoever calls it ({!rollback}, {!retract_coflow},
+          the engine's eviction). On the perfbench storm replay this
+          equals the reservation count (64.7k). *)
 }
 (** Cumulative work counters over every table in the process, for the
     bench harness ([BENCH_prt.json]). Queries count public lookups;
@@ -104,18 +121,11 @@ val probe_pair : t -> src:int -> dst:int -> float -> float
     calls; work-counter accounting is identical to the unfused pair
     (the Out port is only probed when the In port was free). *)
 
-val next_release_after : t -> float -> float
-(** Earliest reservation stop strictly greater than the instant, over
-    all ports (Algorithm 1 line 10), or [infinity]. *)
-
-val next_release_on_ports : t -> port list -> float -> float
-(** Like {!next_release_after} but restricted to the given ports — the
-    scheduler only cares about releases on ports its remaining demand
-    can use, which keeps the scan local under inter-Coflow load. *)
-
 val next_release_pair : t -> src:int -> dst:int -> float -> float
-(** [next_release_on_ports t [In src; Out dst]] without consing the
-    port list — the scheduler's blocked-flow retry path. *)
+(** Earliest reservation stop strictly greater than the instant on
+    [In src] or [Out dst], or [infinity] — the release of Algorithm 1
+    line 10, restricted to a blocked circuit's own two ports, which
+    keeps the scheduler's retry path local under inter-Coflow load. *)
 
 val fits_exact : t -> reservation -> bool
 (** Whether the window intersects no existing window on either of its
@@ -128,7 +138,8 @@ val fits_exact : t -> reservation -> bool
 val reserve : t -> reservation -> unit
 (** Record a reservation on both of its ports. Raises
     [Invalid_argument] if it would overlap an existing window on either
-    port, if [length <= 0.], or if [setup] is outside [[0, length]]. *)
+    port, if [length <= 0.], if [setup] is outside [[0, length]], or if
+    a port id is negative or at least [Sys.max_array_length]. *)
 
 val splice_exact : t -> reservation list -> bool
 (** Re-admit a stored plan verbatim: if {e every} window passes
@@ -142,8 +153,9 @@ val splice_exact : t -> reservation list -> bool
     primitive behind the incremental engines' verbatim re-admission. *)
 
 val remove : t -> reservation -> bool
-(** Remove the window physically equal to the argument from both of its
-    ports, the release index and the ownership index. Returns [false]
+(** Remove the window field-for-field equal to the argument (not
+    necessarily the same physical record) from both of its ports, the
+    interval index and the ownership index. Returns [false]
     (leaving the table untouched) when no such window exists. Sub-dust
     twins — identical windows within {e time_tolerance} — are
     interchangeable; one of them goes. *)

@@ -79,8 +79,7 @@ type prt_op =
   | Reserve of Prt.reservation
   | Free_at of Prt.port * float
   | Next_start of Prt.port * float
-  | Next_release of float
-  | Next_release_ports of Prt.port list * float
+  | Next_release of int * int * float
 
 let prt_op_gen =
   QCheck2.Gen.(
@@ -108,9 +107,8 @@ let prt_op_gen =
         map (fun r -> Reserve r) reservation;
         map2 (fun p i -> Free_at (p, i)) port (grid 128);
         map2 (fun p i -> Next_start (p, i)) port (grid 128);
-        map (fun i -> Next_release i) (grid 128);
-        map2 (fun ps i -> Next_release_ports (ps, i)) (list_size (int_range 0 4) port)
-          (grid 128);
+        (let* src = int_range 0 3 and* dst = int_range 0 3 in
+         map (fun i -> Next_release (src, dst, i)) (grid 128));
       ])
 
 let prop_prt_stream_oracle =
@@ -135,11 +133,9 @@ let prop_prt_stream_oracle =
              | Free_at (p, i) -> Prt.free_at t p i = Ref_prt.free_at ref_t p i
              | Next_start (p, i) ->
                Prt.next_start_after t p i = Ref_prt.next_start_after ref_t p i
-             | Next_release i ->
-               Prt.next_release_after t i = Ref_prt.next_release_after ref_t i
-             | Next_release_ports (ps, i) ->
-               Prt.next_release_on_ports t ps i
-               = Ref_prt.next_release_on_ports ref_t ps i)
+             | Next_release (src, dst, i) ->
+               Prt.next_release_pair t ~src ~dst i
+               = Ref_prt.next_release_pair ref_t ~src ~dst i)
            ops
          && Prt.all_reservations t = Ref_prt.all_reservations ref_t))
 
@@ -225,11 +221,13 @@ module Ref_loop = struct
           pending;
         let pending = List.filter (fun p -> p.remaining > 0.) pending in
         if pending <> [] then begin
-          let ports =
-            List.concat_map (fun p -> [ Prt.In p.src; Prt.Out p.dst ]) pending
-            |> List.sort_uniq compare
+          (* the next release on any pending flow's ports *)
+          let t' =
+            List.fold_left
+              (fun acc p ->
+                Float.min acc (Prt.next_release_pair prt ~src:p.src ~dst:p.dst t))
+              infinity pending
           in
-          let t' = Prt.next_release_on_ports prt ports t in
           if t' = infinity then
             invalid_arg "Ref_loop.schedule: stuck with pending demand"
           else loop t' pending

@@ -5,7 +5,8 @@ let r ?(coflow = 0) ~src ~dst ~start ~setup ~length () =
 
 (* Reference list-based PRT: the pre-optimisation implementation kept
    verbatim (sorted lists, full scans) as the oracle the array-backed
-   table must agree with reservation for reservation. *)
+   table must agree with reservation for reservation, plus full-scan
+   definitions of the fused two-port queries and [fits_exact]. *)
 module Ref_prt = struct
   let stop (r : Prt.reservation) = r.Prt.start +. r.Prt.length
 
@@ -34,15 +35,27 @@ module Ref_prt = struct
         if s > instant then Float.min acc s else acc)
       infinity (port_list t p)
 
-  let next_release_after (t : t) instant =
-    Hashtbl.fold
-      (fun p _ acc -> Float.min acc (port_next_release t p instant))
-      t infinity
+  let next_release_pair t ~src ~dst instant =
+    Float.min
+      (port_next_release t (Prt.In src) instant)
+      (port_next_release t (Prt.Out dst) instant)
 
-  let next_release_on_ports t ports instant =
-    List.fold_left
-      (fun acc p -> Float.min acc (port_next_release t p instant))
-      infinity ports
+  let probe_pair t ~src ~dst instant =
+    if free_at t (Prt.In src) instant && free_at t (Prt.Out dst) instant then
+      Float.min
+        (next_start_after t (Prt.In src) instant)
+        (next_start_after t (Prt.Out dst) instant)
+    else neg_infinity
+
+  (* no window on either port intersects [r] with positive measure *)
+  let fits_exact t (r : Prt.reservation) =
+    let clear p =
+      List.for_all
+        (fun (e : Prt.reservation) ->
+          Float.min (stop e) (stop r) <= Float.max e.Prt.start r.Prt.start)
+        (port_list t p)
+    in
+    clear (Prt.In r.Prt.src) && clear (Prt.Out r.Prt.dst)
 
   let time_tolerance = 1e-9
 
@@ -139,7 +152,15 @@ let test_validation () =
   let bad_setup = r ~src:0 ~dst:1 ~start:0. ~setup:2. ~length:1. () in
   Alcotest.check_raises "setup > length"
     (Invalid_argument "Prt.reserve: setup outside [0, length]") (fun () ->
-      Prt.reserve t bad_setup)
+      Prt.reserve t bad_setup);
+  (* a port id no slot array can index is refused up front, before
+     either port is touched *)
+  let huge = r ~src:0 ~dst:max_int ~start:0. ~setup:0. ~length:1. () in
+  Alcotest.check_raises "port id too large"
+    (Invalid_argument "Prt.reserve: port id too large") (fun () ->
+      Prt.reserve t huge);
+  Alcotest.(check bool) "nothing reserved" true (Prt.is_empty t);
+  Alcotest.(check int) "no port in use" 0 (List.length (Prt.ports_in_use t))
 
 let test_next_start_after () =
   let t = Prt.create () in
@@ -154,12 +175,13 @@ let test_next_release () =
   let t = Prt.create () in
   Prt.reserve t (r ~src:0 ~dst:1 ~start:0. ~setup:0. ~length:4. ());
   Prt.reserve t (r ~src:2 ~dst:3 ~start:0. ~setup:0. ~length:2. ());
-  Util.check_close "earliest stop" 2. (Prt.next_release_after t 0.);
-  Util.check_close "next" 4. (Prt.next_release_after t 2.);
+  Util.check_close "earliest stop over both ports" 2.
+    (Prt.next_release_pair t ~src:0 ~dst:3 0.);
+  Util.check_close "next" 4. (Prt.next_release_pair t ~src:0 ~dst:3 2.);
   Util.check_close "restricted to ports" 4.
-    (Prt.next_release_on_ports t [ Prt.In 0 ] 0.);
-  Alcotest.(check bool) "no ports no release" true
-    (Prt.next_release_on_ports t [ Prt.In 9 ] 0. = infinity)
+    (Prt.next_release_pair t ~src:0 ~dst:9 0.);
+  Alcotest.(check bool) "no windows no release" true
+    (Prt.next_release_pair t ~src:9 ~dst:9 0. = infinity)
 
 let test_established_at () =
   let t = Prt.create () in
@@ -182,7 +204,7 @@ let test_copy_isolation () =
 let test_rollback_leaves_table_unchanged () =
   (* Out-port conflict after the In-port insert succeeded: the failed
      reserve must undo the In insert completely — reservations, port
-     occupancy, release index and query answers all unchanged. *)
+     occupancy and query answers all unchanged. *)
   let t = Prt.create () in
   Prt.reserve t (r ~src:0 ~dst:1 ~start:0. ~setup:0.01 ~length:2. ());
   Prt.reserve t (r ~src:2 ~dst:3 ~start:1. ~setup:0.01 ~length:2. ());
@@ -195,8 +217,8 @@ let test_rollback_leaves_table_unchanged () =
       (fun i ->
         ( Prt.free_at t (Prt.In 5) i,
           Prt.next_start_after t (Prt.In 5) i,
-          Prt.next_release_after t i,
-          Prt.next_release_on_ports t [ Prt.In 5; Prt.Out 1 ] i ))
+          Prt.next_release_pair t ~src:0 ~dst:3 i,
+          Prt.next_release_pair t ~src:5 ~dst:1 i ))
       probe_instants
   in
   (* In 5 is free, so the insert succeeds on the input port and must be
@@ -225,12 +247,19 @@ let test_rollback_leaves_table_unchanged () =
 
 (* Streams draw boundaries from a coarse grid so back-to-back windows,
    exact collisions and rollback-triggering Out conflicts all occur
-   often. *)
+   often. Ports are dense low ids plus one sparse high id, so one table
+   holds 0, 1 and 100 000. *)
+let reserved_ports = [ 0; 1; 2; 3; 100_000 ]
+
+(* never reserved: inside the slot arrays' reach (4, 99 999), just past
+   the highest reserved id, and far beyond it *)
+let query_ports = reserved_ports @ [ 4; 99_999; 100_001; 1_000_000 ]
+
 let stream_gen =
   QCheck2.Gen.(
     list_size (int_range 1 60)
-      (let* src = int_range 0 4 in
-       let* dst = int_range 0 4 in
+      (let* src = oneofl reserved_ports in
+       let* dst = oneofl reserved_ports in
        let* start8 = int_range 0 160 in
        let* len8 = int_range 1 24 in
        let* setup = oneofl [ 0.; 0.01; 0.05 ] in
@@ -243,26 +272,42 @@ let stream_gen =
 
 let query_instants = List.init 42 (fun i -> float_of_int i /. 4.)
 
-let agree_on_queries t ref_t =
+let agree_on_queries t ref_t stream =
   let ports =
-    List.concat_map (fun i -> [ Prt.In i; Prt.Out i ]) [ 0; 1; 2; 3; 4 ]
+    List.concat_map (fun i -> [ Prt.In i; Prt.Out i ]) query_ports
+  in
+  let pairs =
+    List.concat_map (fun src -> List.map (fun dst -> (src, dst)) query_ports)
+      query_ports
   in
   List.for_all
-    (fun instant ->
-      Prt.next_release_after t instant
-      = Ref_prt.next_release_after ref_t instant
-      && Prt.next_release_on_ports t ports instant
-         = Ref_prt.next_release_on_ports ref_t ports instant
-      && List.for_all
-           (fun p ->
-             Prt.free_at t p instant = Ref_prt.free_at ref_t p instant
-             && Prt.next_start_after t p instant
-                = Ref_prt.next_start_after ref_t p instant
-             && Prt.probe t p instant
-                = ( Ref_prt.free_at ref_t p instant,
-                    Ref_prt.next_start_after ref_t p instant ))
-           ports)
-    query_instants
+    (fun p -> Prt.port_reservations t p = Ref_prt.port_list ref_t p)
+    ports
+  && List.for_all
+       (fun w ->
+         let later = { w with Prt.start = w.Prt.start +. 0.0625 } in
+         Prt.fits_exact t w = Ref_prt.fits_exact ref_t w
+         && Prt.fits_exact t later = Ref_prt.fits_exact ref_t later)
+       stream
+  && List.for_all
+       (fun instant ->
+         List.for_all
+           (fun (src, dst) ->
+             Prt.next_release_pair t ~src ~dst instant
+             = Ref_prt.next_release_pair ref_t ~src ~dst instant
+             && Prt.probe_pair t ~src ~dst instant
+                = Ref_prt.probe_pair ref_t ~src ~dst instant)
+           pairs
+         && List.for_all
+              (fun p ->
+                Prt.free_at t p instant = Ref_prt.free_at ref_t p instant
+                && Prt.next_start_after t p instant
+                   = Ref_prt.next_start_after ref_t p instant
+                && Prt.probe t p instant
+                   = ( Ref_prt.free_at ref_t p instant,
+                       Ref_prt.next_start_after ref_t p instant ))
+              ports)
+       query_instants
 
 let prop_oracle_vs_list_reference =
   QCheck_alcotest.to_alcotest
@@ -291,7 +336,7 @@ let prop_oracle_vs_list_reference =
              accepted = ref_accepted
              && Prt.all_reservations t = Ref_prt.all_reservations ref_t)
            stream
-         && agree_on_queries t ref_t))
+         && agree_on_queries t ref_t stream))
 
 let prop_no_overlap =
   QCheck_alcotest.to_alcotest
@@ -352,7 +397,12 @@ let test_concurrent_counters () =
 let table_fingerprint t =
   ( Prt.all_reservations t,
     List.map (fun p -> (p, Prt.port_reservations t p)) (Prt.ports_in_use t),
-    List.map (fun i -> Prt.next_release_after t i) [ 0.; 0.5; 1.; 2.; 5. ] )
+    List.concat_map
+      (fun i ->
+        List.map
+          (fun (src, dst) -> Prt.next_release_pair t ~src ~dst i)
+          [ (0, 0); (1, 1); (2, 2); (4, 5) ])
+      [ 0.; 0.5; 1.; 2.; 5. ] )
 
 let test_checkpoint_rollback () =
   let t = Prt.create () in
@@ -409,8 +459,8 @@ let test_remove_consistency () =
   Prt.reserve t b;
   Alcotest.(check bool) "remove present" true (Prt.remove t a);
   Alcotest.(check bool) "remove absent" false (Prt.remove t a);
-  Alcotest.(check (float 0.)) "release index updated" 2.
-    (Prt.next_release_after t 0.5);
+  Alcotest.(check (float 0.)) "releases updated" 2.
+    (Prt.next_release_pair t ~src:0 ~dst:2 0.5);
   Alcotest.(check bool) "In port freed" true (Prt.free_at t (Prt.In 0) 0.5);
   Alcotest.(check bool) "Out port freed" true (Prt.free_at t (Prt.Out 1) 0.5);
   Alcotest.(check bool) "other window intact" false
@@ -426,6 +476,118 @@ let test_copy_rollback_isolation () =
   Alcotest.(check bool) "original untouched" false (Prt.is_empty t);
   Alcotest.(check int) "retract in original only" 1 (Prt.retract_coflow t 1);
   Alcotest.(check int) "copy ownership independent" 0 (Prt.retract_coflow u 1)
+
+(* Queries on a port no slot array reaches — negative, or past the
+   highest reserved id — answer as for a never-used port, raise
+   nothing, and grow nothing: the table's reachable size is unchanged. *)
+let test_out_of_range_ports () =
+  let t = Prt.create () in
+  Prt.reserve t (r ~coflow:1 ~src:0 ~dst:1 ~start:0. ~setup:0. ~length:1. ());
+  Prt.reserve t (r ~coflow:2 ~src:5 ~dst:3 ~start:2. ~setup:0. ~length:1. ());
+  let before = Prt.all_reservations t in
+  let before_ports = Prt.ports_in_use t in
+  let before_words = Obj.reachable_words (Obj.repr t) in
+  let far = [ -1; min_int; 6; 64; 100_000; max_int ] in
+  List.iter
+    (fun p ->
+      let label what = Printf.sprintf "%s on port %d" what p in
+      List.iter
+        (fun port ->
+          Alcotest.(check bool) (label "free_at") true (Prt.free_at t port 0.5);
+          Alcotest.(check (float 0.))
+            (label "next_start_after") infinity
+            (Prt.next_start_after t port 0.5);
+          Alcotest.(check int)
+            (label "port_reservations") 0
+            (List.length (Prt.port_reservations t port)))
+        [ Prt.In p; Prt.Out p ];
+      Alcotest.(check (float 0.))
+        (label "probe_pair") infinity
+        (Prt.probe_pair t ~src:p ~dst:p 0.5);
+      Alcotest.(check (float 0.))
+        (label "next_release_pair") infinity
+        (Prt.next_release_pair t ~src:p ~dst:p 0.5);
+      let w = r ~src:p ~dst:p ~start:0. ~setup:0. ~length:5. () in
+      Alcotest.(check bool) (label "fits_exact") true (Prt.fits_exact t w);
+      Alcotest.(check bool) (label "remove") false (Prt.remove t w))
+    far;
+  (* one endpoint in range: the in-range port decides *)
+  Alcotest.(check (float 0.)) "busy Out port blocks" neg_infinity
+    (Prt.probe_pair t ~src:(-1) ~dst:1 0.5);
+  Alcotest.(check (float 0.)) "release on the in-range port" 1.
+    (Prt.next_release_pair t ~src:max_int ~dst:1 0.5);
+  Alcotest.(check bool) "same reservations" true
+    (before = Prt.all_reservations t);
+  Alcotest.(check bool) "same ports in use" true
+    (before_ports = Prt.ports_in_use t);
+  Alcotest.(check int) "nothing grown" before_words
+    (Obj.reachable_words (Obj.repr t))
+
+(* The scheduler's two hot queries read the dense slots directly: no
+   port key, closure or tuple is allocated, only the boxed float a
+   non-inlined OCaml function returns when the answer is computed (a
+   constant answer such as [neg_infinity] is not even boxed). *)
+let test_hot_queries_allocate_only_result () =
+  let t = Prt.create () in
+  for i = 0 to 39 do
+    Prt.reserve t
+      (r ~coflow:i ~src:(i mod 8) ~dst:(i * 3 mod 8)
+         ~start:(float_of_int (i / 8)) ~setup:0.01 ~length:0.9 ())
+  done;
+  let n = 10_000 and instant = 2.5 in
+  let per_call f =
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      ignore (f ~src:(i mod 9) ~dst:(i mod 7) : float)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let words = per_call (fun ~src ~dst -> Prt.probe_pair t ~src ~dst instant) in
+  Alcotest.(check bool)
+    (Printf.sprintf "probe_pair: %.2f words/call <= 2" words)
+    true (words <= 2.);
+  let words =
+    per_call (fun ~src ~dst -> Prt.next_release_pair t ~src ~dst instant)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "next_release_pair: %.2f words/call <= 2" words)
+    true (words <= 2.)
+
+(* [remove] matches windows field for field, not by physical identity:
+   a freshly built copy of a reserved window removes it from both
+   ports, the interval index and the owner's list. *)
+let test_remove_field_copy () =
+  let t = Prt.create () in
+  let w = r ~coflow:7 ~src:2 ~dst:3 ~start:0.5 ~setup:0.01 ~length:1. () in
+  let other = r ~coflow:7 ~src:4 ~dst:5 ~start:0. ~setup:0.01 ~length:1. () in
+  Prt.reserve t w;
+  Prt.reserve t other;
+  let twin =
+    r ~coflow:7 ~src:2 ~dst:3 ~start:(w.Prt.start *. 1.) ~setup:0.01
+      ~length:1. ()
+  in
+  Alcotest.(check bool) "twin is another record" false (twin == w);
+  (* a copy differing in any one field is another window *)
+  List.iter
+    (fun (label, x) ->
+      Alcotest.(check bool) label false (Prt.remove t x))
+    [
+      ("other coflow", { twin with Prt.coflow = 8 });
+      ("other setup", { twin with Prt.setup = 0.02 });
+      ("other length", { twin with Prt.length = 0.5 });
+    ];
+  Alcotest.(check bool) "copy removes the window" true (Prt.remove t twin);
+  Alcotest.(check int) "In port empty" 0
+    (List.length (Prt.port_reservations t (Prt.In 2)));
+  Alcotest.(check int) "Out port empty" 0
+    (List.length (Prt.port_reservations t (Prt.Out 3)));
+  Alcotest.(check bool) "gone from the interval index" true
+    (List.for_all (fun x -> x.Prt.src <> 2) (Prt.covering_at t 0.75));
+  Alcotest.(check bool) "second copy finds nothing" false (Prt.remove t twin);
+  (* the owner's list lost it too: only [other] is left to retract *)
+  Alcotest.(check int) "retract removes the rest" 1 (Prt.retract_coflow t 7);
+  Alcotest.(check int) "owner emptied" 0 (Prt.retract_coflow t 7);
+  Alcotest.(check bool) "table empty" true (Prt.is_empty t)
 
 let test_covering_and_range () =
   let t = Prt.create () in
@@ -621,6 +783,12 @@ let suite =
     Alcotest.test_case "rollback skips retracted" `Quick
       test_rollback_skips_retracted;
     Alcotest.test_case "remove consistency" `Quick test_remove_consistency;
+    Alcotest.test_case "queries on out-of-range ports" `Quick
+      test_out_of_range_ports;
+    Alcotest.test_case "remove matches field-for-field copies" `Quick
+      test_remove_field_copy;
+    Alcotest.test_case "hot queries allocate only their result" `Quick
+      test_hot_queries_allocate_only_result;
     Alcotest.test_case "copy rollback isolation" `Quick
       test_copy_rollback_isolation;
     Alcotest.test_case "covering_at / reservations_in" `Quick
