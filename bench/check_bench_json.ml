@@ -67,7 +67,13 @@
 
    Since schema /11 the plan cache section and its gate are gone with
    the cache itself (it could not hit within one run); the kernel
-   microbench and its ceilings stay. *)
+   microbench and its ceilings stay.
+
+   Still /11: the serve row's journal-length gate is gone with the PRT
+   undo journal it watched (a file that still carries the field is
+   accepted, the field is just not read); the pinning it guarded
+   against is covered by a Weak-pointer test on the engine's retired
+   reservation records. *)
 
 type json =
   | Null
@@ -914,10 +920,6 @@ let check_serve root fast =
          the active-set ceiling (%d) is blown, the loop is not \
          bounded-memory"
         max_live coflows (coflows / 100);
-    if int "max_journal" <> 0 then
-      bad
-        "serve.max_journal: %d undo-journal entries survived an engine step"
-        (int "max_journal");
     if num "wall_s" <= 0. then bad "serve.wall_s: non-positive";
     if num "events_per_s" <= 0. then bad "serve.events_per_s: non-positive";
     if num "p99_event_s" < 0. then bad "serve.p99_event_s: negative";

@@ -703,8 +703,7 @@ let kernel_section ppf _s =
   let prt = Prt.create () in
   let one () =
     ignore (Sunflow.schedule ~prt ~delta ~bandwidth c : Sunflow.result);
-    ignore (Prt.retract_coflow prt 0 : int);
-    Prt.forget_history prt
+    ignore (Prt.retract_coflow prt 0 : int)
   in
   for _ = 1 to 1_000 do
     one ()
@@ -1007,12 +1006,11 @@ let report_section ppf s =
    chunk-by-chunk, never materialised as one list — through
    [Sunflow_serve.Serve] and prove the bounded-memory claims at bench
    scale: 10^6 Coflows in full mode (10^5 under SUNFLOW_BENCH_FAST)
-   with live engine entries bounded by the active set and a PRT undo
-   journal that never survives a step. Sustained events/s and the p99
-   per-event scheduling latency come from the loop's own bounded
-   observability ([serve.event_s]). A second, smaller deadline-mode
-   run exercises admission control and is validated end-to-end with
-   [Sim_check] on the admitted subset. *)
+   with live engine entries bounded by the active set. Sustained
+   events/s and the p99 per-event scheduling latency come from the
+   loop's own bounded observability ([serve.event_s]). A second,
+   smaller deadline-mode run exercises admission control and is
+   validated end-to-end with [Sim_check] on the admitted subset. *)
 
 type serve_summary = {
   v_coflows : int;
@@ -1022,7 +1020,6 @@ type serve_summary = {
   v_events_per_s : float;
   v_p99_event_s : float;
   v_max_live : int;
-  v_max_journal : int;
   v_admitted : int;
   v_rejected : int;
   v_completed : int;
@@ -1107,10 +1104,8 @@ let serve_section ppf _s =
   Format.fprintf ppf
     "  %d Coflows  wall %6.2fs  %.0f events/s  p99 event %.3g ms@." n wall
     events_per_s (p99 *. 1e3);
-  Format.fprintf ppf "  max live %d (%.4f%% of stream)  max journal %d@."
-    stats.Serve.max_live
-    (100. *. float_of_int stats.Serve.max_live /. float_of_int n)
-    stats.Serve.max_journal;
+  Format.fprintf ppf "  max live %d (%.4f%% of stream)@." stats.Serve.max_live
+    (100. *. float_of_int stats.Serve.max_live /. float_of_int n);
   (* the smaller checked run: deadline admission, then full
      conservation on the admitted subset *)
   let checked_n = if fast () then 150 else 526 in
@@ -1173,7 +1168,6 @@ let serve_section ppf _s =
         v_events_per_s = events_per_s;
         v_p99_event_s = p99;
         v_max_live = stats.Serve.max_live;
-        v_max_journal = stats.Serve.max_journal;
         v_admitted = stats.Serve.admitted;
         v_rejected = stats.Serve.rejected;
         v_completed = stats.Serve.completed;
@@ -1375,13 +1369,13 @@ let emit_json path s domains =
     add
       "  \"serve\": {\"coflows\": %d, \"arrivals\": %d, \"wall_s\": %s, \
        \"events\": %d, \"events_per_s\": %s, \"p99_event_s\": %s, \
-       \"max_live\": %d, \"max_journal\": %d, \"admitted\": %d, \
+       \"max_live\": %d, \"admitted\": %d, \
        \"rejected\": %d, \"completed\": %d, \"checked\": {\"coflows\": %d, \
        \"admitted\": %d, \"rejected\": %d, \"violations\": %d}},\n"
       v.v_coflows v.v_arrivals (json_float v.v_wall_s) v.v_events
       (json_float v.v_events_per_s)
       (json_float v.v_p99_event_s)
-      v.v_max_live v.v_max_journal v.v_admitted v.v_rejected v.v_completed
+      v.v_max_live v.v_admitted v.v_rejected v.v_completed
       v.v_checked_coflows v.v_checked_admitted v.v_checked_rejected
       v.v_checked_violations);
   add "  \"prt_stats\": %s\n" (json_stats (Prt.stats ()));

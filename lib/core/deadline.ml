@@ -20,14 +20,17 @@ let admit ?(now = 0.) ?(order = Order.Ordered_port) ~deadline_of ~delta
   let admitted = ref [] and rejected = ref [] in
   List.iter
     (fun (c : Coflow.t) ->
-      (* plan once, on the real table; rejection rolls the journal back
-         to the mark, so it leaves no trace *)
-      let mark = Prt.checkpoint prt in
+      (* plan once, on the real table; rejection removes exactly the
+         windows this plan made, so it leaves no trace. Not
+         [retract_coflow]: ids are not checked for uniqueness, and an
+         admitted Coflow sharing this id must keep its windows. *)
       let plan = Sunflow.schedule ~prt ~now ~order ~delta ~bandwidth c in
       if plan.finish <= deadline_of c then
         admitted := (c.id, plan.finish) :: !admitted
       else begin
-        Prt.rollback prt mark;
+        List.iter
+          (fun r -> ignore (Prt.remove prt r : bool))
+          plan.reservations;
         rejected := (c.id, plan.finish) :: !rejected
       end)
     ordered;

@@ -36,8 +36,8 @@ val admit :
   admission
 (** Consider Coflows in EDF order; schedule each once, directly on the
     real reservation table, and admit it only if its plan finishes by
-    its (absolute) deadline — a rejected plan is undone through the
-    table's checkpoint/rollback journal, leaving the table exactly as
-    it was. Rejected Coflows therefore add nothing to the table, so
-    they cannot hurt anyone admitted before or after them. Empty
-    Coflows are admitted with finish [now]. *)
+    its (absolute) deadline — a rejected plan's windows are removed
+    again one by one ([Prt.remove]), leaving the table exactly as it
+    was. Rejected Coflows therefore add nothing to the table, so they
+    cannot hurt anyone admitted before or after them, even one that
+    shares their id. Empty Coflows are admitted with finish [now]. *)

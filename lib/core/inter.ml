@@ -421,9 +421,6 @@ let engine_rescheduled g = g.g_rescheduled
 let engine_spliced g = g.g_spliced
 let engine_shards g = g.g_shards
 
-let engine_journal_length g =
-  Array.fold_left (fun acc p -> acc + Prt.journal_length p) 0 g.g_prts
-
 type shard_stats = {
   shard_steps : int;
   shard_conflicts : int;
@@ -890,10 +887,7 @@ let resolve_cross g ~obs ~now ~remaining ~is_established ~tail m =
         e.e_plan.Sunflow.reservations
   done;
   for s = 0 to g.g_shards - 1 do
-    if c.(s) then begin
-      Prt.forget_history g.g_prts.(s);
-      g.g_smin_stale.(s) <- true
-    end
+    if c.(s) then g.g_smin_stale.(s) <- true
   done;
   g.g_smin_stale.(g.g_shards) <- true;
   if obs then
@@ -974,13 +968,7 @@ let repair g ~obs ~now ~remaining m =
           | Pass_conflict _ -> ())
         outs;
       Array.iteri
-        (fun s f ->
-          if Option.is_some f then begin
-            (* the pass never rolls the table back — drop the journal
-               so it cannot pin retired windows *)
-            Prt.forget_history g.g_prts.(s);
-            g.g_smin_stale.(s) <- true
-          end)
+        (fun s f -> if Option.is_some f then g.g_smin_stale.(s) <- true)
         m.first
     end
   end

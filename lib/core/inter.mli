@@ -223,16 +223,6 @@ val engine_spliced : engine -> int
 val engine_shards : engine -> int
 (** The effective shard count ([1] by default and for rebuild engines). *)
 
-val engine_journal_length : engine -> int
-(** Total undo-log length across the engine's reservation tables.
-    The incremental repair never rolls a table back (invalidated
-    windows are retracted or evicted by owner), so every step drops
-    the logs of the tables it repaired: between steps this is [0] for
-    incremental engines and bounded by one step's reserves during
-    one — the serving loop's soak test pins that down. The rebuild
-    oracle reports its current from-scratch table's log, bounded by
-    the active plan. *)
-
 val engine_shard_stats : engine -> shard_stats
 (** Cumulative sharded-path statistics; all zero when [shards = 1]
     (one table, nothing to conflict or roll back, and no step counted

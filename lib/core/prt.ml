@@ -96,7 +96,9 @@ let pp_stats ppf s =
    overlap beyond [time_tolerance], so both views stay nearly identical
    in order — but the tolerance allows sub-nanosecond rounding-dust
    overlaps, which is why the stop times get their own exactly-sorted
-   array instead of piggybacking on the start order. *)
+   array instead of piggybacking on the start order. Cells of [res] at
+   and past [len] hold [dummy_res], so a slot never keeps a removed
+   window reachable. *)
 type slot = {
   mutable res : reservation array;  (* sorted by start *)
   mutable starts : float array;  (* [res.(i).start], in step with [res] *)
@@ -130,17 +132,10 @@ type iblock = {
 type t = {
   mutable ins : slot array;
   mutable outs : slot array;
-  mutable n_res : int;
   (* ownership index: Coflow id -> the windows it currently holds, so a
      finished Coflow's reservations can be retired in O(own windows)
      without scanning the table *)
   owners : (int, reservation list ref) Hashtbl.t;
-  (* undo log: every successful [reserve] in order. [checkpoint] marks a
-     position; [rollback] replays the suffix backwards with
-     remove-if-present semantics, so entries already retired through
-     [retract_coflow] are skipped rather than double-freed. *)
-  mutable journal : reservation array;
-  mutable n_journal : int;
   (* interval index over all live windows; see [iblock] above *)
   mutable iblocks : iblock array;
   mutable n_iblocks : int;
@@ -150,18 +145,15 @@ let create () =
   {
     ins = [||];
     outs = [||];
-    n_res = 0;
     owners = Hashtbl.create 64;
-    journal = [||];
-    n_journal = 0;
     iblocks = [||];
     n_iblocks = 0;
   }
 
 let dummy_res =
-  (* filler for vacated interval-index slots; [length = 0.] can never
-     enter the table through [reserve], so it is distinguishable from
-     any live window *)
+  (* filler for vacated port-slot and interval-index cells;
+     [length = 0.] can never enter the table through [reserve], so it
+     is distinguishable from any live window *)
   { coflow = min_int; src = 0; dst = 0; start = 0.; setup = 0.; length = 0. }
 
 let dummy_iblock = { ib_res = [||]; ib_len = 0; ib_max_stop = neg_infinity }
@@ -170,39 +162,6 @@ let dummy_iblock = { ib_res = [||]; ib_len = 0; ib_max_stop = neg_infinity }
    the filler of grown port arrays. [reserve] materialises a fresh slot
    where it finds this one, so it is never mutated. *)
 let empty_slot = { res = [||]; starts = [||]; stops = [||]; len = 0 }
-
-(* blocks are allocated at full [iblock_cap] capacity so in-place
-   inserts never have to grow them *)
-let iblock_copy b =
-  let arr = Array.make iblock_cap dummy_res in
-  Array.blit b.ib_res 0 arr 0 b.ib_len;
-  { ib_res = arr; ib_len = b.ib_len; ib_max_stop = b.ib_max_stop }
-
-let slot_copy s =
-  if s == empty_slot then empty_slot
-  else
-    {
-      res = Array.sub s.res 0 s.len;
-      starts = Array.sub s.starts 0 s.len;
-      stops = Array.sub s.stops 0 s.len;
-      len = s.len;
-    }
-
-let copy t =
-  let owners = Hashtbl.create (Hashtbl.length t.owners) in
-  Hashtbl.iter (fun id l -> Hashtbl.replace owners id (ref !l)) t.owners;
-  {
-    ins = Array.map slot_copy t.ins;
-    outs = Array.map slot_copy t.outs;
-    n_res = t.n_res;
-    owners;
-    journal = Array.sub t.journal 0 t.n_journal;
-    n_journal = t.n_journal;
-    iblocks = Array.init t.n_iblocks (fun i -> iblock_copy t.iblocks.(i));
-    n_iblocks = t.n_iblocks;
-  }
-
-let is_empty t = t.n_res = 0
 
 (* the slot of port [p] in one namespace; a negative port or one past
    the array never held a window *)
@@ -262,36 +221,12 @@ let rec covered c (s : slot) j instant =
     else false
   end
 
-let free_at t p instant =
-  let c = counters () in
-  c.c_queries.v <- c.c_queries.v + 1;
-  let s = find_slot t p in
-  (* the only windows that can contain [instant] start at or before it *)
-  not (covered c s (search_gt c s.starts s.len instant - 1) instant)
-
-let next_start_after t p instant =
-  let c = counters () in
-  c.c_queries.v <- c.c_queries.v + 1;
-  let s = find_slot t p in
-  let i = search_gt c s.starts s.len instant in
-  if i < s.len then s.starts.(i) else infinity
-
-(* fused free_at + next_start_after: one slot lookup, one search *)
-let probe t p instant =
-  let c = counters () in
-  c.c_queries.v <- c.c_queries.v + 1;
-  let s = find_slot t p in
-  let i = search_gt c s.starts s.len instant in
-  let next_start = if i < s.len then s.starts.(i) else infinity in
-  (not (covered c s (i - 1) instant), next_start)
-
 (* The scheduler's inner-loop probe, fused across a circuit's two
    endpoints: when both ports are free at [instant] it returns the
    earlier next-start over both (the [tm] of Algorithm 1 line 16),
    otherwise [neg_infinity] — unambiguous, since real next-starts are
-   positive or [infinity]. Counter accounting replicates the unfused
-   pair of [probe] calls it replaces: the In probe always counts as a
-   query, the Out probe only when the In port was free. *)
+   positive or [infinity]. Each endpoint counts as one query, the Out
+   port only when the In port was free (it is not probed otherwise). *)
 let probe_pair t ~src ~dst instant =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
@@ -432,7 +367,7 @@ let slot_insert c (s : slot) side port r =
   let cap = Array.length s.res in
   if s.len = cap then begin
     let cap' = grow_cap cap in
-    let res = Array.make cap' r in
+    let res = Array.make cap' dummy_res in
     Array.blit s.res 0 res 0 s.len;
     s.res <- res;
     let starts = Array.make cap' 0. in
@@ -463,7 +398,9 @@ let slot_remove c (s : slot) k stop_time =
     i
   in
   Array.blit s.stops (sk + 1) s.stops sk (s.len - sk - 1);
-  s.len <- s.len - 1
+  s.len <- s.len - 1;
+  (* unpin the vacated cell *)
+  s.res.(s.len) <- dummy_res
 
 (* Window identity, field for field: what [remove] matches on. The
    same answer as polymorphic [=] (which also compares floats with
@@ -588,16 +525,6 @@ let iidx_remove c t r =
   end
   else if stop r = b.ib_max_stop then iidx_recompute_max b
 
-let journal_push t r =
-  let cap = Array.length t.journal in
-  if t.n_journal = cap then begin
-    let arr = Array.make (grow_cap cap) r in
-    Array.blit t.journal 0 arr 0 t.n_journal;
-    t.journal <- arr
-  end;
-  t.journal.(t.n_journal) <- r;
-  t.n_journal <- t.n_journal + 1
-
 let reserve t r =
   if r.length <= 0. then invalid_arg "Prt.reserve: non-positive length";
   if r.setup < 0. || r.setup > r.length then
@@ -619,8 +546,6 @@ let reserve t r =
      index can take it (the Out-conflict undo path above never touches
      the index) *)
   iidx_insert c t r;
-  t.n_res <- t.n_res + 1;
-  journal_push t r;
   (match Hashtbl.find_opt t.owners r.coflow with
    | Some l -> l := r :: !l
    | None -> Hashtbl.add t.owners r.coflow (ref [ r ]));
@@ -642,7 +567,7 @@ let splice_exact t rs =
   end
   else false
 
-(* --- removal / rollback ----------------------------------------------- *)
+(* --- removal ---------------------------------------------------------- *)
 
 (* index of a window field-for-field equal to [r] in the slot's
    start-sorted array, or -1. Equal starts are contiguous, so only that
@@ -681,7 +606,6 @@ let remove t r =
     assert (k_out >= 0);
     slot_remove c s_out k_out (stop r);
     iidx_remove c t r;
-    t.n_res <- t.n_res - 1;
     owner_remove t r;
     c.c_rollbacks.v <- c.c_rollbacks.v + 1;
     true
@@ -697,28 +621,6 @@ let retract_coflow t id =
     Hashtbl.remove t.owners id;
     List.iter (fun r -> ignore (remove t r : bool)) windows;
     List.length windows
-
-type checkpoint = int
-
-let checkpoint t = t.n_journal
-let journal_length t = t.n_journal
-
-let rollback t mark =
-  if mark < 0 || mark > t.n_journal then
-    invalid_arg "Prt.rollback: stale checkpoint";
-  while t.n_journal > mark do
-    t.n_journal <- t.n_journal - 1;
-    (* remove-if-present: the entry may already be gone if its Coflow
-       was retired through [retract_coflow] after the checkpoint *)
-    ignore (remove t t.journal.(t.n_journal) : bool)
-  done
-
-let forget_history t =
-  (* dropping the array (rather than zeroing [n_journal]) also unpins
-     the recorded reservation records — the log otherwise keeps retired
-     Coflows' windows reachable forever in a long-lived table *)
-  t.journal <- [||];
-  t.n_journal <- 0
 
 (* --- traversal -------------------------------------------------------- *)
 
@@ -820,23 +722,3 @@ let reservations_in t t0 t1 =
      done
    with Exit -> ());
   List.sort physical_order !acc
-
-let ports_in_use t =
-  let used mk slots acc =
-    let acc = ref acc in
-    for p = Array.length slots - 1 downto 0 do
-      if slots.(p).len > 0 then acc := mk p :: !acc
-    done;
-    !acc
-  in
-  used (fun i -> In i) t.ins (used (fun j -> Out j) t.outs [])
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "[in.%d -> out.%d] c#%d start=%a setup=%a len=%a@,"
-        r.src r.dst r.coflow Units.pp_time r.start Units.pp_time r.setup
-        Units.pp_time r.length)
-    (all_reservations t);
-  Format.fprintf ppf "@]"

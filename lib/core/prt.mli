@@ -60,9 +60,10 @@ type stats = {
   rollbacks : int;
       (** windows removed again after having been reserved: reserves
           undone after an Out-port conflict, plus every successful
-          {!remove}, whoever calls it ({!rollback}, {!retract_coflow},
-          the engine's eviction). On the perfbench storm replay this
-          equals the reservation count (64.7k). *)
+          {!remove}, whoever calls it ({!retract_coflow}, the engine's
+          eviction, [Deadline.admit] dropping a rejected plan). On the
+          perfbench storm replay this equals the reservation count
+          (64.7k). *)
 }
 (** Cumulative work counters over every table in the process, for the
     bench harness ([BENCH_prt.json]). Queries count public lookups;
@@ -90,36 +91,15 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val create : unit -> t
 
-val copy : t -> t
-(** Deep copy: reservations recorded in either table afterwards never
-    appear in the other. The undo log and ownership index are copied
-    too, so a checkpoint taken before the copy can be rolled back in
-    either table — but checkpoints are positions in one table's log,
-    so a checkpoint taken in one table after the copy is meaningless
-    in the other. *)
-
-val is_empty : t -> bool
-
-val free_at : t -> port -> float -> bool
-(** No reservation window contains the instant (Algorithm 1 line 15).
-    A window [[start, stop)] contains [start] but not [stop]. *)
-
-val next_start_after : t -> port -> float -> float
-(** Earliest reservation start strictly greater than the instant — the
-    "next-reserv-time" [tm] of Algorithm 1 line 16 — or [infinity]. *)
-
-val probe : t -> port -> float -> bool * float
-(** [(free_at t p i, next_start_after t p i)] in a single lookup — the
-    fused form the scheduler hot path uses. *)
-
 val probe_pair : t -> src:int -> dst:int -> float -> float
-(** Fused probe across a circuit's two endpoints: when both [In src]
-    and [Out dst] are free at the instant, the earlier
-    {!next_start_after} over both ports; otherwise [neg_infinity]
-    (unambiguous — real next-starts are non-negative or [infinity]).
-    The scheduler's inner loop uses this instead of two {!probe}
-    calls; work-counter accounting is identical to the unfused pair
-    (the Out port is only probed when the In port was free). *)
+(** Algorithm 1's port test (lines 15–16) across a circuit's two
+    endpoints. When no window on [In src] or [Out dst] contains the
+    instant (a window [[start, stop)] contains [start] but not
+    [stop]), the earliest reservation start strictly after the instant
+    on either port — the "next-reserv-time" [tm], or [infinity];
+    otherwise [neg_infinity] (unambiguous — real next-starts are
+    non-negative or [infinity]). Counts one query per port probed: the
+    Out port is only probed when the In port was free. *)
 
 val next_release_pair : t -> src:int -> dst:int -> float -> float
 (** Earliest reservation stop strictly greater than the instant on
@@ -162,39 +142,9 @@ val remove : t -> reservation -> bool
 
 val retract_coflow : t -> int -> int
 (** Remove every window owned by the Coflow id; returns how many were
-    removed. O(own windows × log n). Entries the Coflow wrote to the
-    undo log stay there and are skipped by a later {!rollback} —
-    retiring a finished Coflow never invalidates outstanding
-    checkpoints. *)
-
-type checkpoint
-(** A position in the table's undo log. Valid for this table (or a
-    {!copy} taken later) until a {!rollback} to an earlier position
-    discards it. *)
-
-val checkpoint : t -> checkpoint
-(** Mark the current undo-log position. O(1). *)
-
-val journal_length : t -> int
-(** Current undo-log length: {!reserve}s recorded since the last
-    {!forget_history} (or creation) and not yet undone by {!rollback}.
-    The serving loop's memory-boundedness monitor — a table whose
-    journal grows without bound pins every recorded window against the
-    GC. O(1). *)
-
-val rollback : t -> checkpoint -> unit
-(** Undo every {!reserve} recorded after the checkpoint, newest first,
-    skipping windows already gone via {!retract_coflow}, and truncate
-    the log back to the mark. Raises [Invalid_argument] on a checkpoint
-    from beyond the current log end (i.e. one already discarded by an
-    earlier rollback). O(undone × log n). *)
-
-val forget_history : t -> unit
-(** Drop the undo log entirely, invalidating every outstanding
-    checkpoint (a later {!rollback} with one raises). For callers that
-    repair the table in place and will never roll back past this
-    point: the log otherwise grows with every reserve for the life of
-    the table and keeps retired Coflows' windows reachable. O(1). *)
+    removed. O(own windows × log n). Ownership is by id alone: when
+    two Coflows share an id, this removes the windows of both — remove a
+    known plan window by window with {!remove} instead. *)
 
 val port_reservations : t -> port -> reservation list
 (** Reservations on one port, sorted by start time. *)
@@ -221,9 +171,3 @@ val reservations_in : t -> float -> float -> reservation list
     window identity [(start, src, dst, coflow, setup, length)] so the
     order is identical across differently-built tables holding the same
     windows. O(ports × log n + answer). *)
-
-val ports_in_use : t -> port list
-(** Ports holding at least one reservation, sorted. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render all reservations, one per line. *)

@@ -25,7 +25,6 @@ type stats = {
   events : int;
   setups : int;
   max_live : int;
-  max_journal : int;
   makespan : float;
   stopped : bool;
 }
@@ -88,7 +87,7 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
   let arrivals = ref 0 and admitted = ref 0 and rejected = ref 0 in
   let completed = ref 0 and n_events = ref 0 in
   let ex = Slice.create ~timeline:false ~bandwidth in
-  let max_live = ref 0 and max_journal = ref 0 in
+  let max_live = ref 0 in
   let makespan = ref 0. in
   let stopped = ref false in
   (* one-Coflow stream lookahead *)
@@ -112,8 +111,6 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
   let sample_engine () =
     let sz = Inter.engine_size eng in
     if sz > !max_live then max_live := sz;
-    let jl = Inter.engine_journal_length eng in
-    if jl > !max_journal then max_journal := jl;
     if obs then Obs.Registry.gauge_set g_live (float_of_int sz)
   in
   let flush_retired t =
@@ -296,7 +293,6 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
     events = !n_events;
     setups = Slice.setups ex;
     max_live = !max_live;
-    max_journal = !max_journal;
     makespan = !makespan;
     stopped = !stopped;
   }
@@ -310,9 +306,8 @@ let pp_stats ppf s =
      events:      %d@,\
      setups:      %d@,\
      max live:    %d@,\
-     max journal: %d@,\
      makespan:    %g s"
     s.arrivals s.admitted s.rejected s.completed s.events s.setups s.max_live
-    s.max_journal s.makespan;
+    s.makespan;
   if s.stopped then Format.fprintf ppf "@,(interrupted)";
   Format.fprintf ppf "@]"

@@ -10,12 +10,11 @@
     drops the Coflow — so resident state is O(active set), not
     O(stream length). See DESIGN.md, "Serving mode".
 
-    Memory invariants the soak test pins down:
-    - live engine entries track the active set ({!stats.max_live});
-    - the engine's PRT undo journal never outlives a step
-      ({!stats.max_journal} — the repair never rolls its tables back,
-      so every step drops their logs and none is left behind to pin
-      retired windows);
+    Memory invariants the tests pin down:
+    - live engine entries track the active set ({!stats.max_live}, the
+      soak test);
+    - a retired Coflow's PRT windows are not kept alive by the
+      engine's tables (Weak-pointer test on the reservation records);
     - a retired Coflow's demand matrix is collectable once the caller
       lets go of it (Weak-pointer test).
 
@@ -49,10 +48,6 @@ type stats = {
   events : int;  (** scheduling events processed *)
   setups : int;  (** circuit establishments executed *)
   max_live : int;  (** peak engine entry count — the active-set bound *)
-  max_journal : int;
-      (** peak PRT undo-journal length observed right after engine
-          steps — [0] for every incremental mode, because each step
-          drops its log *)
   makespan : float;  (** last completion instant; [0.] if none *)
   stopped : bool;  (** [stop] fired before the stream ran dry *)
 }

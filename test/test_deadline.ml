@@ -86,10 +86,18 @@ module Prt = Sunflow_core.Prt
 module Sunflow = Sunflow_core.Sunflow
 module Order = Sunflow_core.Order
 
-(* The pre-journal implementation: schedule each candidate on a deep
-   copy of the table, then schedule it AGAIN on the real table when it
+(* a fresh table holding the same windows: the deep copy the
+   copy-trial oracle schedules each candidate on *)
+let copy prt =
+  let t = Prt.create () in
+  List.iter (Prt.reserve t) (Prt.all_reservations prt);
+  t
+
+(* The original implementation: schedule each candidate on a deep copy
+   of the table, then schedule it AGAIN on the real table when it
    passes — two [Sunflow.schedule] calls per admitted Coflow. Kept here
-   as the equivalence oracle for the checkpoint/rollback path. *)
+   as the equivalence oracle for the schedule-once path, which removes
+   a rejected plan's windows from the real table instead. *)
 let admit_copy_path ~deadline_of ~delta ~bandwidth coflows =
   let ordered = Inter.sort (Deadline.edf ~deadline_of) ~bandwidth coflows in
   let prt = Prt.create () in
@@ -97,7 +105,7 @@ let admit_copy_path ~deadline_of ~delta ~bandwidth coflows =
   List.iter
     (fun (c : Coflow.t) ->
       let trial =
-        Sunflow.schedule ~prt:(Prt.copy prt) ~now:0. ~order:Order.Ordered_port
+        Sunflow.schedule ~prt:(copy prt) ~now:0. ~order:Order.Ordered_port
           ~delta ~bandwidth c
       in
       if trial.Sunflow.finish <= deadline_of c then begin
@@ -134,7 +142,7 @@ let prop_equals_copy_path =
 
 let test_rejection_prt_byte_identical () =
   (* a run with a hopeless Coflow in the middle leaves the very same
-     table — windows AND undo journal — as the run without it *)
+     windows as the run without it *)
   let big = mk 9 [ ((0, 5), Units.gb 10.) ] in
   let with_big =
     Deadline.admit
@@ -150,10 +158,36 @@ let test_rejection_prt_byte_identical () =
     (List.map fst with_big.Deadline.rejected);
   Alcotest.(check bool) "identical reservations" true
     (Prt.all_reservations with_big.Deadline.prt
-    = Prt.all_reservations without.Deadline.prt);
-  Alcotest.(check int) "identical undo journal"
-    (Prt.journal_length without.Deadline.prt)
-    (Prt.journal_length with_big.Deadline.prt)
+    = Prt.all_reservations without.Deadline.prt)
+
+(* Ids are not checked for uniqueness. A rejected Coflow that shares
+   its id with an admitted one must take only its own plan's windows
+   with it: retracting by owner id would also delete the admitted
+   Coflow's windows and let the Coflow after it jump the queue. *)
+let test_rejection_shared_id () =
+  let dup = mk 1 [ ((0, 6), Units.gb 10.) ] in
+  let deadline_of (c : Coflow.t) =
+    if c.Coflow.id = 3 then 10.
+    else if Demand.get c.Coflow.demand 0 6 > 0. then 0.3
+    else 0.2
+  in
+  let batch = [ c1; dup; c3 ] in
+  let a = Deadline.admit ~deadline_of ~delta ~bandwidth:b batch in
+  Alcotest.(check (list int)) "the big twin rejected" [ 1 ]
+    (List.map fst a.Deadline.rejected);
+  Alcotest.(check (list int)) "c1 and c3 admitted" [ 1; 3 ]
+    (List.map fst a.Deadline.admitted);
+  Alcotest.(check bool) "c1's window survives on In 0" true
+    (List.exists
+       (fun w -> w.Prt.coflow = 1 && w.Prt.dst = 5)
+       (Prt.port_reservations a.Deadline.prt (Prt.In 0)));
+  let adm, rej, prt_old =
+    admit_copy_path ~deadline_of ~delta ~bandwidth:b batch
+  in
+  Alcotest.(check bool) "same admissions as the copy-trial oracle" true
+    (a.Deadline.admitted = adm && a.Deadline.rejected = rej);
+  Alcotest.(check bool) "same table as the copy-trial oracle" true
+    (Prt.all_reservations a.Deadline.prt = Prt.all_reservations prt_old)
 
 let test_single_schedule_per_coflow () =
   (* the reservation counter must move exactly as much as scheduling
@@ -201,4 +235,6 @@ let suite =
       test_rejection_prt_byte_identical;
     Alcotest.test_case "single schedule per admitted Coflow" `Quick
       test_single_schedule_per_coflow;
+    Alcotest.test_case "rejection keeps a shared id's windows" `Quick
+      test_rejection_shared_id;
   ]

@@ -217,42 +217,59 @@ let test_dirty_suffix_smaller () =
 
 let test_no_gc_pinning () =
   let n = 10 in
-  let eng =
-    Inter.engine ~policy:Inter.Shortest_first ~delta:(Units.ms 10.) ~bandwidth
-      ()
-  in
-  let weak = Weak.create n in
-  (* admit and retire inside a closure so no local below keeps the
-     Coflows reachable *)
-  let () =
-    let coflows =
-      List.init n (fun i ->
-          let d = Demand.create () in
-          Demand.set d (i mod 4) ((i + 1) mod 4) (Units.mb 5.);
-          let c = Coflow.make ~id:i ~arrival:0. d in
-          Weak.set weak i (Some c);
-          c)
-    in
-    let remaining id =
-      (List.nth coflows id).Coflow.demand
-    in
-    Inter.schedule_incremental eng ~now:0. ~arrivals:coflows ~finished:[]
-      ~remaining;
-    Inter.schedule_incremental eng ~now:10. ~arrivals:[]
-      ~finished:(List.init n Fun.id)
-      ~remaining:(fun _ -> Demand.create ())
-  in
-  Alcotest.(check int) "engine drained" 0 (Inter.engine_size eng);
-  Gc.full_major ();
-  Gc.full_major ();
-  for i = 0 to n - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "retired Coflow %d collected" i)
-      false (Weak.check weak i)
-  done;
-  (* keep [eng] live past the major collections: the point is that a
-     *live* engine does not pin retired entries *)
-  ignore (Sys.opaque_identity eng)
+  List.iter
+    (fun shards ->
+      let label what i = Printf.sprintf "shards %d: %s %d" shards what i in
+      let eng =
+        Inter.engine ~shards ~policy:Inter.Shortest_first
+          ~delta:(Units.ms 10.) ~bandwidth ()
+      in
+      let weak = Weak.create n in
+      let windows = ref (Weak.create 0) in
+      (* admit and retire inside a closure so no local below keeps the
+         Coflows or their windows reachable *)
+      let () =
+        let coflows =
+          List.init n (fun i ->
+              let d = Demand.create () in
+              Demand.set d (i mod 4) ((i + 1) mod 4) (Units.mb 5.);
+              let c = Coflow.make ~id:i ~arrival:0. d in
+              Weak.set weak i (Some c);
+              c)
+        in
+        let remaining id =
+          (List.nth coflows id).Coflow.demand
+        in
+        Inter.schedule_incremental eng ~now:0. ~arrivals:coflows ~finished:[]
+          ~remaining;
+        (* nothing straddles [t0 = 0.], so no window is clipped into a
+           fresh record: these are the reservation tables' own *)
+        let ws = Inter.engine_slice eng ~t0:0. ~t1:infinity in
+        windows := Weak.create (List.length ws);
+        List.iteri (fun i w -> Weak.set !windows i (Some w)) ws;
+        Inter.schedule_incremental eng ~now:10. ~arrivals:[]
+          ~finished:(List.init n Fun.id)
+          ~remaining:(fun _ -> Demand.create ())
+      in
+      Alcotest.(check int) "engine drained" 0 (Inter.engine_size eng);
+      Alcotest.(check bool) "windows tracked" true (Weak.length !windows >= n);
+      Gc.full_major ();
+      Gc.full_major ();
+      for i = 0 to n - 1 do
+        Alcotest.(check bool)
+          (label "retired Coflow collected" i)
+          false (Weak.check weak i)
+      done;
+      for i = 0 to Weak.length !windows - 1 do
+        Alcotest.(check bool)
+          (label "retired window collected" i)
+          false
+          (Weak.check !windows i)
+      done;
+      (* keep [eng] live past the major collections: the point is that
+         a *live* engine does not pin retired entries or windows *)
+      ignore (Sys.opaque_identity eng))
+    [ 1; 2 ]
 
 let test_inconsistent_comparator_detected () =
   let flip = ref false in

@@ -97,23 +97,52 @@ module Ref_prt = struct
              (b.Prt.start, b.Prt.src, b.Prt.dst))
 end
 
+(* Single-port answers through the two-port probe: pair the port with
+   one that never holds a window, so [probe_pair] is [neg_infinity]
+   exactly when the port is busy at the instant and otherwise the
+   port's next start strictly after it (or [infinity]). *)
+let idle = 999
+
+let probe1 t p instant =
+  match p with
+  | Prt.In src -> Prt.probe_pair t ~src ~dst:idle instant
+  | Prt.Out dst -> Prt.probe_pair t ~src:idle ~dst instant
+
+let free_at t p instant = probe1 t p instant <> neg_infinity
+
+(* every port id the fixed-table tests below touch, both namespaces *)
+let small_ports =
+  List.concat_map (fun i -> [ Prt.In i; Prt.Out i ]) (List.init 8 Fun.id)
+
+let port_windows t = List.map (Prt.port_reservations t) small_ports
+
 let test_free_at () =
   let t = Prt.create () in
-  Alcotest.(check bool) "empty free" true (Prt.free_at t (Prt.In 0) 5.);
+  Alcotest.(check (float 0.)) "empty free, nothing ahead" infinity
+    (probe1 t (Prt.In 0) 5.);
   Prt.reserve t (r ~src:0 ~dst:1 ~start:1. ~setup:0.1 ~length:2. ());
-  Alcotest.(check bool) "before" true (Prt.free_at t (Prt.In 0) 0.5);
-  Alcotest.(check bool) "at start busy" false (Prt.free_at t (Prt.In 0) 1.);
-  Alcotest.(check bool) "inside busy" false (Prt.free_at t (Prt.In 0) 2.);
-  Alcotest.(check bool) "at stop free" true (Prt.free_at t (Prt.In 0) 3.);
-  Alcotest.(check bool) "out port busy too" false (Prt.free_at t (Prt.Out 1) 2.);
-  Alcotest.(check bool) "other port free" true (Prt.free_at t (Prt.In 1) 2.)
+  Alcotest.(check (float 0.)) "before: free, next start" 1.
+    (probe1 t (Prt.In 0) 0.5);
+  Alcotest.(check bool) "at start busy" false (free_at t (Prt.In 0) 1.);
+  Alcotest.(check bool) "inside busy" false (free_at t (Prt.In 0) 2.);
+  Alcotest.(check (float 0.)) "at stop free" infinity (probe1 t (Prt.In 0) 3.);
+  Alcotest.(check bool) "out port busy too" false (free_at t (Prt.Out 1) 2.);
+  Alcotest.(check bool) "other port free" true (free_at t (Prt.In 1) 2.);
+  Alcotest.(check (float 0.)) "busy partner blocks the pair" neg_infinity
+    (Prt.probe_pair t ~src:1 ~dst:1 2.)
 
 let test_in_out_namespaces () =
   let t = Prt.create () in
   Prt.reserve t (r ~src:3 ~dst:3 ~start:0. ~setup:0. ~length:1. ());
   (* circuit 3 -> 3 occupies In 3 and Out 3 but not the other pair *)
-  Alcotest.(check bool) "In 3 busy" false (Prt.free_at t (Prt.In 3) 0.5);
-  Alcotest.(check bool) "Out 3 busy" false (Prt.free_at t (Prt.Out 3) 0.5);
+  Alcotest.(check bool) "In 3 busy" false (free_at t (Prt.In 3) 0.5);
+  Alcotest.(check bool) "Out 3 busy" false (free_at t (Prt.Out 3) 0.5);
+  Alcotest.(check int) "In 3 holds it" 1
+    (List.length (Prt.port_reservations t (Prt.In 3)));
+  Alcotest.(check int) "Out 3 holds it" 1
+    (List.length (Prt.port_reservations t (Prt.Out 3)));
+  Alcotest.(check int) "Out 4 does not" 0
+    (List.length (Prt.port_reservations t (Prt.Out 4)));
   Prt.reserve t (r ~src:4 ~dst:5 ~start:0. ~setup:0. ~length:1. ());
   Alcotest.(check int) "two reservations" 2 (List.length (Prt.all_reservations t))
 
@@ -135,7 +164,7 @@ let test_overlap_rejected () =
      Alcotest.fail "expected output overlap rejection"
    with Invalid_argument _ -> ());
   Alcotest.(check int) "still one" 1 (List.length (Prt.all_reservations t));
-  Alcotest.(check bool) "In 7 free" true (Prt.free_at t (Prt.In 7) 2.5)
+  Alcotest.(check bool) "In 7 free" true (free_at t (Prt.In 7) 2.5)
 
 let test_back_to_back_ok () =
   let t = Prt.create () in
@@ -159,17 +188,31 @@ let test_validation () =
   Alcotest.check_raises "port id too large"
     (Invalid_argument "Prt.reserve: port id too large") (fun () ->
       Prt.reserve t huge);
-  Alcotest.(check bool) "nothing reserved" true (Prt.is_empty t);
-  Alcotest.(check int) "no port in use" 0 (List.length (Prt.ports_in_use t))
+  Alcotest.(check int) "nothing reserved" 0
+    (List.length (Prt.all_reservations t));
+  Alcotest.(check bool) "no port touched" true
+    (List.for_all (( = ) []) (port_windows t))
 
 let test_next_start_after () =
   let t = Prt.create () in
   Prt.reserve t (r ~src:0 ~dst:1 ~start:5. ~setup:0. ~length:1. ());
   Prt.reserve t (r ~src:0 ~dst:2 ~start:9. ~setup:0. ~length:1. ());
-  Util.check_close "first upcoming" 5. (Prt.next_start_after t (Prt.In 0) 0.);
-  Util.check_close "strictly after" 9. (Prt.next_start_after t (Prt.In 0) 5.);
-  Alcotest.(check bool) "none left" true
-    (Prt.next_start_after t (Prt.In 0) 9. = infinity)
+  Prt.reserve t (r ~src:3 ~dst:4 ~start:7. ~setup:0. ~length:1. ());
+  Util.check_close "first upcoming" 5. (probe1 t (Prt.In 0) 0.);
+  Util.check_close "between windows" 9. (probe1 t (Prt.In 0) 6.);
+  (* at 5 the port is busy, so the probe has no next start to give;
+     the port's own windows answer "strictly after" *)
+  Alcotest.(check (float 0.)) "busy at a start" neg_infinity
+    (probe1 t (Prt.In 0) 5.);
+  Util.check_close "strictly after, from the slot" 9.
+    (List.find (fun w -> w.Prt.start > 5.) (Prt.port_reservations t (Prt.In 0)))
+      .Prt.start;
+  Alcotest.(check bool) "none left" true (probe1 t (Prt.In 0) 10. = infinity);
+  (* the pair answers the earlier next start over both endpoints *)
+  Util.check_close "earlier over both ports" 5.
+    (Prt.probe_pair t ~src:0 ~dst:4 0.);
+  Util.check_close "the partner's start when earlier" 7.
+    (Prt.probe_pair t ~src:0 ~dst:4 6.)
 
 let test_next_release () =
   let t = Prt.create () in
@@ -193,14 +236,6 @@ let test_established_at () =
   Alcotest.(check (list (pair int int))) "after stop" []
     (Prt.established_at t 3.)
 
-let test_copy_isolation () =
-  let t = Prt.create () in
-  Prt.reserve t (r ~src:0 ~dst:1 ~start:0. ~setup:0. ~length:1. ());
-  let t' = Prt.copy t in
-  Prt.reserve t' (r ~src:5 ~dst:6 ~start:0. ~setup:0. ~length:1. ());
-  Alcotest.(check int) "copy extended" 2 (List.length (Prt.all_reservations t'));
-  Alcotest.(check int) "original intact" 1 (List.length (Prt.all_reservations t))
-
 let test_rollback_leaves_table_unchanged () =
   (* Out-port conflict after the In-port insert succeeded: the failed
      reserve must undo the In insert completely — reservations, port
@@ -210,13 +245,13 @@ let test_rollback_leaves_table_unchanged () =
   Prt.reserve t (r ~src:2 ~dst:3 ~start:1. ~setup:0.01 ~length:2. ());
   Prt.reserve t (r ~src:4 ~dst:1 ~start:2.5 ~setup:0.01 ~length:1. ());
   let before = Prt.all_reservations t in
-  let before_ports = Prt.ports_in_use t in
+  let before_ports = port_windows t in
   let probe_instants = [ 0.; 0.5; 1.; 1.9999; 2.; 2.75; 3.5; 10. ] in
   let snapshot () =
     List.map
       (fun i ->
-        ( Prt.free_at t (Prt.In 5) i,
-          Prt.next_start_after t (Prt.In 5) i,
+        ( probe1 t (Prt.In 5) i,
+          Prt.probe_pair t ~src:5 ~dst:1 i,
           Prt.next_release_pair t ~src:0 ~dst:3 i,
           Prt.next_release_pair t ~src:5 ~dst:1 i ))
       probe_instants
@@ -233,11 +268,11 @@ let test_rollback_leaves_table_unchanged () =
     (List.length (Prt.all_reservations t));
   Alcotest.(check bool) "same reservations" true
     (before = Prt.all_reservations t);
-  Alcotest.(check bool) "same ports in use" true
-    (before_ports = Prt.ports_in_use t);
+  Alcotest.(check bool) "same port windows" true
+    (before_ports = port_windows t);
   Alcotest.(check bool) "same query answers" true
     (before_answers = snapshot ());
-  Alcotest.(check bool) "In 5 still free" true (Prt.free_at t (Prt.In 5) 1.5);
+  Alcotest.(check bool) "In 5 still free" true (free_at t (Prt.In 5) 1.5);
   (* the table still accepts a compatible reservation afterwards *)
   Prt.reserve t (r ~src:5 ~dst:6 ~start:1. ~setup:0.01 ~length:1. ());
   Alcotest.(check int) "fresh reserve lands" (List.length before + 1)
@@ -280,6 +315,8 @@ let agree_on_queries t ref_t stream =
     List.concat_map (fun src -> List.map (fun dst -> (src, dst)) query_ports)
       query_ports
   in
+  (* [pairs] includes every never-reserved partner in [query_ports],
+     so the single-port answers are covered by [probe_pair] too *)
   List.for_all
     (fun p -> Prt.port_reservations t p = Ref_prt.port_list ref_t p)
     ports
@@ -297,16 +334,7 @@ let agree_on_queries t ref_t stream =
              = Ref_prt.next_release_pair ref_t ~src ~dst instant
              && Prt.probe_pair t ~src ~dst instant
                 = Ref_prt.probe_pair ref_t ~src ~dst instant)
-           pairs
-         && List.for_all
-              (fun p ->
-                Prt.free_at t p instant = Ref_prt.free_at ref_t p instant
-                && Prt.next_start_after t p instant
-                   = Ref_prt.next_start_after ref_t p instant
-                && Prt.probe t p instant
-                   = ( Ref_prt.free_at ref_t p instant,
-                       Ref_prt.next_start_after ref_t p instant ))
-              ports)
+           pairs)
        query_instants
 
 let prop_oracle_vs_list_reference =
@@ -374,7 +402,10 @@ let test_concurrent_counters () =
         (r ~src:0 ~dst:0 ~start:(float_of_int i) ~setup:0.001 ~length:0.5 ())
     done;
     for i = 0 to queries - 1 do
-      ignore (Prt.free_at t (Prt.In 0) (float_of_int i *. 0.31) : bool)
+      (* one query each, whatever the port's state *)
+      ignore
+        (Prt.next_release_pair t ~src:0 ~dst:idle (float_of_int i *. 0.31)
+          : float)
     done
   in
   let before = Prt.stats () in
@@ -387,69 +418,80 @@ let test_concurrent_counters () =
   Alcotest.(check int)
     "queries" (n_domains * queries)
     (after.Prt.queries - before.Prt.queries);
-  (* every free_at probes at least once on a non-empty port *)
+  (* every query probes at least once on the non-empty In port *)
   Alcotest.(check bool)
     "scans counted" true
     (after.Prt.scans - before.Prt.scans >= n_domains * queries)
 
-(* --- checkpoint / rollback / retract (PR 5) --- *)
+(* --- removal / retract --- *)
 
+(* everything a reader can observe of a table over the ports the tests
+   use: windows per port and overall, the interval index's answers and
+   both hot queries *)
 let table_fingerprint t =
+  let instants = [ 0.; 0.5; 1.; 2.; 5. ] in
   ( Prt.all_reservations t,
-    List.map (fun p -> (p, Prt.port_reservations t p)) (Prt.ports_in_use t),
+    port_windows t,
+    Prt.reservations_in t 0. 10.,
+    List.map (fun i -> List.sort compare (Prt.covering_at t i)) instants,
     List.concat_map
       (fun i ->
-        List.map
-          (fun (src, dst) -> Prt.next_release_pair t ~src ~dst i)
+        List.concat_map
+          (fun (src, dst) ->
+            [
+              Prt.probe_pair t ~src ~dst i;
+              Prt.next_release_pair t ~src ~dst i;
+            ])
           [ (0, 0); (1, 1); (2, 2); (4, 5) ])
-      [ 0.; 0.5; 1.; 2.; 5. ] )
+      instants )
 
-let test_checkpoint_rollback () =
+(* What [Deadline.admit] relies on to reject a plan: removing the
+   windows just reserved, in the order they were made, restores the
+   table exactly — including when they share a Coflow id with windows
+   that stay. *)
+let test_remove_restores () =
   let t = Prt.create () in
   Prt.reserve t (r ~coflow:1 ~src:0 ~dst:1 ~start:0. ~setup:0.01 ~length:1. ());
   Prt.reserve t (r ~coflow:1 ~src:1 ~dst:0 ~start:0.5 ~setup:0.01 ~length:1. ());
   let snap = table_fingerprint t in
-  let cp = Prt.checkpoint t in
-  (* empty suffix: rolling back with nothing recorded is a no-op *)
-  Prt.rollback t cp;
-  Alcotest.(check bool) "empty rollback no-op" true (table_fingerprint t = snap);
+  let reserve_all ws = List.iter (Prt.reserve t) ws in
+  let remove_all ws =
+    List.iter
+      (fun w ->
+        Alcotest.(check bool) "window present" true (Prt.remove t w))
+      ws
+  in
   (* a carried-circuit continuation (zero setup, back to back with
-     coflow 1's window on the same ports) plus fresh windows elsewhere *)
-  Prt.reserve t (r ~coflow:2 ~src:0 ~dst:1 ~start:1. ~setup:0. ~length:0.5 ());
-  Prt.reserve t (r ~coflow:2 ~src:2 ~dst:3 ~start:0. ~setup:0.01 ~length:2. ());
-  Prt.reserve t (r ~coflow:3 ~src:1 ~dst:2 ~start:1.5 ~setup:0.01 ~length:1. ());
+     coflow 1's window on the same ports), fresh windows elsewhere, and
+     one more window of coflow 1 itself *)
+  let suffix =
+    [
+      r ~coflow:2 ~src:0 ~dst:1 ~start:1. ~setup:0. ~length:0.5 ();
+      r ~coflow:2 ~src:2 ~dst:3 ~start:0. ~setup:0.01 ~length:2. ();
+      r ~coflow:3 ~src:1 ~dst:2 ~start:1.5 ~setup:0.01 ~length:1. ();
+      r ~coflow:1 ~src:4 ~dst:5 ~start:0. ~setup:0.01 ~length:3. ();
+    ]
+  in
+  reserve_all suffix;
   Alcotest.(check bool) "suffix landed" false (table_fingerprint t = snap);
-  Prt.rollback t cp;
-  Alcotest.(check bool) "rollback restores table" true
+  remove_all suffix;
+  Alcotest.(check bool) "removal restores table" true
     (table_fingerprint t = snap);
-  (* rollback-then-reuse: the freed span can be reserved again, and the
-     same mark stays valid for a second rollback *)
-  Prt.reserve t (r ~coflow:4 ~src:0 ~dst:1 ~start:1. ~setup:0.01 ~length:0.25 ());
-  Alcotest.(check bool) "freed span reusable" true (Prt.free_at t (Prt.In 0) 1.5);
-  Prt.rollback t cp;
-  Alcotest.(check bool) "mark reusable" true (table_fingerprint t = snap);
-  (* a mark discarded by rolling back past it is rejected *)
-  let deep = Prt.checkpoint t in
-  Prt.reserve t (r ~coflow:5 ~src:4 ~dst:5 ~start:0. ~setup:0.01 ~length:1. ());
-  let late = Prt.checkpoint t in
-  Prt.rollback t deep;
-  Alcotest.check_raises "stale checkpoint"
-    (Invalid_argument "Prt.rollback: stale checkpoint") (fun () ->
-      Prt.rollback t late)
-
-let test_rollback_skips_retracted () =
-  let t = Prt.create () in
-  let cp = Prt.checkpoint t in
-  Prt.reserve t (r ~coflow:1 ~src:0 ~dst:1 ~start:0. ~setup:0.01 ~length:1. ());
-  Prt.reserve t (r ~coflow:2 ~src:1 ~dst:2 ~start:0. ~setup:0.01 ~length:1. ());
-  Prt.reserve t (r ~coflow:1 ~src:2 ~dst:0 ~start:2. ~setup:0.01 ~length:1. ());
-  Alcotest.(check int) "retract removes both windows" 2 (Prt.retract_coflow t 1);
+  (* the freed span can be reserved again, and removed again *)
+  let reuse =
+    [ r ~coflow:4 ~src:0 ~dst:1 ~start:1. ~setup:0.01 ~length:0.25 () ]
+  in
+  reserve_all reuse;
+  Alcotest.(check bool) "freed span taken again" false
+    (free_at t (Prt.In 0) 1.1);
+  remove_all reuse;
+  Alcotest.(check bool) "second removal restores" true
+    (table_fingerprint t = snap);
+  (* coflow 1's original windows survived its removed sibling *)
+  Alcotest.(check int) "shared id keeps its other windows" 2
+    (Prt.retract_coflow t 1);
   Alcotest.(check int) "retract unknown id" 0 (Prt.retract_coflow t 7);
-  (* the undo log still holds coflow 1's entries; rollback skips them
-     and removes coflow 2's *)
-  Prt.rollback t cp;
-  Alcotest.(check bool) "table empty" true (Prt.is_empty t);
-  Alcotest.(check int) "nothing left" 0 (List.length (Prt.all_reservations t))
+  Alcotest.(check int) "table empty" 0 (List.length (Prt.all_reservations t))
 
 let test_remove_consistency () =
   let t = Prt.create () in
@@ -461,21 +503,9 @@ let test_remove_consistency () =
   Alcotest.(check bool) "remove absent" false (Prt.remove t a);
   Alcotest.(check (float 0.)) "releases updated" 2.
     (Prt.next_release_pair t ~src:0 ~dst:2 0.5);
-  Alcotest.(check bool) "In port freed" true (Prt.free_at t (Prt.In 0) 0.5);
-  Alcotest.(check bool) "Out port freed" true (Prt.free_at t (Prt.Out 1) 0.5);
-  Alcotest.(check bool) "other window intact" false
-    (Prt.free_at t (Prt.In 1) 0.5)
-
-let test_copy_rollback_isolation () =
-  let t = Prt.create () in
-  let cp = Prt.checkpoint t in
-  Prt.reserve t (r ~coflow:1 ~src:0 ~dst:1 ~start:0. ~setup:0.01 ~length:1. ());
-  let u = Prt.copy t in
-  Prt.rollback u cp;
-  Alcotest.(check bool) "copy rolled back to empty" true (Prt.is_empty u);
-  Alcotest.(check bool) "original untouched" false (Prt.is_empty t);
-  Alcotest.(check int) "retract in original only" 1 (Prt.retract_coflow t 1);
-  Alcotest.(check int) "copy ownership independent" 0 (Prt.retract_coflow u 1)
+  Alcotest.(check bool) "In port freed" true (free_at t (Prt.In 0) 0.5);
+  Alcotest.(check bool) "Out port freed" true (free_at t (Prt.Out 1) 0.5);
+  Alcotest.(check bool) "other window intact" false (free_at t (Prt.In 1) 0.5)
 
 (* Queries on a port no slot array reaches — negative, or past the
    highest reserved id — answer as for a never-used port, raise
@@ -485,7 +515,7 @@ let test_out_of_range_ports () =
   Prt.reserve t (r ~coflow:1 ~src:0 ~dst:1 ~start:0. ~setup:0. ~length:1. ());
   Prt.reserve t (r ~coflow:2 ~src:5 ~dst:3 ~start:2. ~setup:0. ~length:1. ());
   let before = Prt.all_reservations t in
-  let before_ports = Prt.ports_in_use t in
+  let before_ports = port_windows t in
   let before_words = Obj.reachable_words (Obj.repr t) in
   let far = [ -1; min_int; 6; 64; 100_000; max_int ] in
   List.iter
@@ -493,10 +523,8 @@ let test_out_of_range_ports () =
       let label what = Printf.sprintf "%s on port %d" what p in
       List.iter
         (fun port ->
-          Alcotest.(check bool) (label "free_at") true (Prt.free_at t port 0.5);
           Alcotest.(check (float 0.))
-            (label "next_start_after") infinity
-            (Prt.next_start_after t port 0.5);
+            (label "single-port probe") infinity (probe1 t port 0.5);
           Alcotest.(check int)
             (label "port_reservations") 0
             (List.length (Prt.port_reservations t port)))
@@ -518,8 +546,8 @@ let test_out_of_range_ports () =
     (Prt.next_release_pair t ~src:max_int ~dst:1 0.5);
   Alcotest.(check bool) "same reservations" true
     (before = Prt.all_reservations t);
-  Alcotest.(check bool) "same ports in use" true
-    (before_ports = Prt.ports_in_use t);
+  Alcotest.(check bool) "same port windows" true
+    (before_ports = port_windows t);
   Alcotest.(check int) "nothing grown" before_words
     (Obj.reachable_words (Obj.repr t))
 
@@ -587,7 +615,7 @@ let test_remove_field_copy () =
   (* the owner's list lost it too: only [other] is left to retract *)
   Alcotest.(check int) "retract removes the rest" 1 (Prt.retract_coflow t 7);
   Alcotest.(check int) "owner emptied" 0 (Prt.retract_coflow t 7);
-  Alcotest.(check bool) "table empty" true (Prt.is_empty t)
+  Alcotest.(check int) "table empty" 0 (List.length (Prt.all_reservations t))
 
 let test_covering_and_range () =
   let t = Prt.create () in
@@ -615,8 +643,9 @@ let test_covering_and_range () =
 
 (* Stabbing queries against a brute-force linear scan over a mirror
    list, through enough windows to force several block splits, with
-   interleaved removals, a checkpoint/rollback, and a retraction — the
-   whole maintenance surface the index must survive. *)
+   interleaved removals, a batch reserved and removed again, and a
+   retraction — the whole maintenance surface the index must
+   survive. *)
 let test_interval_index_oracle () =
   let rng = Sunflow_stats.Rng.create 4242 in
   let t = Prt.create () in
@@ -684,31 +713,25 @@ let test_interval_index_oracle () =
     if i mod 3 = 0 then remove_random ()
   done;
   agree "after growth";
-  (* a rolled-back suffix must vanish from the index too *)
-  let cp = Prt.checkpoint t in
-  let marked = ref [] in
-  for _ = 1 to 120 do
-    let w = fresh () in
-    Prt.reserve t w;
-    marked := w :: !marked
-  done;
-  Prt.rollback t cp;
-  agree "after rollback";
+  (* a batch removed again right after it was reserved must vanish
+     from the index too *)
+  let snap = table_fingerprint t in
+  let batch = List.init 120 (fun _ -> fresh ()) in
+  List.iter (Prt.reserve t) batch;
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) "batch window present" true (Prt.remove t w))
+    batch;
+  Alcotest.(check bool) "batch removal restores the table" true
+    (table_fingerprint t = snap);
+  agree "after batch removal";
   (* retraction drains by owner id *)
   let victim = Sunflow_stats.Rng.int rng n_ports in
   let gone = Prt.retract_coflow t victim in
   Alcotest.(check int) "retract count matches mirror" gone
     (List.length (List.filter (fun w -> w.Prt.coflow = victim) !mirror));
   mirror := List.filter (fun w -> w.Prt.coflow <> victim) !mirror;
-  agree "after retract";
-  (* and a copied table answers identically while staying isolated *)
-  let u = Prt.copy t in
-  for _ = 1 to 60 do
-    reserve ()
-  done;
-  Alcotest.(check bool) "copy unaffected by later inserts" true
-    (List.length (Prt.covering_at u 4.) <= List.length (Prt.covering_at t 4.));
-  agree "after copy + growth"
+  agree "after retract"
 
 let test_fits_exact () =
   let t = Prt.create () in
@@ -776,12 +799,10 @@ let suite =
     Alcotest.test_case "next_start_after" `Quick test_next_start_after;
     Alcotest.test_case "next release" `Quick test_next_release;
     Alcotest.test_case "established_at" `Quick test_established_at;
-    Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
     Alcotest.test_case "rollback leaves table unchanged" `Quick
       test_rollback_leaves_table_unchanged;
-    Alcotest.test_case "checkpoint/rollback" `Quick test_checkpoint_rollback;
-    Alcotest.test_case "rollback skips retracted" `Quick
-      test_rollback_skips_retracted;
+    Alcotest.test_case "removing just-reserved windows restores" `Quick
+      test_remove_restores;
     Alcotest.test_case "remove consistency" `Quick test_remove_consistency;
     Alcotest.test_case "queries on out-of-range ports" `Quick
       test_out_of_range_ports;
@@ -789,8 +810,6 @@ let suite =
       test_remove_field_copy;
     Alcotest.test_case "hot queries allocate only their result" `Quick
       test_hot_queries_allocate_only_result;
-    Alcotest.test_case "copy rollback isolation" `Quick
-      test_copy_rollback_isolation;
     Alcotest.test_case "covering_at / reservations_in" `Quick
       test_covering_and_range;
     Alcotest.test_case "interval index vs stabbing oracle" `Quick
