@@ -542,12 +542,13 @@ let replay_section ppf s =
     in
     (Sunflow_trace.Synthetic.generate scaled).Sunflow_trace.Trace.coflows
   in
-  let run_one ?(bucket_base = 4.) y_trace y_policy policy coflows y_mode replan
+  let run_one ?bucket_base y_trace y_policy policy coflows y_mode replan
       y_buckets =
     let t0 = Unix.gettimeofday () in
     let r =
-      Circuit_sim.run ~policy ~replan ~buckets:y_buckets ~bucket_base ~delta
-        ~bandwidth coflows
+      Circuit_sim.replay ~policy ~replan
+        ~config:(Sunflow_core.Inter.config ~buckets:y_buckets ?bucket_base ())
+        ~delta ~bandwidth coflows
     in
     let y_wall_s = Unix.gettimeofday () -. t0 in
     replay_rows :=
@@ -708,21 +709,29 @@ let kernel_section ppf _s =
   for _ = 1 to 1_000 do
     one ()
   done;
+  (* one timed loop is mostly host noise at this length: time [rounds]
+     equal rounds and report the median round *)
+  let rounds = 5 in
   let iters = if fast () then 5_000 else 50_000 in
+  let per_round = iters / rounds in
+  let ns = Array.make rounds 0. in
   Gc.full_major ();
   let mw0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    one ()
+  for r = 0 to rounds - 1 do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to per_round do
+      one ()
+    done;
+    ns.(r) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int per_round
   done;
-  let wall = Unix.gettimeofday () -. t0 in
   let mw = Gc.minor_words () -. mw0 in
-  let k_ns_per_schedule = wall *. 1e9 /. float_of_int iters in
+  Array.sort Float.compare ns;
+  let k_ns_per_schedule = ns.(rounds / 2) in
   let k_minor_words_per_schedule = mw /. float_of_int iters in
   Format.fprintf ppf
-    "  %d-port shuffle: %.0f ns/schedule, %.0f minor words/schedule (%d \
-     iters)@."
-    n_ports k_ns_per_schedule k_minor_words_per_schedule iters;
+    "  %d-port shuffle: %.0f ns/schedule (median of %d rounds), %.0f minor \
+     words/schedule (%d iters)@."
+    n_ports k_ns_per_schedule rounds k_minor_words_per_schedule iters;
   kernel_row :=
     Some
       {
@@ -822,9 +831,12 @@ let shard_section ppf _s =
     let p0 = plan_sum () in
     let t0 = Unix.gettimeofday () in
     let r =
-      Circuit_sim.run ~policy:Sunflow_core.Inter.Shortest_first
-        ~replan:`Incremental ~buckets:24 ~bucket_base:2. ~shards
-        ~shard_block:pod_size ~shard_stats:stats ~delta ~bandwidth trace
+      Circuit_sim.replay ~policy:Sunflow_core.Inter.Shortest_first
+        ~replan:`Incremental
+        ~config:
+          (Sunflow_core.Inter.config ~buckets:24 ~bucket_base:2. ~shards
+             ~shard_block:pod_size ())
+        ~shard_stats:stats ~delta ~bandwidth trace
     in
     let wall = Unix.gettimeofday () -. t0 in
     (wall, plan_sum () -. p0, r, !stats)
@@ -937,8 +949,9 @@ let report_section ppf s =
         Obs.Timeline.clear ();
         let t0 = Unix.gettimeofday () in
         let r =
-          Circuit_sim.run ~policy:Sunflow_core.Inter.Shortest_first ~replan
-            ~shards ~delta ~bandwidth coflows
+          Circuit_sim.replay ~policy:Sunflow_core.Inter.Shortest_first ~replan
+            ~config:(Sunflow_core.Inter.config ~shards ())
+            ~delta ~bandwidth coflows
         in
         let t_wall_s = Unix.gettimeofday () -. t0 in
         Obs.Control.set_enabled false;
@@ -1183,23 +1196,7 @@ let serve_section ppf _s =
    flat enough that correctness-by-construction is easy to audit, and
    bench/check_bench_json.ml re-parses the output to keep it honest. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.9g" x else "null"
+module Json = Obs.Json
 
 let json_stats (s : Prt.stats) =
   Printf.sprintf
@@ -1216,8 +1213,8 @@ let emit_json path s domains =
   add
     "  \"settings\": {\"bandwidth_gbps\": %s, \"delta_s\": %s, \"n_coflows\": \
      %d, \"seed\": %d},\n"
-    (json_float (Units.to_gbps s.E.Common.bandwidth))
-    (json_float s.E.Common.delta)
+    (Json.float (Units.to_gbps s.E.Common.bandwidth))
+    (Json.float s.E.Common.delta)
     s.E.Common.trace_params.Sunflow_trace.Synthetic.n_coflows
     s.E.Common.trace_params.Sunflow_trace.Synthetic.seed;
   add "  \"experiments\": [\n";
@@ -1225,7 +1222,7 @@ let emit_json path s domains =
   List.iteri
     (fun i row ->
       add "    {\"name\": \"%s\", \"wall_s\": %s, \"prt_stats\": %s}%s\n"
-        (json_escape row.name) (json_float row.wall_s) (json_stats row.prt)
+        (Json.escape row.name) (Json.float row.wall_s) (json_stats row.prt)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   add "  ],\n";
@@ -1235,15 +1232,15 @@ let emit_json path s domains =
   in
   List.iteri
     (fun i (name, ns) ->
-      add "    {\"name\": \"%s\", \"ns_per_run\": %s}%s\n" (json_escape name)
-        (json_float ns)
+      add "    {\"name\": \"%s\", \"ns_per_run\": %s}%s\n" (Json.escape name)
+        (Json.float ns)
         (if i = List.length brows - 1 then "" else ","))
     brows;
   add "  ],\n";
   add "  \"parallel\": [\n";
   let prows = List.rev !parallel_rows in
   let json_digest = function
-    | Some d -> Printf.sprintf "\"%s\"" (json_escape d)
+    | Some d -> Printf.sprintf "\"%s\"" (Json.escape d)
     | None -> "null"
   in
   List.iteri
@@ -1251,10 +1248,10 @@ let emit_json path s domains =
       add
         "    {\"name\": \"%s\", \"wall_par_s\": %s, \"wall_seq_s\": %s, \
          \"speedup\": %s, \"digest_par\": %s, \"digest_seq\": %s}%s\n"
-        (json_escape row.p_name)
-        (json_float row.wall_par_s)
-        (json_float row.wall_seq_s)
-        (json_float (row.wall_seq_s /. row.wall_par_s))
+        (Json.escape row.p_name)
+        (Json.float row.wall_par_s)
+        (Json.float row.wall_seq_s)
+        (Json.float (row.wall_seq_s /. row.wall_par_s))
         (json_digest row.digest_par) (json_digest row.digest_seq)
         (if i = List.length prows - 1 then "" else ","))
     prows;
@@ -1266,12 +1263,12 @@ let emit_json path s domains =
       "  \"obs\": {\"disabled_ns_per_probe\": %s, \"wall_disabled_s\": %s, \
        \"wall_enabled_s\": %s, \"enabled_events\": %d, \
        \"disabled_overhead_ratio\": %s, \"trace_file\": \"%s\"},\n"
-      (json_float o.disabled_ns_per_probe)
-      (json_float o.wall_disabled_s)
-      (json_float o.wall_enabled_s)
+      (Json.float o.disabled_ns_per_probe)
+      (Json.float o.wall_disabled_s)
+      (Json.float o.wall_enabled_s)
       o.enabled_events
-      (json_float o.disabled_overhead_ratio)
-      (json_escape o.trace_file));
+      (Json.float o.disabled_overhead_ratio)
+      (Json.escape o.trace_file));
   (match !check_row with
   | None -> add "  \"check\": null,\n"
   | Some k ->
@@ -1280,8 +1277,8 @@ let emit_json path s domains =
        \"compared\": %d, \"worst_err_s\": %s, \"oracle_violations\": %d, \
        \"wall_s\": %s},\n"
       k.k_plans k.k_plan_violations k.k_traces k.k_compared
-      (json_float k.k_worst_err_s)
-      k.k_oracle_violations (json_float k.k_wall_s));
+      (Json.float k.k_worst_err_s)
+      k.k_oracle_violations (Json.float k.k_wall_s));
   add "  \"replay\": [\n";
   let yrows = List.rev !replay_rows in
   List.iteri
@@ -1290,11 +1287,11 @@ let emit_json path s domains =
         "    {\"trace\": \"%s\", \"policy\": \"%s\", \"n_coflows\": %d, \
          \"mode\": \"%s\", \"buckets\": %d, \"wall_s\": %s, \"events\": %d, \
          \"events_per_s\": %s, \"digest\": \"%s\"}%s\n"
-        (json_escape row.y_trace) (json_escape row.y_policy) row.y_coflows
-        (json_escape row.y_mode) row.y_buckets
-        (json_float row.y_wall_s) row.y_events
-        (json_float (float_of_int row.y_events /. row.y_wall_s))
-        (json_escape row.y_digest)
+        (Json.escape row.y_trace) (Json.escape row.y_policy) row.y_coflows
+        (Json.escape row.y_mode) row.y_buckets
+        (Json.float row.y_wall_s) row.y_events
+        (Json.float (float_of_int row.y_events /. row.y_wall_s))
+        (Json.escape row.y_digest)
         (if i = List.length yrows - 1 then "" else ","))
     yrows;
   add "  ],\n";
@@ -1306,9 +1303,9 @@ let emit_json path s domains =
        \"mean_cct_exact_s\": %s, \"mean_cct_bucketed_s\": %s, \"rel_mean\": \
        %s, \"max_rel\": %s},\n"
       d.d_buckets d.d_coflows
-      (json_float d.d_mean_cct_exact_s)
-      (json_float d.d_mean_cct_bucketed_s)
-      (json_float d.d_rel_mean) (json_float d.d_max_rel));
+      (Json.float d.d_mean_cct_exact_s)
+      (Json.float d.d_mean_cct_bucketed_s)
+      (Json.float d.d_rel_mean) (Json.float d.d_max_rel));
   (match !shard_summary with
   | None -> add "  \"shards\": null,\n"
   | Some sh ->
@@ -1316,7 +1313,7 @@ let emit_json path s domains =
       "  \"shards\": {\"pods\": %d, \"pod_size\": %d, \"coflows\": %d, \
        \"cross_frac\": %s, \"reps\": %d, \"rows\": [\n"
       sh.sh_pods sh.sh_pod_size sh.sh_coflows
-      (json_float sh.sh_cross_frac)
+      (Json.float sh.sh_cross_frac)
       sh.sh_reps;
     List.iteri
       (fun i row ->
@@ -1328,9 +1325,9 @@ let emit_json path s domains =
           "    {\"shards\": %d, \"wall_s\": %s, \"plan_s\": %s, \"events\": \
            %d, \"steps\": %d, \"conflicts\": %d, \"rollbacks\": %d, \
            \"conflict_rate\": %s, \"digest\": \"%s\"}%s\n"
-          row.h_shards (json_float row.h_wall_s) (json_float row.h_plan_s)
+          row.h_shards (Json.float row.h_wall_s) (Json.float row.h_plan_s)
           row.h_events row.h_steps row.h_conflicts row.h_rollbacks
-          (json_float rate) (json_escape row.h_digest)
+          (Json.float rate) (Json.escape row.h_digest)
           (if i = List.length sh.sh_rows - 1 then "" else ","))
       sh.sh_rows;
     add "  ]},\n");
@@ -1341,24 +1338,24 @@ let emit_json path s domains =
       "  \"kernel\": {\"ports\": %d, \"iters\": %d, \"ns_per_schedule\": %s, \
        \"minor_words_per_schedule\": %s},\n"
       k.k_ports k.k_iters
-      (json_float k.k_ns_per_schedule)
-      (json_float k.k_minor_words_per_schedule));
+      (Json.float k.k_ns_per_schedule)
+      (Json.float k.k_minor_words_per_schedule));
   (match !report_summary with
   | None -> add "  \"report\": null,\n"
   | Some rp ->
     add
       "  \"report\": {\"file\": \"%s\", \"coflows\": %d, \"samples\": %d, \
        \"rows\": [\n"
-      (json_escape rp.rp_file) rp.rp_coflows rp.rp_samples;
+      (Json.escape rp.rp_file) rp.rp_coflows rp.rp_samples;
     List.iteri
       (fun i row ->
         add
           "    {\"variant\": \"%s\", \"replan\": \"%s\", \"shards\": %d, \
            \"wall_s\": %s, \"body_digest\": \"%s\", \"violations\": %d}%s\n"
-          (json_escape row.t_variant)
-          (json_escape row.t_replan)
-          row.t_shards (json_float row.t_wall_s)
-          (json_escape row.t_body_digest)
+          (Json.escape row.t_variant)
+          (Json.escape row.t_replan)
+          row.t_shards (Json.float row.t_wall_s)
+          (Json.escape row.t_body_digest)
           row.t_violations
           (if i = List.length rp.rp_rows - 1 then "" else ","))
       rp.rp_rows;
@@ -1372,9 +1369,9 @@ let emit_json path s domains =
        \"max_live\": %d, \"admitted\": %d, \
        \"rejected\": %d, \"completed\": %d, \"checked\": {\"coflows\": %d, \
        \"admitted\": %d, \"rejected\": %d, \"violations\": %d}},\n"
-      v.v_coflows v.v_arrivals (json_float v.v_wall_s) v.v_events
-      (json_float v.v_events_per_s)
-      (json_float v.v_p99_event_s)
+      v.v_coflows v.v_arrivals (Json.float v.v_wall_s) v.v_events
+      (Json.float v.v_events_per_s)
+      (Json.float v.v_p99_event_s)
       v.v_max_live v.v_admitted v.v_rejected v.v_completed
       v.v_checked_coflows v.v_checked_admitted v.v_checked_rejected
       v.v_checked_violations);

@@ -34,6 +34,7 @@ module Units = Sunflow_core.Units
 module Coflow = Sunflow_core.Coflow
 module Demand = Sunflow_core.Demand
 module Bounds = Sunflow_core.Bounds
+module Inter = Sunflow_core.Inter
 module Trace = Sunflow_trace.Trace
 module Synthetic = Sunflow_trace.Synthetic
 module Workload = Sunflow_trace.Workload
@@ -385,8 +386,8 @@ let intra_cmd =
 
 (* --- inter --- *)
 
-let inter path gbps ms scheduler replan buckets bucket_base shards shard_block
-    validate csv_out trace_out metrics_out timeline_out =
+let inter path gbps ms scheduler (replan, config) validate csv_out trace_out
+    metrics_out timeline_out =
   let bandwidth = to_bandwidth gbps and delta = to_delta ms in
   let trace = load_trace path in
   if trace.Trace.coflows = [] then begin
@@ -407,20 +408,14 @@ let inter path gbps ms scheduler replan buckets bucket_base shards shard_block
         !plan_violations
   in
   let shard_stats =
-    ref
-      {
-        Sunflow_core.Inter.shard_steps = 0;
-        shard_conflicts = 0;
-        shard_rollbacks = 0;
-      }
+    ref { Inter.shard_steps = 0; shard_conflicts = 0; shard_rollbacks = 0 }
   in
   let result =
     match scheduler with
     | `Sunflow ->
-      Sunflow_sim.Circuit_sim.run
+      Sunflow_sim.Circuit_sim.replay
         ?on_slice:(if validate then Some on_slice else None)
-        ~replan ~buckets ~bucket_base ~shards ~shard_block ~shard_stats ~delta
-        ~bandwidth trace.Trace.coflows
+        ~replan ~config ~shard_stats ~delta ~bandwidth trace.Trace.coflows
     | `Varys ->
       Sunflow_sim.Packet_sim.run ~scheduler:Sunflow_packet.Varys.allocate
         ~bandwidth trace.Trace.coflows
@@ -435,12 +430,12 @@ let inter path gbps ms scheduler replan buckets bucket_base shards shard_block
         ~bandwidth trace.Trace.coflows
   in
   Format.printf "%a@." Sunflow_sim.Sim_result.pp result;
-  (if shards > 1 then
+  (if config.Inter.shards > 1 then
      let s = !shard_stats in
      Format.printf
        "shards: %d (stripe %d), %d steps, %d conflicts (rate %.3f), %d \
         rollbacks@."
-       shards shard_block s.Sunflow_core.Inter.shard_steps s.shard_conflicts
+       config.shards config.shard_block s.Inter.shard_steps s.shard_conflicts
        (if s.shard_steps = 0 then 0.
         else float_of_int s.shard_conflicts /. float_of_int s.shard_steps)
        s.shard_rollbacks);
@@ -499,53 +494,85 @@ let replan_arg =
            incremental decisions from a fresh table each event — the \
            differential oracle for $(b,incremental).")
 
-let buckets_arg =
+(* A knob's flag: parsed by [base], then judged alone by [Inter.config],
+   so a value it rejects is a usage error naming the flag. *)
+let knob base judge default name ~docv ~doc =
+  let parse s =
+    Result.bind (Arg.conv_parser base s) (fun v ->
+        match judge v with
+        | (_ : Inter.config) -> Ok v
+        | exception Invalid_argument msg -> Error (`Msg msg))
+  in
   Arg.(
-    value & opt int 0
-    & info [ "replan-buckets" ] ~docv:"N"
-        ~doc:
-          "Coarsen the anchored replan modes' priority order into at most \
-           $(docv) exponentially-spaced classes (0 = exact order). Arrivals \
-           then invalidate only their own class boundary instead of every \
-           Coflow with a marginally larger key; retained plans in later \
-           classes are spliced back verbatim when their ports are free. \
-           Requires $(b,--replan) $(b,rebuild) or $(b,incremental).")
+    value
+    & opt (conv (parse, conv_printer base)) default
+    & info [ name ] ~docv ~doc)
 
-let bucket_base_arg =
-  Arg.(
-    value & opt float 4.
-    & info [ "replan-bucket-base" ] ~docv:"BASE"
-        ~doc:
-          "Growth factor between successive priority classes under \
-           $(b,--replan-buckets) (must be > 1).")
+let engine_config =
+  let d = Inter.default_config in
+  let buckets =
+    knob Arg.int (fun buckets -> Inter.config ~buckets ()) d.buckets
+      "replan-buckets" ~docv:"N"
+      ~doc:
+        "Coarsen the anchored replan modes' priority order into at most \
+         $(docv) exponentially-spaced classes (0 = exact order). Arrivals \
+         then invalidate only their own class boundary instead of every \
+         Coflow with a marginally larger key; retained plans in later \
+         classes are spliced back verbatim when their ports are free. \
+         Requires $(b,--replan) $(b,rebuild) or $(b,incremental)."
+  in
+  let bucket_base =
+    knob Arg.float
+      (fun bucket_base -> Inter.config ~bucket_base ())
+      d.bucket_base "replan-bucket-base" ~docv:"BASE"
+      ~doc:
+        "Growth factor between successive priority classes under \
+         $(b,--replan-buckets) (finite, > 1)."
+  in
+  let shards =
+    knob Arg.int (fun shards -> Inter.config ~shards ()) d.shards "shards"
+      ~docv:"S"
+      ~doc:
+        "Partition the ports into $(docv) shards, each with its own \
+         reservation table, and reschedule an event's dirty shards \
+         independently (optimistically in parallel when the worker pool \
+         has more than one domain). Cross-shard Coflows trigger a \
+         deterministic rollback-and-merge pass, so the schedule is \
+         bit-identical to $(b,--shards) $(b,1) for every shard count. \
+         Requires $(b,--replan) $(b,rebuild) or $(b,incremental)."
+  in
+  let shard_block =
+    knob Arg.int
+      (fun shard_block -> Inter.config ~shard_block ())
+      d.shard_block "shard-block" ~docv:"W"
+      ~doc:
+        "Stripe width of the shard map: port $(b,p) lands in shard \
+         $(b,p / W mod S). Align with the trace's pod size so pod-local \
+         Coflows stay shard-local."
+  in
+  let make buckets bucket_base shards shard_block =
+    Inter.config ~buckets ~bucket_base ~shards ~shard_block ()
+  in
+  Term.(const make $ buckets $ bucket_base $ shards $ shard_block)
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"S"
-        ~doc:
-          "Partition the ports into $(docv) shards, each with its own \
-           reservation table, and reschedule an event's dirty shards \
-           independently (optimistically in parallel when the worker pool \
-           has more than one domain). Cross-shard Coflows trigger a \
-           deterministic rollback-and-merge pass, so the schedule is \
-           bit-identical to $(b,--shards) $(b,1) for every shard count. \
-           Requires $(b,--replan) $(b,rebuild) or $(b,incremental).")
-
-let shard_block_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shard-block" ] ~docv:"W"
-        ~doc:
-          "Stripe width of the shard map: port $(b,p) lands in shard \
-           $(b,p / W mod S). Align with the trace's pod size so pod-local \
-           Coflows stay shard-local.")
+(* [--replan] with the engine knobs; bucketing and sharding need a
+   persistent engine to act on *)
+let replan_config =
+  let check replan (config : Inter.config) =
+    let anchored flag =
+      `Error (true, flag ^ " requires --replan rebuild or incremental")
+    in
+    if replan = `Full && config.buckets <> 0 then anchored "--replan-buckets"
+    else if replan = `Full && config.shards <> 1 then anchored "--shards"
+    else `Ok (replan, config)
+  in
+  Term.(ret (const check $ replan_arg $ engine_config))
 
 let inter_term =
   Term.(
     const inter $ trace_file_arg $ bandwidth_arg $ delta_arg $ scheduler_arg
-    $ replan_arg $ buckets_arg $ bucket_base_arg $ shards_arg $ shard_block_arg
-    $ validate_arg $ csv_arg $ trace_out_arg $ metrics_out_arg $ timeline_out_arg)
+    $ replan_config $ validate_arg $ csv_arg $ trace_out_arg $ metrics_out_arg
+    $ timeline_out_arg)
 
 let inter_cmd =
   Cmd.v
@@ -796,26 +823,10 @@ let check_cmd =
 
 (* --- report --- *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let json_string s = "\"" ^ Obs.Json.escape s ^ "\""
 
-let report path gbps ms replan buckets bucket_base shards shard_block jobs out
-    samples_out top_k =
+let report path gbps ms (replan, (config : Inter.config)) jobs out samples_out
+    top_k =
   set_jobs jobs;
   let bandwidth = to_bandwidth gbps and delta = to_delta ms in
   let trace = load_trace path in
@@ -833,12 +844,7 @@ let report path gbps ms replan buckets bucket_base shards shard_block jobs out
   Obs.Attrib.clear ();
   Obs.Sampler.clear ();
   let shard_stats =
-    ref
-      {
-        Sunflow_core.Inter.shard_steps = 0;
-        shard_conflicts = 0;
-        shard_rollbacks = 0;
-      }
+    ref { Inter.shard_steps = 0; shard_conflicts = 0; shard_rollbacks = 0 }
   in
   (* an interrupt mid-replay still drains the per-slice sample ledger *)
   Option.iter
@@ -847,8 +853,8 @@ let report path gbps ms replan buckets bucket_base shards shard_block jobs out
       install_sigint_flush ())
     samples_out;
   let result =
-    Sunflow_sim.Circuit_sim.run ~replan ~buckets ~bucket_base ~shards
-      ~shard_block ~shard_stats ~delta ~bandwidth trace.Trace.coflows
+    Sunflow_sim.Circuit_sim.replay ~replan ~config ~shard_stats ~delta
+      ~bandwidth trace.Trace.coflows
   in
   sigint_flush := (fun () -> ());
   Obs.Control.set_enabled was;
@@ -864,15 +870,15 @@ let report path gbps ms replan buckets bucket_base shards shard_block jobs out
           | `Full -> "full"
           | `Rebuild -> "rebuild"
           | `Incremental -> "incremental") );
-      ("buckets", string_of_int buckets);
-      ("bucket_base", Printf.sprintf "%.9g" bucket_base);
-      ("shards", string_of_int shards);
-      ("shard_block", string_of_int shard_block);
+      ("buckets", string_of_int config.buckets);
+      ("bucket_base", Printf.sprintf "%.9g" config.bucket_base);
+      ("shards", string_of_int config.shards);
+      ("shard_block", string_of_int config.shard_block);
       ("bandwidth_gbps", Printf.sprintf "%.9g" gbps);
       ("delta_ms", Printf.sprintf "%.9g" ms);
-      ("shard_steps", string_of_int s.Sunflow_core.Inter.shard_steps);
-      ("shard_conflicts", string_of_int s.Sunflow_core.Inter.shard_conflicts);
-      ("shard_rollbacks", string_of_int s.Sunflow_core.Inter.shard_rollbacks);
+      ("shard_steps", string_of_int s.Inter.shard_steps);
+      ("shard_conflicts", string_of_int s.shard_conflicts);
+      ("shard_rollbacks", string_of_int s.shard_rollbacks);
       ("samples", string_of_int n_samples);
     ]
   in
@@ -932,14 +938,13 @@ let report_cmd =
           transfer, blocked-on-contention), per-port utilization, and the \
           slowest Coflows with their blame vectors.")
     Term.(
-      const report $ trace_file_arg $ bandwidth_arg $ delta_arg $ replan_arg
-      $ buckets_arg $ bucket_base_arg $ shards_arg $ shard_block_arg
+      const report $ trace_file_arg $ bandwidth_arg $ delta_arg $ replan_config
       $ jobs_arg $ out $ samples_out $ top_k)
 
 (* --- serve --- *)
 
-let serve path gbps ms buckets bucket_base shards shard_block jobs
-    deadline_mult validate trace_out metrics_out =
+let serve path gbps ms config jobs deadline_mult validate trace_out
+    metrics_out =
   set_jobs jobs;
   let bandwidth = to_bandwidth gbps and delta = to_delta ms in
   let stats, broken =
@@ -979,7 +984,7 @@ let serve path gbps ms buckets bucket_base shards shard_block jobs
     in
     let w0 = Obs.Control.now_ns () in
     let stats =
-      Serve.run ~buckets ~bucket_base ~shards ~shard_block ?deadline_of
+      Serve.run ~config ?deadline_of
         ~stop:(fun () -> !interrupted)
         ~on_admit ~on_finish ~delta ~bandwidth next
     in
@@ -1056,8 +1061,8 @@ let serve_cmd =
           requested obs exports) on EOF or SIGINT; exits 130 when \
           interrupted.")
     Term.(
-      const serve $ stream_arg $ bandwidth_arg $ delta_arg $ buckets_arg
-      $ bucket_base_arg $ shards_arg $ shard_block_arg $ jobs_arg
+      const serve $ stream_arg $ bandwidth_arg $ delta_arg $ engine_config
+      $ jobs_arg
       $ deadline_arg $ validate_serve_arg $ trace_out_arg $ metrics_out_arg)
 
 let () =

@@ -29,7 +29,9 @@ let () =
     (Trace.n_coflows trace) Units.pp_bytes (Trace.total_bytes trace)
     (100. *. Workload.idleness ~bandwidth trace);
 
-  let sunflow = Sunflow_sim.Circuit_sim.run ~delta ~bandwidth trace.coflows in
+  let sunflow =
+    Sunflow_sim.Circuit_sim.replay ~delta ~bandwidth trace.coflows
+  in
   let varys =
     Sunflow_sim.Packet_sim.run ~scheduler:Sunflow_packet.Varys.allocate
       ~bandwidth trace.coflows

@@ -24,9 +24,8 @@ let default_tol bandwidth = 2. *. Float.max (1e-3 /. bandwidth) 1e-6
 let snap_eps bandwidth = Float.max 1e-3 (bandwidth *. 1e-6)
 
 let replay ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
-    ?(carry_circuits = true) ?(replan = `Full) ?buckets ?bucket_base ?shards
-    ?shard_block ?(validate_plans = true) ?(check_attrib = false) ?tol ~delta
-    ~bandwidth ~n_ports coflows =
+    ?(replan = `Full) ?config ?(validate_plans = true) ?(check_attrib = false)
+    ?tol ~delta ~bandwidth ~n_ports coflows =
   let tol = match tol with Some t -> t | None -> default_tol bandwidth in
   let vs = ref [] in
   let push v = vs := v :: !vs in
@@ -99,8 +98,8 @@ let replay ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
       Obs.Timeline.clear ()
     end;
     let sim =
-      Circuit_sim.run ~policy ~order ~carry_circuits ~replan ?buckets
-        ?bucket_base ?shards ?shard_block ~on_slice ~delta ~bandwidth coflows
+      Circuit_sim.replay ~policy ~order ~replan ?config ~on_slice ~delta
+        ~bandwidth coflows
     in
     if check_attrib then begin
       Obs.Control.set_enabled was_obs;
@@ -207,69 +206,71 @@ let fuzz ?(policy = Inter.Shortest_first) ?(check_attrib = false) ?tol ~seed
             :: !vs)
         o.violations
     in
-    record "" (replay ~policy ~check_attrib ?tol ~delta ~bandwidth ~n_ports trace);
-    (* the incremental engine replays the same trace through the
-       physical oracle too, with its per-slice plan views validated;
-       Plan_check.replay_equiv separately pins it to the rebuild mode *)
-    record ", incremental"
-      (replay ~policy ~replan:`Incremental ~check_attrib ?tol ~delta ~bandwidth
-         ~n_ports trace);
-    let equiv label vlist =
-      List.iter
-        (fun (v : V.t) ->
-          vs :=
-            {
-              v with
-              V.message =
-                Printf.sprintf "[trace seed %d, %s] %s" trace_seed label
-                  v.V.message;
-            }
-            :: !vs)
-        vlist
+    let replays =
+      List.iter (fun (label, replan, config) ->
+          record label
+            (replay ~policy ~replan ~config ~check_attrib ?tol ~delta
+               ~bandwidth ~n_ports trace))
     in
-    equiv "equiv" (Plan_check.replay_equiv ~policy ~delta ~bandwidth trace);
-    (* the bucketed order is its own configuration: incremental and
-       rebuild must stay bit-identical under it too (alternate the
-       class count so both the coarse and fine quantizations fuzz) *)
+    let equivs =
+      List.iter (fun (label, config) ->
+          List.iter
+            (fun (v : V.t) ->
+              vs :=
+                {
+                  v with
+                  V.message =
+                    Printf.sprintf "[trace seed %d, %s] %s" trace_seed label
+                      v.V.message;
+                }
+                :: !vs)
+            (Plan_check.replay_equiv ~policy ~config ~delta ~bandwidth trace))
+    in
+    (* the bucketed order is its own configuration (alternate the class
+       count so both the coarse and fine quantizations fuzz), and the
+       sharded engine must stay pinned to the unsharded oracle for every
+       shard count: cycle the count and a non-trivial stripe width
+       across traces *)
     let buckets = if i mod 2 = 0 then 4 else 16 in
-    equiv
-      (Printf.sprintf "equiv buckets=%d" buckets)
-      (Plan_check.replay_equiv ~policy ~buckets ~delta ~bandwidth trace);
-    (* the sharded engine must stay pinned to the unsharded oracle for
-       every shard count: cycle the count (and a non-trivial stripe
-       width) across traces, exact and bucketed orders both *)
     let shards = [| 2; 4; 8 |].(i mod 3) in
     let shard_block = 1 + (i mod 2) in
-    equiv
-      (Printf.sprintf "equiv shards=%d" shards)
-      (Plan_check.replay_equiv ~policy ~shards ~shard_block ~delta ~bandwidth
-         trace);
-    equiv
-      (Printf.sprintf "equiv shards=%d buckets=%d" shards buckets)
-      (Plan_check.replay_equiv ~policy ~shards ~shard_block ~buckets ~delta
-         ~bandwidth trace);
+    let all_stop = Inter.config ~carry_circuits:false () in
+    let bucketed = Inter.config ~buckets () in
+    let sharded = Inter.config ~shards ~shard_block () in
+    (* the incremental engine replays the same trace through the
+       physical oracle too, with its per-slice plan views validated;
+       Plan_check.replay_equiv separately pins it to the rebuild mode,
+       exact and bucketed orders both *)
+    replays
+      [
+        ("", `Full, Inter.default_config);
+        (", incremental", `Incremental, Inter.default_config);
+      ];
+    equivs
+      [
+        ("equiv", Inter.default_config);
+        (Printf.sprintf "equiv buckets=%d" buckets, bucketed);
+        (Printf.sprintf "equiv shards=%d" shards, sharded);
+        ( Printf.sprintf "equiv shards=%d buckets=%d" shards buckets,
+          Inter.config ~shards ~shard_block ~buckets () );
+      ];
     (* every third trace also runs the all-stop ablation, where no
        circuit survives a rescheduling instant, and drives the bucketed
-       incremental schedule through the physical switch *)
-    if i mod 3 = 2 then begin
-      record ", all-stop"
-        (replay ~policy ~carry_circuits:false ~check_attrib ?tol ~delta
-           ~bandwidth ~n_ports trace);
-      record ", all-stop incremental"
-        (replay ~policy ~carry_circuits:false ~replan:`Incremental ~check_attrib
-           ?tol ~delta ~bandwidth ~n_ports trace);
-      record
-        (Printf.sprintf ", incremental buckets=%d" buckets)
-        (replay ~policy ~replan:`Incremental ~buckets ~check_attrib ?tol ~delta
-           ~bandwidth ~n_ports trace);
-      (* drive the sharded engine's executed schedule through the
-         physical switch too — engine_slice's mirror-deduped merge is
-         what actually executes, so it gets its own oracle run *)
-      record
-        (Printf.sprintf ", incremental shards=%d" shards)
-        (replay ~policy ~replan:`Incremental ~shards ~shard_block ~check_attrib
-           ?tol ~delta ~bandwidth ~n_ports trace)
-    end
+       and the sharded incremental schedules through the physical
+       switch — engine_slice's mirror-deduped merge is what actually
+       executes, so it gets its own oracle run *)
+    if i mod 3 = 2 then
+      replays
+        [
+          (", all-stop", `Full, all_stop);
+          (", all-stop incremental", `Incremental, all_stop);
+          ( Printf.sprintf ", incremental buckets=%d" buckets,
+            `Incremental,
+            bucketed );
+          ( Printf.sprintf ", incremental shards=%d" shards,
+            `Incremental,
+            sharded );
+        ]
   done;
   {
     traces;

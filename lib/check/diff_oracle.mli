@@ -28,12 +28,8 @@ type outcome = {
 val replay :
   ?policy:Sunflow_core.Inter.policy ->
   ?order:Sunflow_core.Order.t ->
-  ?carry_circuits:bool ->
   ?replan:Sunflow_sim.Circuit_sim.replan ->
-  ?buckets:int ->
-  ?bucket_base:float ->
-  ?shards:int ->
-  ?shard_block:int ->
+  ?config:Sunflow_core.Inter.config ->
   ?validate_plans:bool ->
   ?check_attrib:bool ->
   ?tol:float ->
@@ -44,12 +40,11 @@ val replay :
   outcome
 (** Replay one trace through both models. [delta] must be positive —
     the physical switch cannot distinguish a zero-delay setup from a
-    carried circuit. [carry_circuits] defaults to [true] (the paper's
-    not-all-stop mode). [replan] (default [`Full]) selects the
+    carried circuit. [replan] (default [`Full]) selects the
     simulator's replanning engine, so the physical oracle also covers
-    the incremental path's executed schedule;
-    [buckets]/[bucket_base] and [shards]/[shard_block] forward to
-    [Circuit_sim.run], so the bucketed order's and the sharded
+    the incremental path's executed schedule; [config]
+    ({!Sunflow_core.Inter.config}) forwards to [Circuit_sim.replay], so
+    the all-stop ablation's, the bucketed order's and the sharded
     engine's schedules face the switch too. With [validate_plans]
     (default [true]) every slice plan also runs through {!Plan_check},
     so a single fuzz pass exercises the validator and the oracle

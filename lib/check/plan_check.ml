@@ -372,8 +372,7 @@ let inter spec ~coflows (res : Inter.result) =
 module Circuit_sim = Sunflow_sim.Circuit_sim
 module Sim_result = Sunflow_sim.Sim_result
 
-let replay_equiv ?policy ?order ?carry_circuits ?buckets ?bucket_base ?shards
-    ?shard_block ~delta ~bandwidth coflows =
+let replay_equiv ?policy ?order ?config ~delta ~bandwidth coflows =
   let capture replan =
     let slices = ref [] in
     let on_slice ~t ~t_next ~established ~coflows:_ (plan : Inter.result) =
@@ -384,8 +383,8 @@ let replay_equiv ?policy ?order ?carry_circuits ?buckets ?bucket_base ?shards
        against the unsharded from-scratch oracle, the strongest form of
        the bit-identity requirement *)
     let r =
-      Circuit_sim.run ?policy ?order ?carry_circuits ?buckets ?bucket_base
-        ?shards ?shard_block ~replan ~on_slice ~delta ~bandwidth coflows
+      Circuit_sim.replay ?policy ?order ~replan ?config ~on_slice ~delta
+        ~bandwidth coflows
     in
     (r, List.rev !slices)
   in

@@ -81,27 +81,22 @@ val inter :
 val replay_equiv :
   ?policy:Sunflow_core.Inter.policy ->
   ?order:Sunflow_core.Order.t ->
-  ?carry_circuits:bool ->
-  ?buckets:int ->
-  ?bucket_base:float ->
-  ?shards:int ->
-  ?shard_block:int ->
+  ?config:Sunflow_core.Inter.config ->
   delta:float ->
   bandwidth:float ->
   Sunflow_core.Coflow.t list ->
   Violation.t list
-(** Replay the trace through [Circuit_sim.run] twice — [`Incremental]
+(** Replay the trace through [Circuit_sim.replay] twice — [`Incremental]
     (persistent PRT repaired in place, suffix-only rescheduling) and
     [`Rebuild] (the same decisions recomputed from a fresh table at
     every event) — and require them bit-identical: every [Sim_result]
     field compared with structural equality (no tolerance), and every
     slice's span, carried-circuit set and per-Coflow plan compared
     window for window. Any report means the in-place repair
-    (retraction, eviction, splicing) corrupted port state. [buckets]/[bucket_base] select a
-    coarsened priority order ({!Sunflow_core.Inter.engine}); both runs
-    get the same configuration, so the bit-identity requirement is
-    unchanged — the splice path must make identical decisions in both
-    modes. [shards]/[shard_block] shard the incremental run's engine;
+    (retraction, eviction, splicing) corrupted port state. Both runs
+    get the same [config] ({!Sunflow_core.Inter.config}), so under a
+    bucketed order the splice path must make identical decisions in
+    both modes. Its [shards] shard only the incremental run's engine;
     the rebuild oracle coerces shards to one, so any sharding bug —
     optimistic-pass divergence, a missed cross-shard conflict, a bad
     rollback — surfaces as a report here. *)

@@ -53,7 +53,7 @@ let h_batch = Obs.Registry.histogram "inter.coflows_per_round"
 let schedule ?(now = 0.) ?(order = Order.Ordered_port) ?(established = [])
     ~policy ~delta ~bandwidth coflows =
   (* [finish_of] keys the result on Coflow ids, so duplicates would
-     silently shadow one another — reject them like Circuit_sim.run *)
+     silently shadow one another — reject them like Circuit_sim.replay *)
   let ids = List.map (fun c -> c.Coflow.id) coflows in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Inter.schedule: duplicate Coflow ids";
@@ -159,29 +159,61 @@ type pass_runner = { run_passes : 'a. (unit -> 'a) array -> 'a array }
 
 let sequential_runner = { run_passes = (fun fs -> Array.map (fun f -> f ()) fs) }
 
+type config = {
+  carry_circuits : bool;
+  buckets : int;
+  bucket_base : float;
+  shards : int;
+  shard_block : int;
+}
+
+let default_config =
+  {
+    carry_circuits = true;
+    buckets = 0;
+    bucket_base = 4.;
+    shards = 1;
+    shard_block = 1;
+  }
+
+let config ?carry_circuits ?buckets ?bucket_base ?shards ?shard_block () =
+  let d = default_config in
+  let c =
+    {
+      carry_circuits = Option.value carry_circuits ~default:d.carry_circuits;
+      buckets = Option.value buckets ~default:d.buckets;
+      bucket_base = Option.value bucket_base ~default:d.bucket_base;
+      shards = Option.value shards ~default:d.shards;
+      shard_block = Option.value shard_block ~default:d.shard_block;
+    }
+  in
+  if c.buckets < 0 then invalid_arg "Inter.config: negative bucket count";
+  if not (Float.is_finite c.bucket_base && c.bucket_base > 1.) then
+    invalid_arg "Inter.config: bucket_base must be finite and > 1";
+  if c.shards < 1 then invalid_arg "Inter.config: shards must be >= 1";
+  if c.shard_block < 1 then
+    invalid_arg "Inter.config: shard_block must be >= 1";
+  c
+
 type engine = {
   g_policy : policy;
   g_order : Order.t;
   g_delta : float;
   g_bandwidth : float;
-  g_carry : bool;
   g_rebuild : bool;
-  g_buckets : int;  (* 0 = exact order (buckets off) *)
-  g_bucket_base : float;
+  g_config : config;  (* shards coerced to 1 for the rebuild oracle *)
   g_cmp : entry -> entry -> int;
   g_all : evec;  (* active Coflows in service order *)
   mutable g_established : (int * int) list;
   g_index : (int, entry) Hashtbl.t;
   mutable g_rescheduled : int;  (* suffix entries re-run through Sunflow *)
   mutable g_spliced : int;  (* suffix entries whose stored plan was kept *)
-  g_shards : int;  (* port-group shard count S; 1 for the rebuild oracle *)
-  g_shard_block : int;  (* contiguous ports per shard stripe *)
   g_runner : pass_runner;  (* executes independent shard passes *)
   g_prts : Prt.t array;  (* one reservation table per shard *)
   g_local : evec array;
       (* per-shard single-shard entries; at S = 1 the one slot is [g_all] *)
   g_cross : evec;  (* entries whose footprint spans shards *)
-  g_smin : float array;  (* cached min finish per vec; slot [g_shards] = cross *)
+  g_smin : float array;  (* cached min finish per vec; slot [shards] = cross *)
   g_smin_stale : bool array;
   mutable g_ssteps : int;  (* scheduling events taken with S > 1 *)
   mutable g_sconflicts : int;  (* events resolved by the cross-shard pass *)
@@ -248,36 +280,28 @@ let entry_cmp ~buckets policy =
 
 let evec_make () = { v_arr = [||]; v_n = 0 }
 
-let engine ?(order = Order.Ordered_port) ?(carry_circuits = true)
-    ?(rebuild = false) ?(buckets = 0) ?(bucket_base = 4.) ?(shards = 1)
-    ?(shard_block = 1) ?(runner = sequential_runner) ~policy ~delta ~bandwidth
-    () =
-  if buckets < 0 then invalid_arg "Inter.engine: negative bucket count";
-  if bucket_base <= 1. then invalid_arg "Inter.engine: bucket_base must be > 1";
-  if shards < 1 then invalid_arg "Inter.engine: shards must be >= 1";
-  if shard_block < 1 then invalid_arg "Inter.engine: shard_block must be >= 1";
+let engine ?(order = Order.Ordered_port) ?(rebuild = false)
+    ?(runner = sequential_runner) ?(config = default_config) ~policy ~delta
+    ~bandwidth () =
   (* rebuild is the inherently global from-scratch oracle: coerce it to
      one shard so [replay_equiv] always compares a sharded incremental
      run against one table's decision procedure *)
-  let shards = if rebuild then 1 else shards in
+  let config = if rebuild then { config with shards = 1 } else config in
+  let shards = config.shards in
   let all = evec_make () in
   {
     g_policy = policy;
     g_order = order;
     g_delta = delta;
     g_bandwidth = bandwidth;
-    g_carry = carry_circuits;
     g_rebuild = rebuild;
-    g_buckets = buckets;
-    g_bucket_base = bucket_base;
-    g_cmp = entry_cmp ~buckets policy;
+    g_config = config;
+    g_cmp = entry_cmp ~buckets:config.buckets policy;
     g_all = all;
     g_established = [];
     g_index = Hashtbl.create 64;
     g_rescheduled = 0;
     g_spliced = 0;
-    g_shards = shards;
-    g_shard_block = shard_block;
     g_runner = runner;
     g_prts = Array.init shards (fun _ -> Prt.create ());
     g_local =
@@ -344,7 +368,7 @@ let evec_remove cmp v e =
 
 (* contiguous [shard_block]-wide port stripes, round-robin over shards —
    pod-aligned when [shard_block] matches the pod size *)
-let shard_of g p = p / g.g_shard_block mod g.g_shards
+let shard_of g p = p / g.g_config.shard_block mod g.g_config.shards
 
 let shard0 = [| 0 |]
 
@@ -354,7 +378,7 @@ let shard0 = [| 0 |]
    this set. An empty demand pins the (instantly complete) Coflow to
    shard 0, and so does a one-shard engine. *)
 let coflow_shards g c =
-  if g.g_shards = 1 then shard0
+  if g.g_config.shards = 1 then shard0
   else
     let d = c.Coflow.demand in
     let ss =
@@ -365,11 +389,11 @@ let coflow_shards g c =
     in
     match ss with [] -> shard0 | l -> Array.of_list l
 
-(* vec slot [g_shards] is the cross vector *)
-let vec g i = if i = g.g_shards then g.g_cross else g.g_local.(i)
+(* vec slot [shards] is the cross vector *)
+let vec g i = if i = g.g_config.shards then g.g_cross else g.g_local.(i)
 
 let entry_slot g e =
-  if Array.length e.e_shards > 1 then g.g_shards else e.e_shards.(0)
+  if Array.length e.e_shards > 1 then g.g_config.shards else e.e_shards.(0)
 
 (* insert into / remove from the service order and the entry's shard
    vector — one vector when S = 1, where the two are the same *)
@@ -410,7 +434,7 @@ let engine_min_finish g =
   if g.g_all.v_n = 0 then None
   else begin
     let m = ref infinity in
-    for i = 0 to g.g_shards do
+    for i = 0 to g.g_config.shards do
       refresh_smin g i;
       m := Float.min !m g.g_smin.(i)
     done;
@@ -419,7 +443,7 @@ let engine_min_finish g =
 
 let engine_rescheduled g = g.g_rescheduled
 let engine_spliced g = g.g_spliced
-let engine_shards g = g.g_shards
+let engine_shards g = g.g_config.shards
 
 type shard_stats = {
   shard_steps : int;
@@ -502,7 +526,7 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
     {
       stamp = g.g_stamp;
       n_dirty = 0;
-      first = Array.make g.g_shards None;
+      first = Array.make g.g_config.shards None;
       cross_dirty = false;
       min_dirty = None;
     }
@@ -517,8 +541,8 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
           e_coflow = c;
           e_key = key;
           e_bucket =
-            bucket_of ~policy:g.g_policy ~buckets:g.g_buckets
-              ~bucket_base:g.g_bucket_base ~delta:g.g_delta key;
+            bucket_of ~policy:g.g_policy ~buckets:g.g_config.buckets
+              ~bucket_base:g.g_config.bucket_base ~delta:g.g_delta key;
           e_shards = coflow_shards g c;
           e_plan = { Sunflow.reservations = []; finish = now; setups = 0 };
           e_mark = 0;
@@ -531,7 +555,7 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
   (* 3. further dirty sources. Without carry-over every event restarts
      every circuit (all-stop), so everything is dirty. *)
   let all = g.g_all in
-  if not g.g_carry then
+  if not g.g_config.carry_circuits then
     for i = 0 to all.v_n - 1 do
       mark g m all.v_arr.(i)
     done;
@@ -551,7 +575,7 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
       [] g.g_prts
   in
   g.g_established <-
-    (if g.g_carry then
+    (if g.g_config.carry_circuits then
        covering
        |> List.filter_map (fun r ->
               if r.Prt.start +. r.Prt.setup <= now then
@@ -574,7 +598,7 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
   (* defensive: a stored finish at or before [now] with demand left
      would stall the event loop; re-anchor such plans. A vec whose
      cached minimum finish is past [now] cannot hold one. *)
-  for i = 0 to g.g_shards do
+  for i = 0 to g.g_config.shards do
     refresh_smin g i;
     if g.g_smin.(i) <= now then begin
       let v = vec g i in
@@ -600,7 +624,7 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
      successor shares its class" — checked in O(arrivals log n) before
      the scan. *)
   if
-    g.g_buckets > 0
+    g.g_config.buckets > 0
     && List.exists
          (fun c ->
            let e = Hashtbl.find g.g_index c.Coflow.id in
@@ -610,7 +634,7 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
   then begin
     let arrived = Hashtbl.create 8 in
     List.iter (fun c -> Hashtbl.replace arrived c.Coflow.id ()) arrivals;
-    let poisoned = Array.make g.g_buckets false in
+    let poisoned = Array.make g.g_config.buckets false in
     for i = 0 to all.v_n - 1 do
       let e = all.v_arr.(i) in
       if poisoned.(e.e_bucket) then mark g m e
@@ -622,7 +646,7 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
      re-derived (anchored plans re-round at the ulp scale if re-derived
      at a different [now], so clean suffix entries cannot be kept
      without diverging from the oracle) *)
-  (if g.g_buckets = 0 then
+  (if g.g_config.buckets = 0 then
      match m.min_dirty with
      | None -> ()
      | Some d ->
@@ -873,7 +897,7 @@ let resolve_cross g ~obs ~now ~remaining ~is_established ~tail m =
       if obs && cascades > 0 then Obs.Registry.add m_cascades cascades
     | Pass_conflict _ -> assert false));
   (* rebuild the affected shard tables from the now-current plans *)
-  for s = 0 to g.g_shards - 1 do
+  for s = 0 to g.g_config.shards - 1 do
     if c.(s) then g.g_prts.(s) <- Prt.create ()
   done;
   for i = 0 to all.v_n - 1 do
@@ -886,10 +910,10 @@ let resolve_cross g ~obs ~now ~remaining ~is_established ~tail m =
           if sd <> ss then Prt.reserve g.g_prts.(sd) r)
         e.e_plan.Sunflow.reservations
   done;
-  for s = 0 to g.g_shards - 1 do
+  for s = 0 to g.g_config.shards - 1 do
     if c.(s) then g.g_smin_stale.(s) <- true
   done;
-  g.g_smin_stale.(g.g_shards) <- true;
+  g.g_smin_stale.(g.g_config.shards) <- true;
   if obs then
     Obs.Registry.observe h_sh_rollback
       (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) t0) /. 1e9)
@@ -909,7 +933,7 @@ let repair g ~obs ~now ~remaining m =
     done;
     if !i < all.v_n then Some all.v_arr.(!i) else None
   in
-  if obs && g.g_shards > 1 then begin
+  if obs && g.g_config.shards > 1 then begin
     let nd = ref (if m.cross_dirty then 1 else 0) in
     Array.iter (fun f -> if Option.is_some f then incr nd) m.first;
     Obs.Registry.add m_sh_dirty !nd
@@ -928,7 +952,7 @@ let repair g ~obs ~now ~remaining m =
     let guard o = if Array.length o.e_shards > 1 then raise Cross_conflict in
     let keep _ = true in
     let thunks = ref [] in
-    for s = g.g_shards - 1 downto 0 do
+    for s = g.g_config.shards - 1 downto 0 do
       match m.first.(s) with
       | Some d ->
         let v = g.g_local.(s) in
@@ -980,7 +1004,7 @@ let schedule_incremental g ~now ~arrivals ~finished ~remaining =
     Obs.Registry.incr m_steps;
     Obs.Tracer.begin_span ~cat:"core" "inter.step"
   end;
-  if g.g_shards > 1 then g.g_ssteps <- g.g_ssteps + 1;
+  if g.g_config.shards > 1 then g.g_ssteps <- g.g_ssteps + 1;
   g.g_stamp <- g.g_stamp + 1;
   let m = mark_event g ~obs ~now ~arrivals ~finished ~remaining in
   if g.g_rebuild then rebuild_repair g ~obs ~now ~remaining m

@@ -107,58 +107,82 @@ type shard_stats = {
       (** optimistic shard passes whose work was rolled back *)
 }
 
-val engine :
-  ?order:Order.t ->
-  ?carry_circuits:bool ->
-  ?rebuild:bool ->
-  ?buckets:int ->
-  ?bucket_base:float ->
-  ?shards:int ->
-  ?shard_block:int ->
-  ?runner:pass_runner ->
-  policy:policy ->
-  delta:float ->
-  bandwidth:float ->
-  unit ->
-  engine
-(** A fresh engine with no admitted Coflows. [carry_circuits] mirrors
-    [Circuit_sim.run]: with it off (all-stop) every event reschedules
-    everything. [rebuild] selects the from-scratch oracle mode.
-    [Custom] comparators get an [(arrival, id)] tiebreak appended, so
-    they need not be total themselves.
+type config = private {
+  carry_circuits : bool;
+  buckets : int;
+  bucket_base : float;
+  shards : int;
+  shard_block : int;
+}
+(** The engine's knobs beyond the priority ordering. Built only by
+    {!config}, so a value of this type has passed its range checks.
+
+    [carry_circuits] (default [true]) keeps circuits that are
+    mid-transmission alive across rescheduling events. With it off
+    (all-stop) every event tears the whole fabric down and reschedules
+    everything, ablating the not-all-stop advantage.
 
     [buckets] (default [0] = off, the exact-order behaviour) coarsens
     the priority order into at most that many classes, FIFO within a
     class. For [Shortest_first] the classes are exponentially spaced:
     class 0 holds Coflows whose packet lower bound fits within one
     reconfiguration delay, and each further class covers keys another
-    factor of [bucket_base] (default [4.], must be [> 1.]) longer —
-    so a new arrival sorts at the {e end} of its class and invalidates
-    only strictly lower classes' boundary conflicts instead of every
-    Coflow with a marginally larger key. [Priority_classes] classes
-    are clamped into [[0, buckets)]; [Fifo] and [Custom] have no
-    numeric key and keep their exact order (one class). Retained plans
-    in clean later classes are spliced back verbatim when their ports
-    are still free, and re-derived only on conflict — see
-    {!schedule_incremental}. Bucketing trades fidelity to the exact
-    shortest-first order for replan locality; CCT drift against the
-    exact order is measured (and gated) in the bench harness.
-    Raises [Invalid_argument] if [buckets < 0] or [bucket_base <= 1.].
+    factor of [bucket_base] (default [4.]) longer — so a new arrival
+    sorts at the {e end} of its class and invalidates only strictly
+    lower classes' boundary conflicts instead of every Coflow with a
+    marginally larger key. [Priority_classes] classes are clamped into
+    [[0, buckets)]; [Fifo] and [Custom] have no numeric key and keep
+    their exact order (one class). Retained plans in clean later
+    classes are spliced back verbatim when their ports are still free,
+    and re-derived only on conflict — see {!schedule_incremental}.
+    Bucketing trades fidelity to the exact shortest-first order for
+    replan locality; CCT drift against the exact order is measured
+    (and gated) in the bench harness.
 
     [shards] (default [1]: one reservation table, one repair pass per
     event) stripes the fabric's ports over that many shards in
     contiguous [shard_block]-wide blocks (default [1]; set it to the
-    pod size to align shards with pods). Each shard owns
-    its own reservation table and entry vector; an event replans each
-    dirty shard independently — through [runner], so a domain pool can
-    execute the passes concurrently — and falls back to one
+    pod size to align shards with pods). Each shard owns its own
+    reservation table and entry vector; an event replans each dirty
+    shard independently — through the engine's [runner], so a domain
+    pool can execute the passes concurrently — and falls back to one
     deterministic global pass whenever a cross-shard Coflow is
     involved, after rolling the optimistic passes back. [shards = 1]
     is the one-shard case of the same step, and decisions are
-    bit-identical to it for every shard count; [rebuild]
-    coerces [shards] to [1] (the from-scratch oracle is inherently
-    global). Raises [Invalid_argument] if [shards < 1] or
-    [shard_block < 1]. *)
+    bit-identical to it for every shard count. *)
+
+val config :
+  ?carry_circuits:bool ->
+  ?buckets:int ->
+  ?bucket_base:float ->
+  ?shards:int ->
+  ?shard_block:int ->
+  unit ->
+  config
+(** The one place the knobs' defaults live and are checked. Raises
+    [Invalid_argument] if [buckets < 0], [bucket_base] is not finite
+    or [<= 1.], [shards < 1] or [shard_block < 1]. *)
+
+val default_config : config
+(** [config ()]. *)
+
+val engine :
+  ?order:Order.t ->
+  ?rebuild:bool ->
+  ?runner:pass_runner ->
+  ?config:config ->
+  policy:policy ->
+  delta:float ->
+  bandwidth:float ->
+  unit ->
+  engine
+(** A fresh engine with no admitted Coflows, configured by [config]
+    (default {!default_config}). [rebuild] selects the from-scratch
+    oracle mode, which coerces [shards] to [1] (the from-scratch
+    oracle is inherently global). [runner] executes a sharded engine's
+    independent per-shard passes. [Custom] comparators get an
+    [(arrival, id)] tiebreak appended, so they need not be total
+    themselves. *)
 
 val schedule_incremental :
   engine ->

@@ -164,7 +164,7 @@ let run_packet ~scheduler ~bandwidth coflows =
 
 let run_sunflow ~delta ~bandwidth coflows =
   memo inter_cache ("sunflow", delta, bandwidth, fingerprint coflows) (fun () ->
-      Sunflow_sim.Circuit_sim.run ~delta ~bandwidth coflows)
+      Sunflow_sim.Circuit_sim.replay ~delta ~bandwidth coflows)
 
 let clear_caches () =
   Mutex.lock memo_mu;

@@ -33,7 +33,9 @@ let run ?(settings = Common.default) () =
   (* --- established-circuit reuse --- *)
   let with_reuse = Common.run_sunflow ~delta ~bandwidth coflows in
   let without_reuse =
-    Sunflow_sim.Circuit_sim.run ~carry_circuits:false ~delta ~bandwidth coflows
+    Sunflow_sim.Circuit_sim.replay
+      ~config:(Inter.config ~carry_circuits:false ())
+      ~delta ~bandwidth coflows
   in
   let reuse =
     [
@@ -51,7 +53,7 @@ let run ?(settings = Common.default) () =
   in
   (* --- policy --- *)
   let fifo =
-    Sunflow_sim.Circuit_sim.run ~policy:Inter.Fifo ~delta ~bandwidth coflows
+    Sunflow_sim.Circuit_sim.replay ~policy:Inter.Fifo ~delta ~bandwidth coflows
   in
   let fair = Common.run_packet ~scheduler:`Fair ~bandwidth coflows in
   let policy =
@@ -121,7 +123,7 @@ let run ?(settings = Common.default) () =
       ~classify coflows
   in
   let pure_fast =
-    Sunflow_sim.Circuit_sim.run ~delta ~bandwidth:circuit_bandwidth coflows
+    Sunflow_sim.Circuit_sim.replay ~delta ~bandwidth:circuit_bandwidth coflows
   in
   let varys_fast =
     Common.run_packet ~scheduler:`Varys ~bandwidth:circuit_bandwidth coflows

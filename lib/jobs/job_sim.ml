@@ -69,7 +69,8 @@ let run ~fabric ~bandwidth jobs =
   let coflow_result =
     match fabric with
     | Circuit { delta; policy } ->
-      Sunflow_sim.Circuit_sim.run ~policy ~on_complete ~delta ~bandwidth initial
+      Sunflow_sim.Circuit_sim.replay ~policy ~on_complete ~delta ~bandwidth
+        initial
     | Packet scheduler ->
       Sunflow_sim.Packet_sim.run ~on_complete ~scheduler ~bandwidth initial
   in

@@ -1,6 +1,6 @@
 (* Recursive-descent JSON parser, shared by the obs tests and the
-   bench checker (bench/check_bench_json.ml carries its own copy only
-   because it predates this library and links nothing). *)
+   bench checker, plus the string and float spellings every
+   hand-rolled emitter in the project uses. *)
 
 type t =
   | Null
@@ -168,3 +168,20 @@ let of_string s = match parse s with v -> Ok v | exception Bad m -> Error m
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let float x = if Float.is_finite x then Printf.sprintf "%.9g" x else "null"

@@ -313,31 +313,13 @@ let reset () =
 
 (* --- JSON ------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.9g" x else "null"
-
 let to_json s =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let obj fields render =
     List.iteri
       (fun i (name, v) ->
-        add "    \"%s\": " (json_escape name);
+        add "    \"%s\": " (Json.escape name);
         render v;
         add "%s\n" (if i = List.length fields - 1 then "" else ","))
       fields
@@ -348,23 +330,23 @@ let to_json s =
   obj s.counters (fun v -> add "%d" v);
   add "  },\n";
   add "  \"gauges\": {\n";
-  obj s.gauges (fun v -> add "%s" (json_float v));
+  obj s.gauges (fun v -> add "%s" (Json.float v));
   add "  },\n";
   add "  \"histograms\": {\n";
   obj s.histograms (fun (h : histogram_snapshot) ->
       add
         "{\"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \"p50\": %s, \
          \"p95\": %s, \"p99\": %s, \"buckets\": ["
-        h.h_count (json_float h.h_sum) (json_float h.h_min)
-        (json_float h.h_max)
-        (json_float (quantile h 0.5))
-        (json_float (quantile h 0.95))
-        (json_float (quantile h 0.99));
+        h.h_count (Json.float h.h_sum) (Json.float h.h_min)
+        (Json.float h.h_max)
+        (Json.float (quantile h 0.5))
+        (Json.float (quantile h 0.95))
+        (Json.float (quantile h 0.99));
       List.iteri
         (fun i (lo, hi, k) ->
           add "%s{\"lo\": %s, \"hi\": %s, \"count\": %d}"
             (if i = 0 then "" else ", ")
-            (json_float lo) (json_float hi) k)
+            (Json.float lo) (Json.float hi) k)
         h.h_buckets;
       add "]}");
   add "  }\n";

@@ -162,21 +162,6 @@ let body_json r =
   add "}";
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -185,7 +170,7 @@ let to_json r =
   add "\"run\": {";
   List.iteri
     (fun i (k, v) ->
-      add "%s\n  \"%s\": %s" (if i = 0 then "" else ",") (json_escape k) v)
+      add "%s\n  \"%s\": %s" (if i = 0 then "" else ",") (Json.escape k) v)
     r.r_run;
   add "\n},\n";
   add "\"body\": %s\n" (body_json r);

@@ -120,21 +120,6 @@ let clear () =
 
 (* --- Chrome trace-event export ---------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let ph_string = function Begin -> "B" | End -> "E" | Instant -> "i"
 
 let to_chrome_json () =
@@ -161,7 +146,7 @@ let to_chrome_json () =
       add
         "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%s\", \"ts\": \
          %.3f, \"pid\": 1, \"tid\": %d%s}%s\n"
-        (json_escape e.name) (json_escape e.cat) (ph_string e.ph) ts_us e.tid
+        (Json.escape e.name) (Json.escape e.cat) (ph_string e.ph) ts_us e.tid
         (match e.ph with Instant -> ", \"s\": \"t\"" | _ -> "")
         (if i = n_evs - 1 then "" else ","))
     evs;

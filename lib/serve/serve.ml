@@ -65,10 +65,8 @@ let no_reject (_ : Coflow.t) (_ : reject_reason) = ()
 let no_finish ~id:(_ : int) ~t:(_ : float) ~cct:(_ : float) = ()
 
 let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
-    ?(carry_circuits = true) ?(buckets = 0) ?(bucket_base = 4.) ?(shards = 1)
-    ?(shard_block = 1) ?deadline_of
-    ?(stop = no_stop) ?(on_admit = no_admit) ?(on_reject = no_reject)
-    ?(on_finish = no_finish) ~delta ~bandwidth next =
+    ?config ?deadline_of ?(stop = no_stop) ?(on_admit = no_admit)
+    ?(on_reject = no_reject) ?(on_finish = no_finish) ~delta ~bandwidth next =
   let obs = Obs.Control.enabled () in
   let policy =
     match deadline_of with
@@ -76,9 +74,8 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
     | Some deadline_of -> admission_policy ~deadline_of
   in
   let eng =
-    Inter.engine ~order ~carry_circuits ~rebuild:false ~buckets ~bucket_base
-      ~shards ~shard_block ~runner:(Sunflow_sim.Circuit_sim.shard_runner ())
-      ~policy ~delta ~bandwidth ()
+    Inter.engine ~order ~runner:(Sunflow_sim.Circuit_sim.shard_runner ())
+      ?config ~policy ~delta ~bandwidth ()
   in
   let active_tbl : (int, active) Hashtbl.t = Hashtbl.create 64 in
   let actives : active list ref = ref [] in

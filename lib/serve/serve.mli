@@ -1,7 +1,7 @@
 (** Long-running serving mode: an unbounded arrival stream through the
     incremental engine at bounded resident memory.
 
-    The batch entry points ([Circuit_sim.run], [Deadline.admit]) hold
+    The batch entry points ([Circuit_sim.replay], [Deadline.admit]) hold
     every Coflow of the trace alive for the whole replay. This loop
     instead pulls arrivals lazily from a stream, hands results to
     callbacks instead of accumulating them, and retires a finished
@@ -55,11 +55,7 @@ type stats = {
 val run :
   ?policy:Sunflow_core.Inter.policy ->
   ?order:Sunflow_core.Order.t ->
-  ?carry_circuits:bool ->
-  ?buckets:int ->
-  ?bucket_base:float ->
-  ?shards:int ->
-  ?shard_block:int ->
+  ?config:Sunflow_core.Inter.config ->
   ?deadline_of:(Sunflow_core.Coflow.t -> float) ->
   ?stop:(unit -> bool) ->
   ?on_admit:(Sunflow_core.Coflow.t -> finish:float -> unit) ->
@@ -78,14 +74,15 @@ val run :
     recur after retirement — a stream, unlike a trace file, has no
     global uniqueness to check.
 
-    Without [deadline_of] this is exactly [Circuit_sim.run
+    Without [deadline_of] this is exactly [Circuit_sim.replay
     ~replan:`Incremental] fed lazily: same engine, same event
     instants, same slice executor ([Sunflow_sim.Slice]) — results
     delivered through [on_finish] are bit-identical to the batch
     replay's, and a sharded engine's passes run on the same pass
     runner ([Circuit_sim.shard_runner]). [policy] defaults to
-    shortest-Coflow-first; empty-demand Coflows complete instantly at
-    their arrival.
+    shortest-Coflow-first and [config], the engine's knobs, to
+    {!Sunflow_core.Inter.default_config}; empty-demand Coflows
+    complete instantly at their arrival.
 
     With [deadline_of] (absolute deadline per Coflow), arrivals pass
     through admission control and [policy] is ignored: the engine

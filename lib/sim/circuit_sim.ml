@@ -21,7 +21,7 @@ let h_plan = Obs.Registry.histogram "sim.plan_s"
 let check_unique_ids coflows =
   let ids = List.map (fun c -> c.Coflow.id) coflows in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
-    invalid_arg "Circuit_sim.run: duplicate Coflow ids"
+    invalid_arg "Circuit_sim.replay: duplicate Coflow ids"
 
 let no_release _ _ = []
 
@@ -127,7 +127,8 @@ let full_planner ~policy ~order ~carry_circuits ~delta ~bandwidth =
           (fun acc a ->
             match Inter.finish_of (current ()) a.orig.Coflow.id with
             | Some f -> Float.min acc f
-            | None -> invalid_arg "Circuit_sim.run: Coflow missing from plan")
+            | None ->
+              invalid_arg "Circuit_sim.replay: Coflow missing from plan")
           infinity acts);
     slice = (fun ~t:_ ~t_next:_ -> Prt.all_reservations (current ()).Inter.prt);
     view = (fun ~t:_ -> (!established, current ()));
@@ -144,11 +145,11 @@ let full_planner ~policy ~order ~carry_circuits ~delta ~bandwidth =
    while reconstructing the table from scratch every event — the
    bit-exact oracle for the incremental repair. The hook sees the
    persistent plan materialised as a from-scratch result. *)
-let anchored_planner ~rebuild ~policy ~order ~carry_circuits ~buckets
-    ~bucket_base ~shards ~shard_block ~delta ~bandwidth ~remaining_of =
+let anchored_planner ~rebuild ~policy ~order ~config ~delta ~bandwidth
+    ~remaining_of =
   let eng =
-    Inter.engine ~order ~carry_circuits ~rebuild ~buckets ~bucket_base ~shards
-      ~shard_block ~runner:(shard_runner ()) ~policy ~delta ~bandwidth ()
+    Inter.engine ~order ~rebuild ~runner:(shard_runner ()) ~config ~policy
+      ~delta ~bandwidth ()
   in
   let counts () =
     let ss = Inter.engine_shard_stats eng in
@@ -179,31 +180,30 @@ let anchored_planner ~rebuild ~policy ~order ~carry_circuits ~buckets
     engine = Some eng;
   }
 
-let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
-    ?(carry_circuits = true) ?(replan = `Full) ?(buckets = 0)
-    ?(bucket_base = 4.) ?(shards = 1) ?(shard_block = 1) ?shard_stats
+let replay ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
+    ?(replan = `Full) ?(config = Inter.default_config) ?shard_stats
     ?(on_complete = no_release) ?on_slice ~delta ~bandwidth coflows =
-  if bandwidth <= 0. then invalid_arg "Circuit_sim.run: bandwidth <= 0";
-  if delta < 0. then invalid_arg "Circuit_sim.run: negative delta";
+  if bandwidth <= 0. then invalid_arg "Circuit_sim.replay: bandwidth <= 0";
+  if delta < 0. then invalid_arg "Circuit_sim.replay: negative delta";
   check_unique_ids coflows;
   (* the active Coflows by id, kept across the whole replay *)
   let by_id : (int, active) Hashtbl.t = Hashtbl.create 64 in
   let remaining_of id =
     match Hashtbl.find_opt by_id id with
     | Some a -> a.remaining
-    | None -> invalid_arg "Circuit_sim.run: unknown Coflow in engine"
+    | None -> invalid_arg "Circuit_sim.replay: unknown Coflow in engine"
   in
   let p =
     match replan with
     | `Full ->
-      if buckets <> 0 then
-        invalid_arg "Circuit_sim.run: buckets need an anchored replan mode";
-      if shards <> 1 then
-        invalid_arg "Circuit_sim.run: shards need an anchored replan mode";
-      full_planner ~policy ~order ~carry_circuits ~delta ~bandwidth
+      if config.Inter.buckets <> 0 then
+        invalid_arg "Circuit_sim.replay: buckets need an anchored replan mode";
+      if config.shards <> 1 then
+        invalid_arg "Circuit_sim.replay: shards need an anchored replan mode";
+      full_planner ~policy ~order ~carry_circuits:config.carry_circuits ~delta
+        ~bandwidth
     | (`Rebuild | `Incremental) as mode ->
-      anchored_planner ~rebuild:(mode = `Rebuild) ~policy ~order
-        ~carry_circuits ~buckets ~bucket_base ~shards ~shard_block ~delta
+      anchored_planner ~rebuild:(mode = `Rebuild) ~policy ~order ~config ~delta
         ~bandwidth ~remaining_of
   in
   let arrivals = Event_queue.create () in
@@ -254,7 +254,7 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
     List.iter
       (fun (c : Coflow.t) ->
         if c.arrival < t_next then
-          invalid_arg "Circuit_sim.run: released Coflow arrives in the past";
+          invalid_arg "Circuit_sim.replay: released Coflow arrives in the past";
         Event_queue.push arrivals ~time:c.arrival c)
       (on_complete id t_next)
   in
@@ -292,7 +292,7 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
       (* active Coflows always have a planned finish; waking at a
          fabricated instant would stall the replay *)
       if t_next = infinity then
-        invalid_arg "Circuit_sim.run: active Coflows but an idle engine";
+        invalid_arg "Circuit_sim.replay: active Coflows but an idle engine";
       (match on_slice with
       | Some f ->
         let established, plan = p.view ~t in
@@ -329,6 +329,14 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
     n_events = !n_events;
     total_setups = Slice.setups ex;
   }
+
+let run ?policy ?order ?carry_circuits ?replan ?buckets ?bucket_base ?shards
+    ?shard_block ?shard_stats ?on_complete ?on_slice ~delta ~bandwidth coflows =
+  replay ?policy ?order ?replan
+    ~config:
+      (Inter.config ?carry_circuits ?buckets ?bucket_base ?shards ?shard_block
+         ())
+    ?shard_stats ?on_complete ?on_slice ~delta ~bandwidth coflows
 
 let intra_cct ?(order = Order.Ordered_port) ~delta ~bandwidth coflow =
   Sunflow.schedule ~order ~delta ~bandwidth

@@ -40,6 +40,58 @@ type replan = [ `Full | `Rebuild | `Incremental ]
     anchored modes keep retained plans fixed at their last scheduling
     instant; that part differs at the float-rounding scale. *)
 
+val replay :
+  ?policy:Sunflow_core.Inter.policy ->
+  ?order:Sunflow_core.Order.t ->
+  ?replan:replan ->
+  ?config:Sunflow_core.Inter.config ->
+  ?shard_stats:Sunflow_core.Inter.shard_stats ref ->
+  ?on_complete:(int -> float -> Sunflow_core.Coflow.t list) ->
+  ?on_slice:
+    (t:float ->
+    t_next:float ->
+    established:(int * int) list ->
+    coflows:Sunflow_core.Coflow.t list ->
+    Sunflow_core.Inter.result ->
+    unit) ->
+  delta:float ->
+  bandwidth:float ->
+  Sunflow_core.Coflow.t list ->
+  Sim_result.t
+(** Replay the trace. [policy] defaults to shortest-Coflow-first (the
+    evaluation's setting), [order] to {!Sunflow_core.Order.Ordered_port},
+    [config] to {!Sunflow_core.Inter.default_config}; see
+    {!Sunflow_core.Inter.config} for what its knobs mean. Coflows with
+    empty demand complete instantly at their arrival. Duplicate ids
+    raise [Invalid_argument].
+
+    [config.carry_circuits] applies to every [replan] mode. Bucketing
+    and sharding need a persistent engine: non-zero [buckets] or
+    [shards <> 1] under [`Full] raise [Invalid_argument]. [`Rebuild]
+    coerces to one shard (it is the inherently global oracle). A
+    sharded engine's independent shard passes run on the
+    {!Sunflow_parallel.Pool} domain pool when it has more than one
+    domain. [shard_stats], when given, receives the engine's
+    cumulative event/conflict/rollback counts after an anchored
+    replay.
+
+    [on_complete id t] is called once per completed Coflow and may
+    release new Coflows into the fabric (their arrivals must be
+    [>= t]) — the hook multi-stage jobs use to chain dependent
+    Coflows.
+
+    [on_slice ~t ~t_next ~established ~coflows plan] is called once
+    per scheduling event, after the plan for the slice [[t, t_next)]
+    has been computed and before any demand is drained: [coflows] are
+    the active Coflows with their remaining demand as of [t] (their
+    demand objects are the simulator's own and mutate once the hook
+    returns — copy anything kept), [established] the circuits carried
+    over into the replan. The validation layer ({!Sunflow_check})
+    hooks here to check every plan and to reconstruct the executed
+    schedule for the differential oracle. Under the anchored [replan]
+    modes the hook receives the persistent plan materialised as the
+    equivalent from-scratch result ([Inter.engine_view]). *)
+
 val run :
   ?policy:Sunflow_core.Inter.policy ->
   ?order:Sunflow_core.Order.t ->
@@ -62,52 +114,14 @@ val run :
   bandwidth:float ->
   Sunflow_core.Coflow.t list ->
   Sim_result.t
-(** Replay the trace. [policy] defaults to shortest-Coflow-first (the
-    evaluation's setting), [order] to {!Sunflow_core.Order.Ordered_port}.
-    [carry_circuits] (default [true]) keeps circuits that are
-    mid-transmission alive across rescheduling events; set it to
-    [false] to ablate the not-all-stop advantage — every scheduling
-    event then tears the whole fabric down, approximating an all-stop
-    controller. Coflows with empty demand complete instantly at their
-    arrival. Duplicate ids raise [Invalid_argument].
-
-    [buckets]/[bucket_base] (defaults [0]/[4.]) coarsen the anchored
-    modes' priority order into exponentially-spaced classes — see
-    {!Sunflow_core.Inter.engine}. [buckets = 0] keeps the exact order.
-    Non-zero [buckets] under [`Full] raises [Invalid_argument]: the
-    full replan has no persistent order to coarsen.
-
-    [shards]/[shard_block] (defaults [1]/[1]) partition the fabric's
-    ports into shard stripes with per-shard reservation tables and
-    dirty sets — see {!Sunflow_core.Inter.engine}. Results are
-    bit-identical to [shards = 1] for every shard count; an event only
-    replans the shards its dirty Coflows touch, and the independent
-    shard passes run on the {!Sunflow_parallel.Pool} domain pool when
-    it has more than one domain. [shards <> 1] under [`Full] raises
-    [Invalid_argument] (nothing persistent to shard); [`Rebuild]
-    coerces to one shard (it is the inherently global oracle).
-    [shard_stats], when given, receives the engine's cumulative
-    event/conflict/rollback counts after an anchored replay.
-
-    [on_complete id t] is called once per completed Coflow and may
-    release new Coflows into the fabric (their arrivals must be
-    [>= t]) — the hook multi-stage jobs use to chain dependent
-    Coflows.
-
-    [on_slice ~t ~t_next ~established ~coflows plan] is called once
-    per scheduling event, after the plan for the slice [[t, t_next)]
-    has been computed and before any demand is drained: [coflows] are
-    the active Coflows with their remaining demand as of [t] (their
-    demand objects are the simulator's own and mutate once the hook
-    returns — copy anything kept), [established] the circuits carried
-    over into the replan. The validation layer ({!Sunflow_check})
-    hooks here to check every plan and to reconstruct the executed
-    schedule for the differential oracle. Under the anchored [replan]
-    modes the hook receives the persistent plan materialised as the
-    equivalent from-scratch result ([Inter.engine_view]). *)
+(** {!replay} with the knobs as labels, built into
+    {!Sunflow_core.Inter.config}. It exists only because the
+    repository benchmark's frozen driver ([perfbench/]) calls it;
+    everything else calls {!replay}. It goes with the next change to
+    the benchmark. *)
 
 val shard_runner : unit -> Sunflow_core.Inter.pass_runner
-(** The pass runner {!run}'s anchored replan hands its engine: the
+(** The pass runner {!replay}'s anchored replan hands its engine: the
     {!Sunflow_parallel.Pool} domain pool when it has more than one
     domain, {!Sunflow_core.Inter.sequential_runner} otherwise. Only a
     sharded engine has several passes per event to hand it. Exposed

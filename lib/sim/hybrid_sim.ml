@@ -32,10 +32,11 @@ let run ?policy ?(packet_scheduler = Sunflow_packet.Fair.allocate) ~delta
   end;
   let circuit_result =
     if not obs then
-      Circuit_sim.run ?policy ~delta ~bandwidth:circuit_bandwidth circuit
+      Circuit_sim.replay ?policy ~delta ~bandwidth:circuit_bandwidth circuit
     else
       Obs.Tracer.with_span ~cat:"sim" "hybrid.circuit_fabric" (fun () ->
-          Circuit_sim.run ?policy ~delta ~bandwidth:circuit_bandwidth circuit)
+          Circuit_sim.replay ?policy ~delta ~bandwidth:circuit_bandwidth
+            circuit)
   in
   let packet_result =
     if not obs then

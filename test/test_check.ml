@@ -147,12 +147,12 @@ let arrival_trace () =
 
 let test_conservation_clean () =
   let coflows = arrival_trace () in
-  let r = Circuit_sim.run ~delta ~bandwidth:b coflows in
+  let r = Circuit_sim.replay ~delta ~bandwidth:b coflows in
   check_clean "circuit replay" (Check.Sim_check.result ~bandwidth:b ~coflows r)
 
 let test_conservation_corrupted () =
   let coflows = arrival_trace () in
-  let r = Circuit_sim.run ~delta ~bandwidth:b coflows in
+  let r = Circuit_sim.replay ~delta ~bandwidth:b coflows in
   let vs corrupted = Check.Sim_check.result ~bandwidth:b ~coflows corrupted in
   Alcotest.(check bool)
     "inflated makespan flagged" true
@@ -192,7 +192,9 @@ let test_teardowns_balance () =
       Obs.Control.set_enabled true;
       let s0, t0 = counter_pair () in
       let r =
-        Circuit_sim.run ~carry_circuits ~delta ~bandwidth:b (arrival_trace ())
+        Circuit_sim.replay
+          ~config:(Sunflow_core.Inter.config ~carry_circuits ())
+          ~delta ~bandwidth:b (arrival_trace ())
       in
       let s1, t1 = counter_pair () in
       Obs.Control.set_enabled false;
@@ -208,7 +210,7 @@ let test_teardowns_balance () =
 let test_teardowns_zero_delta () =
   Obs.Control.set_enabled true;
   let s0, t0 = counter_pair () in
-  ignore (Circuit_sim.run ~delta:0. ~bandwidth:b (arrival_trace ()));
+  ignore (Circuit_sim.replay ~delta:0. ~bandwidth:b (arrival_trace ()));
   let s1, t1 = counter_pair () in
   Obs.Control.set_enabled false;
   Alcotest.(check int) "no setups at delta=0" 0 (s1 - s0);
@@ -225,7 +227,7 @@ let test_attribution_conserves () =
   Obs.Attrib.clear ();
   Obs.Sampler.clear ();
   Obs.Timeline.clear ();
-  let r = Circuit_sim.run ~delta ~bandwidth:b coflows in
+  let r = Circuit_sim.replay ~delta ~bandwidth:b coflows in
   Obs.Control.set_enabled false;
   let breakdowns, vs = Check.Sim_check.attribution ~coflows r in
   Obs.Attrib.clear ();

@@ -54,8 +54,9 @@ let test_equiv_grid () =
                   for i = 0 to 2 do
                     let trace = trace_of_seed (1000 + (17 * i)) in
                     let vs =
-                      Plan_check.replay_equiv ~policy ~buckets
-                        ~carry_circuits:carry ~delta ~bandwidth trace
+                      Plan_check.replay_equiv ~policy
+                        ~config:(Inter.config ~buckets ~carry_circuits:carry ())
+                        ~delta ~bandwidth trace
                     in
                     Alcotest.(check string)
                       (Printf.sprintf "%s buckets=%d carry=%b delta=%g trace=%d"
@@ -70,7 +71,7 @@ let test_equiv_grid () =
 let test_result_fields_equal () =
   let trace = trace_of_seed ~max_coflows:12 42 in
   let run replan =
-    Circuit_sim.run ~replan ~delta:(Units.ms 15.) ~bandwidth trace
+    Circuit_sim.replay ~replan ~delta:(Units.ms 15.) ~bandwidth trace
   in
   let ri = run `Incremental and rr = run `Rebuild in
   Alcotest.(check bool) "Sim_result bit-identical" true (ri = rr);
@@ -91,7 +92,8 @@ let test_equiv_with_releases () =
     else []
   in
   let run replan =
-    Circuit_sim.run ~replan ~on_complete ~delta:(Units.ms 10.) ~bandwidth trace
+    Circuit_sim.replay ~replan ~on_complete ~delta:(Units.ms 10.) ~bandwidth
+      trace
   in
   Alcotest.(check bool) "with releases" true (run `Incremental = run `Rebuild)
 
@@ -109,7 +111,7 @@ let test_setup_teardown_balance () =
           let s0 = Obs.Registry.counter_value m_setups in
           let d0 = Obs.Registry.counter_value m_teardowns in
           let r =
-            Circuit_sim.run ~replan ~delta:(Units.ms 15.) ~bandwidth
+            Circuit_sim.replay ~replan ~delta:(Units.ms 15.) ~bandwidth
               (trace_of_seed ~max_coflows:10 99)
           in
           let setups = Obs.Registry.counter_value m_setups - s0 in
@@ -158,7 +160,8 @@ let test_scf_storm_grid () =
       List.iter
         (fun delta ->
           let vs =
-            Plan_check.replay_equiv ~policy:Inter.Shortest_first ~buckets
+            Plan_check.replay_equiv ~policy:Inter.Shortest_first
+              ~config:(Inter.config ~buckets ())
               ~delta ~bandwidth trace
           in
           Alcotest.(check string)
@@ -170,7 +173,9 @@ let test_scf_storm_grid () =
 let test_bucketed_result_identity () =
   let trace = trace_of_seed ~max_coflows:12 42 in
   let run replan =
-    Circuit_sim.run ~replan ~buckets:4 ~delta:(Units.ms 15.) ~bandwidth trace
+    Circuit_sim.replay ~replan
+      ~config:(Inter.config ~buckets:4 ())
+      ~delta:(Units.ms 15.) ~bandwidth trace
   in
   let ri = run `Incremental and rr = run `Rebuild in
   Alcotest.(check bool) "bucketed Sim_result bit-identical" true (ri = rr);
@@ -193,8 +198,9 @@ let test_dirty_suffix_smaller () =
   in
   let drive buckets =
     let eng =
-      Inter.engine ~buckets ~policy:Inter.Shortest_first ~delta:0. ~bandwidth
-        ()
+      Inter.engine
+        ~config:(Inter.config ~buckets ())
+        ~policy:Inter.Shortest_first ~delta:0. ~bandwidth ()
     in
     Array.iter
       (fun c ->
@@ -221,8 +227,9 @@ let test_no_gc_pinning () =
     (fun shards ->
       let label what i = Printf.sprintf "shards %d: %s %d" shards what i in
       let eng =
-        Inter.engine ~shards ~policy:Inter.Shortest_first
-          ~delta:(Units.ms 10.) ~bandwidth ()
+        Inter.engine
+          ~config:(Inter.config ~shards ())
+          ~policy:Inter.Shortest_first ~delta:(Units.ms 10.) ~bandwidth ()
       in
       let weak = Weak.create n in
       let windows = ref (Weak.create 0) in
@@ -334,8 +341,8 @@ let test_full_rekeys_shortest_first () =
   in
   let trace = [ coflow 0 0. 100.; coflow 1 0.5 60. ] in
   let finishes replan =
-    (Circuit_sim.run ~policy:Inter.Shortest_first ~replan ~delta:(Units.ms 10.)
-       ~bandwidth:(Units.gbps 1.) trace)
+    (Circuit_sim.replay ~policy:Inter.Shortest_first ~replan
+       ~delta:(Units.ms 10.) ~bandwidth:(Units.gbps 1.) trace)
       .Sim_result.finishes
   in
   let check what expected got =
@@ -357,8 +364,9 @@ let prop_equiv =
        QCheck.(pair small_nat (bool))
        (fun (seed, carry) ->
          let trace = trace_of_seed (10_000 + seed) in
-         Plan_check.replay_equiv ~carry_circuits:carry ~delta:(Units.ms 10.)
-           ~bandwidth trace
+         Plan_check.replay_equiv
+           ~config:(Inter.config ~carry_circuits:carry ())
+           ~delta:(Units.ms 10.) ~bandwidth trace
          = []))
 
 let prop_equiv_bucketed =
@@ -368,8 +376,11 @@ let prop_equiv_bucketed =
        QCheck.(triple small_nat (int_bound 20) (int_bound 6))
        (fun (seed, buckets, base_step) ->
          let trace = trace_of_seed (20_000 + seed) in
-         Plan_check.replay_equiv ~policy:Inter.Shortest_first ~buckets
-           ~bucket_base:(2. +. float_of_int base_step)
+         Plan_check.replay_equiv ~policy:Inter.Shortest_first
+           ~config:
+             (Inter.config ~buckets
+                ~bucket_base:(2. +. float_of_int base_step)
+                ())
            ~delta:(Units.ms 10.) ~bandwidth trace
          = []))
 

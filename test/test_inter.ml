@@ -132,6 +132,20 @@ let test_policy_names () =
   Alcotest.(check string) "scf" "shortest-coflow-first"
     (Inter.policy_name Inter.Shortest_first)
 
+(* the engine's knobs are checked once, where the record is built; a
+   NaN base once slipped through a [<= 1.] test *)
+let test_config_non_finite_base () =
+  List.iter
+    (fun base ->
+      Alcotest.check_raises
+        (Printf.sprintf "bucket_base = %g rejected" base)
+        (Invalid_argument "Inter.config: bucket_base must be finite and > 1")
+        (fun () -> ignore (Inter.config ~bucket_base:base () : Inter.config)))
+    [ Float.nan; infinity ];
+  Alcotest.(check (float 0.))
+    "a finite base > 1 is kept" 1.5
+    (Inter.config ~bucket_base:1.5 ()).Inter.bucket_base
+
 let suite =
   [
     Alcotest.test_case "sort policies" `Quick test_sort_policies;
@@ -145,4 +159,6 @@ let suite =
     prop_all_port_constraints;
     prop_highest_priority_alone_speed;
     Alcotest.test_case "policy names" `Quick test_policy_names;
+    Alcotest.test_case "config rejects a non-finite bucket base" `Quick
+      test_config_non_finite_base;
   ]

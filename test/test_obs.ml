@@ -514,8 +514,10 @@ let test_replay_bit_identical_under_obs () =
       List.iter
         (fun carry_circuits ->
           let run () =
-            Circuit_sim.run ~replan ~carry_circuits ~delta:(Units.ms 10.)
-              ~bandwidth:(Units.gbps 1.) trace.Sunflow_trace.Trace.coflows
+            Circuit_sim.replay ~replan
+              ~config:(Sunflow_core.Inter.config ~carry_circuits ())
+              ~delta:(Units.ms 10.) ~bandwidth:(Units.gbps 1.)
+              trace.Sunflow_trace.Trace.coflows
           in
           let off = run () in
           let on = with_tracing (fun () -> with_attrib run) in

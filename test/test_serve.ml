@@ -59,15 +59,16 @@ let test_matches_incremental_replay () =
   in
   List.iter
     (fun (buckets, shards) ->
+      let config = Sunflow_core.Inter.config ~buckets ~shards () in
       let batch, batch_setups, batch_teardowns =
         with_obs_counts (fun () ->
-            Circuit_sim.run ~replan:`Incremental ~buckets ~shards ~delta
-              ~bandwidth:b trace.Trace.coflows)
+            Circuit_sim.replay ~replan:`Incremental ~config ~delta ~bandwidth:b
+              trace.Trace.coflows)
       in
       let ccts = ref [] and finishes = ref [] in
       let stats, serve_setups, serve_teardowns =
         with_obs_counts (fun () ->
-            Serve.run ~buckets ~shards ~delta ~bandwidth:b
+            Serve.run ~config ~delta ~bandwidth:b
               ~on_finish:(fun ~id ~t ~cct ->
                 ccts := (id, cct) :: !ccts;
                 finishes := (id, t) :: !finishes)

@@ -26,8 +26,9 @@ let trace_of_seed ?(n_ports = 8) ?(max_coflows = 10) seed =
 
 let run ?(policy = Inter.Shortest_first) ?(replan = `Incremental) ?buckets
     ?shard_block ?shard_stats ~shards trace =
-  Circuit_sim.run ~policy ~replan ?buckets ?shard_block ?shard_stats ~shards
-    ~delta ~bandwidth trace
+  Circuit_sim.replay ~policy ~replan
+    ~config:(Inter.config ?buckets ?shard_block ~shards ())
+    ?shard_stats ~delta ~bandwidth trace
 
 let fresh_stats () =
   ref { Inter.shard_steps = 0; shard_conflicts = 0; shard_rollbacks = 0 }
@@ -261,8 +262,7 @@ let test_parallel_runner_identity () =
   Pool.set_jobs (Some 4);
   Fun.protect ~finally:(fun () -> Pool.set_jobs None) @@ fun () ->
   let sharded =
-    Circuit_sim.run ~policy:Inter.Shortest_first ~replan:`Incremental
-      ~buckets:4 ~shards:4 ~shard_block:4 ~delta ~bandwidth trace
+    run ~buckets:4 ~shards:4 ~shard_block:4 trace
   in
   Alcotest.(check bool) "parallel run bit-identical" true (sharded = base)
 
@@ -271,15 +271,23 @@ let test_parallel_runner_identity () =
 let test_validation () =
   let trace = trace_of_seed 5 in
   Alcotest.check_raises "Full mode rejects shards"
-    (Invalid_argument "Circuit_sim.run: shards need an anchored replan mode")
+    (Invalid_argument "Circuit_sim.replay: shards need an anchored replan mode")
     (fun () -> ignore (run ~replan:`Full ~shards:2 trace : Sim_result.t));
+  Alcotest.check_raises "Full mode rejects buckets"
+    (Invalid_argument
+       "Circuit_sim.replay: buckets need an anchored replan mode")
+    (fun () ->
+      ignore (run ~replan:`Full ~buckets:4 ~shards:1 trace : Sim_result.t));
   let invalid name f =
     match f () with
-    | (_ : Sim_result.t) -> Alcotest.failf "%s accepted" name
+    | (_ : Inter.config) -> Alcotest.failf "%s accepted" name
     | exception Invalid_argument _ -> ()
   in
-  invalid "shards = 0" (fun () -> run ~shards:0 trace);
-  invalid "shard_block = 0" (fun () -> run ~shards:2 ~shard_block:0 trace)
+  invalid "shards = 0" (fun () -> Inter.config ~shards:0 ());
+  invalid "shard_block = 0" (fun () ->
+      Inter.config ~shards:2 ~shard_block:0 ());
+  invalid "buckets = -1" (fun () -> Inter.config ~buckets:(-1) ());
+  invalid "bucket_base = 1" (fun () -> Inter.config ~bucket_base:1. ())
 
 (* --- QCheck: equivalence on arbitrary seeds and shard counts --- *)
 
@@ -291,9 +299,10 @@ let prop_equiv_sharded =
        (fun (seed, shard_ix, buckets) ->
          let shards = [| 2; 4; 8 |].(shard_ix) in
          let trace = trace_of_seed (30_000 + seed) in
-         Plan_check.replay_equiv ~policy:Inter.Shortest_first ~shards
-           ~shard_block:(1 + (seed mod 2))
-           ~buckets ~delta ~bandwidth trace
+         Plan_check.replay_equiv ~policy:Inter.Shortest_first
+           ~config:
+             (Inter.config ~shards ~shard_block:(1 + (seed mod 2)) ~buckets ())
+           ~delta ~bandwidth trace
          = []))
 
 let suite =

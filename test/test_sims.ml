@@ -84,19 +84,19 @@ let test_packet_duplicate_ids () =
       ignore (Packet_sim.run ~scheduler:Sunflow_packet.Varys.allocate ~bandwidth:b t))
 
 let test_circuit_all_complete () =
-  let r = Circuit_sim.run ~delta ~bandwidth:b (small_trace ()) in
+  let r = Circuit_sim.replay ~delta ~bandwidth:b (small_trace ()) in
   Alcotest.(check int) "completions" 4 (List.length r.R.ccts);
   Alcotest.(check bool) "setups counted" true (r.R.total_setups >= 6)
 
 let test_circuit_single_coflow_matches_intra () =
   let c = mk 0 [ ((0, 5), Units.mb 40.); ((1, 6), Units.mb 20.); ((0, 6), Units.mb 8.) ] in
-  let r = Circuit_sim.run ~delta ~bandwidth:b [ c ] in
+  let r = Circuit_sim.replay ~delta ~bandwidth:b [ c ] in
   let intra = Circuit_sim.intra_cct ~delta ~bandwidth:b c in
   Util.check_close "matches intra schedule" intra.finish (R.cct_of r 0)
 
 let test_circuit_cct_above_tpl () =
   let trace = small_trace () in
-  let r = Circuit_sim.run ~delta ~bandwidth:b trace in
+  let r = Circuit_sim.replay ~delta ~bandwidth:b trace in
   List.iter
     (fun (c : Coflow.t) ->
       let tpl = Bounds.packet_lower ~bandwidth:b c.demand in
@@ -108,7 +108,7 @@ let test_circuit_sequential_coflows_isolated () =
   (* far-apart arrivals: each Coflow behaves as if alone *)
   let c1 = mk 0 [ ((0, 5), Units.mb 10.) ] in
   let c2 = mk 1 ~arrival:100. [ ((0, 5), Units.mb 10.) ] in
-  let r = Circuit_sim.run ~delta ~bandwidth:b [ c1; c2 ] in
+  let r = Circuit_sim.replay ~delta ~bandwidth:b [ c1; c2 ] in
   Util.check_close "first alone" 0.09 (R.cct_of r 0);
   Util.check_close "second alone" 0.09 (R.cct_of r 1)
 
@@ -118,17 +118,17 @@ let test_circuit_policy_fifo_vs_scf () =
   let big = mk 0 [ ((0, 5), Units.mb 500.) ] in
   let small = mk 1 ~arrival:0.5 [ ((0, 6), Units.mb 1.) ] in
   let fifo =
-    Circuit_sim.run ~policy:Sunflow_core.Inter.Fifo ~delta ~bandwidth:b
+    Circuit_sim.replay ~policy:Sunflow_core.Inter.Fifo ~delta ~bandwidth:b
       [ big; small ]
   in
-  let scf = Circuit_sim.run ~delta ~bandwidth:b [ big; small ] in
+  let scf = Circuit_sim.replay ~delta ~bandwidth:b [ big; small ] in
   Alcotest.(check bool) "scf small faster than fifo small" true
     (R.cct_of scf 1 < R.cct_of fifo 1);
   Alcotest.(check bool) "fifo big not preempted" true
     (R.cct_of fifo 0 <= R.cct_of scf 0 +. 1e-9)
 
 let test_empty_trace () =
-  let r = Circuit_sim.run ~delta ~bandwidth:b [] in
+  let r = Circuit_sim.replay ~delta ~bandwidth:b [] in
   Alcotest.(check int) "no completions" 0 (List.length r.R.ccts);
   Alcotest.(check (float 0.)) "zero makespan" 0. r.R.makespan;
   Alcotest.(check bool) "average_cct_opt is None" true
@@ -141,7 +141,7 @@ let test_empty_trace () =
   Alcotest.(check bool) "pp survives emptiness" true (Util.contains s "coflows=0")
 
 let test_sim_result_helpers () =
-  let r = Circuit_sim.run ~delta ~bandwidth:b (small_trace ()) in
+  let r = Circuit_sim.replay ~delta ~bandwidth:b (small_trace ()) in
   Alcotest.(check int) "cct list length" 4 (List.length (R.cct_list r));
   Alcotest.(check bool) "average positive" true (R.average_cct r > 0.);
   Alcotest.check_raises "unknown id" Not_found (fun () ->
@@ -162,7 +162,7 @@ let prop_circuit_completes_everything =
              (fun i (c, arr) -> { c with Coflow.id = i; arrival = arr })
              entries
          in
-         let r = Circuit_sim.run ~delta ~bandwidth:b trace in
+         let r = Circuit_sim.replay ~delta ~bandwidth:b trace in
          List.length r.R.ccts = List.length trace
          && List.for_all (fun (_, cct) -> cct >= 0.) r.R.ccts))
 
