@@ -674,7 +674,16 @@ let replay_section ppf s =
    record) plus whatever the kernel still allocates per call. The
    checker holds ns/schedule and minor-words/schedule under ceilings
    with headroom, so an accidental per-call allocation (a closure in
-   the hot loop, a tuple in the probe) moves a gated number. *)
+   the hot loop, a tuple in the probe) moves a gated number.
+
+   ns/schedule is bimodal across whole runs: eight SUNFLOW_BENCH_FAST=1
+   runs on a shared 2-vCPU host read 28.9, 33.5, 53.5 and 57.7 us on
+   one commit and 36.4, 55.4, 31.8 and 52.4 us on its successor, with
+   identical minor words (3755). The median of rounds removes jitter
+   within a run, not a slowdown that lasts the whole run, so compare
+   this row across commits only through alternating runs of the two
+   builds; minor words/schedule is deterministic and compares
+   directly. *)
 
 type kernel_row = {
   k_ports : int;

@@ -160,8 +160,8 @@ val established_at : t -> float -> (int * int) list
 
 val covering_at : t -> float -> reservation list
 (** Every reservation whose window contains the instant
-    ([start <= t < stop]), in unspecified order. Per-port predecessor
-    search, so O(ports × log n) rather than O(reservations).
+    ([start <= t < stop]), in unspecified order. Answered from the
+    interval index in O(log n + answer-bearing blocks).
     [established_at]'s answer is exactly the [(src, dst)] set of these
     windows filtered to [start + setup <= t]. *)
 
@@ -170,4 +170,5 @@ val reservations_in : t -> float -> float -> reservation list
     [[t0, t1)] — [stop > t0] and [start < t1] — sorted by the full
     window identity [(start, src, dst, coflow, setup, length)] so the
     order is identical across differently-built tables holding the same
-    windows. O(ports × log n + answer). *)
+    windows. O(log n + answer-bearing blocks) from the interval index,
+    plus the sort of the answer. *)

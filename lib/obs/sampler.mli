@@ -1,5 +1,5 @@
 (** Simulated-time telemetry sampler: one snapshot per scheduling
-    slice, driven from [Circuit_sim]'s event loop when
+    slice, driven from [Circuit_sim.replay] (not the serving loop) when
     {!Control.enabled}.
 
     Two views of the same run accumulate side by side:

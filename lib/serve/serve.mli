@@ -2,8 +2,9 @@
     incremental engine at bounded resident memory.
 
     The batch entry points ([Circuit_sim.replay], [Deadline.admit]) hold
-    every Coflow of the trace alive for the whole replay. This loop
-    instead pulls arrivals lazily from a stream, hands results to
+    every Coflow of the trace alive for the whole replay. Serving
+    drives the same event loop ([Circuit_sim.drive]) but instead pulls
+    arrivals lazily from a stream, hands results to
     callbacks instead of accumulating them, and retires a finished
     Coflow aggressively: its engine entry and PRT windows are released
     at the completion event, its demand matrices as soon as the caller
@@ -21,10 +22,10 @@
     Observability is bounded too: the loop feeds [Sunflow_obs]
     counters ([serve.arrivals]/[admitted]/[rejected]/[completed]/
     [events]), the [serve.live] gauge and the [serve.event_s]
-    wall-time histogram (p99 per-event scheduling latency), and its
-    slice executor ([Sunflow_sim.Slice]) feeds [sim.setups],
-    [sim.teardowns] and the [sim.delta_s] gauge exactly as the batch
-    replay does. All of that is O(1) state; the loop deliberately does
+    wall-time histogram (p99 per-event scheduling latency), and the
+    shared loop feeds [sim.setups], [sim.teardowns], the [sim.delta_s]
+    gauge and the [sim.plan_s] step histogram exactly as for the batch
+    replay. All of that is O(1) state; the loop deliberately does
     {e not} feed the per-Coflow stores (Timeline, Sampler, Attrib),
     which grow with the stream. *)
 
@@ -35,8 +36,6 @@ type reject_reason =
   | Deadline_miss of { deadline : float; finish : float }
       (** scheduled once on the real table; the tentative plan would
           finish at [finish] > [deadline], so it was retracted *)
-
-val pp_reject_reason : Format.formatter -> reject_reason -> unit
 
 type stats = {
   arrivals : int;  (** Coflows pulled from the stream *)
@@ -75,17 +74,17 @@ val run :
     global uniqueness to check.
 
     Without [deadline_of] this is exactly [Circuit_sim.replay
-    ~replan:`Incremental] fed lazily: same engine, same event
-    instants, same slice executor ([Sunflow_sim.Slice]) — results
-    delivered through [on_finish] are bit-identical to the batch
-    replay's, and a sharded engine's passes run on the same pass
-    runner ([Circuit_sim.shard_runner]). [policy] defaults to
+    ~replan:`Incremental] fed lazily, by construction: both drive the
+    one event loop ([Circuit_sim.drive]) on the same engine, so the
+    results delivered through [on_finish] are bit-identical to the
+    batch replay's. [policy] defaults to
     shortest-Coflow-first and [config], the engine's knobs, to
     {!Sunflow_core.Inter.default_config}; empty-demand Coflows
     complete instantly at their arrival.
 
     With [deadline_of] (absolute deadline per Coflow), arrivals pass
-    through admission control and [policy] is ignored: the engine
+    through admission control as they are pulled, before the event's
+    own step, and [policy] is ignored: the engine
     orders Coflows FIFO by arrival instant and same-instant batches
     are admitted in {!Sunflow_core.Deadline.edf} order, so every
     admission lands at the end of the priority order and never

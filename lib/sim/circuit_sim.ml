@@ -81,7 +81,7 @@ let shard_runner () =
     { Inter.run_passes = (fun fs -> Sunflow_parallel.Pool.run (fun f -> f ()) fs) }
   else Inter.sequential_runner
 
-(* What a replan mode contributes to the one replay loop: how the plan
+(* What a replan mode contributes to the event loop: how the plan
    advances at an event (given the event's arrivals, the Coflows
    finished since the last one, and the actives), the earliest
    planned finish ([infinity] if none), the windows the slice
@@ -180,48 +180,197 @@ let anchored_planner ~rebuild ~policy ~order ~config ~delta ~bandwidth
     engine = Some eng;
   }
 
+(* The loop's state: the planner, the slice executor, the active set
+   by id and in admission order (newest first; this order reaches the
+   policy's ties), and the arrivals and finishes the next step hands
+   the planner. *)
+type loop = {
+  p : planner;
+  ex : Slice.t;
+  obs : bool;
+  by_id : (int, active) Hashtbl.t;
+  mutable actives : active list;
+  mutable newly : Coflow.t list;
+  mutable retired : int list;
+}
+
+(* [timeline]: the executor records per-Coflow setups and flow
+   finishes, a store that grows with the run *)
+let create ~timeline ~replan ~policy ~order ~config ~delta ~bandwidth =
+  let by_id = Hashtbl.create 64 in
+  let remaining_of id =
+    match Hashtbl.find_opt by_id id with
+    | Some a -> a.remaining
+    | None -> invalid_arg "Circuit_sim: unknown Coflow in engine"
+  in
+  let p =
+    match replan with
+    | `Full ->
+      full_planner ~policy ~order ~carry_circuits:config.Inter.carry_circuits
+        ~delta ~bandwidth
+    | (`Rebuild | `Incremental) as mode ->
+      anchored_planner ~rebuild:(mode = `Rebuild) ~policy ~order ~config ~delta
+        ~bandwidth ~remaining_of
+  in
+  {
+    p;
+    ex = Slice.create ~timeline ~bandwidth;
+    obs = Obs.Control.enabled ();
+    by_id;
+    actives = [];
+    newly = [];
+    retired = [];
+  }
+
+let serving ~policy ~order ~config ~delta ~bandwidth =
+  let lp =
+    create ~timeline:false ~replan:`Incremental ~policy ~order ~config ~delta
+      ~bandwidth
+  in
+  (lp, Option.get lp.p.engine)
+
+let enter lp (c : Coflow.t) =
+  let a = { orig = c; remaining = Demand.copy c.demand } in
+  Hashtbl.replace lp.by_id c.id a;
+  lp.actives <- a :: lp.actives;
+  lp.newly <- c :: lp.newly
+
+(* hand the planner the pending arrivals and finishes at [t] *)
+let advance lp ~t =
+  let go () =
+    lp.p.advance ~t ~arrivals:lp.newly ~finished:lp.retired lp.actives
+  in
+  (if not lp.obs then go ()
+   else begin
+     Obs.Tracer.begin_span ~cat:"sim" "sim.replan";
+     let w0 = Obs.Control.now_ns () in
+     go ();
+     Obs.Registry.observe h_plan
+       (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) w0) /. 1e9);
+     Obs.Tracer.end_span ~cat:"sim" "sim.replan"
+   end);
+  lp.newly <- [];
+  lp.retired <- []
+
+let step lp ~t = if lp.newly <> [] || lp.retired <> [] then advance lp ~t
+
+type driver = {
+  stop : unit -> bool;
+  next_arrival : unit -> Coflow.t option;
+  pull : float -> Coflow.t list;
+  keep : (Coflow.t -> bool) option;
+  planned :
+    t:float -> t_next:float -> Coflow.t list -> Prt.reservation list -> unit;
+  finished : float -> Coflow.t -> unit;
+  event_counter : Obs.Registry.counter;
+  event_timer : Obs.Registry.histogram option;
+}
+
+type outcome = { events : int; setups : int; stopped : bool }
+
+(* Enter what [d.pull] hands over. With [d.keep], admission control at
+   pull time: once the last slice's finishes are retired, each arrival
+   is scheduled alone on the real table, and a plan [keep] rejects is
+   retracted again — a pure removal step, no second schedule. *)
+let pull lp d t =
+  let arrivals = d.pull t in
+  match d.keep with
+  | None -> List.iter (enter lp) arrivals
+  | Some keep ->
+    if arrivals <> [] then step lp ~t;
+    List.iter
+      (fun (c : Coflow.t) ->
+        enter lp c;
+        advance lp ~t;
+        if not (keep c) then begin
+          lp.actives <- List.tl lp.actives;
+          lp.retired <- [ c.id ];
+          advance lp ~t;
+          Hashtbl.remove lp.by_id c.id
+        end)
+      arrivals
+
+let drive lp d =
+  let timed = lp.obs && Option.is_some d.event_timer in
+  let events = ref 0 and stopped = ref false in
+  let rec loop t =
+    if d.stop () then stopped := true
+    else begin
+      incr events;
+      if lp.obs then Obs.Registry.incr d.event_counter;
+      match (lp.actives, d.next_arrival ()) with
+      | [], None -> ()
+      | [], Some c ->
+        pull lp d c.Coflow.arrival;
+        (* an idle gap: no circuit survives it *)
+        lp.p.idle ();
+        loop c.Coflow.arrival
+      | acts, next_arrival ->
+        let w0 = if timed then Obs.Control.now_ns () else 0L in
+        let arrivals = lp.newly in
+        (* admission control already stepped the arrivals in *)
+        if Option.is_some d.keep then step lp ~t else advance lp ~t;
+        let t_done = lp.p.next_finish acts in
+        let t_next =
+          match next_arrival with
+          | Some c -> Float.min c.Coflow.arrival t_done
+          | None -> t_done
+        in
+        (* active Coflows always have a planned finish; waking at a
+           fabricated instant would stall the loop *)
+        if t_next = infinity then
+          invalid_arg "Circuit_sim: active Coflows but an idle engine";
+        let reservations = lp.p.slice ~t ~t_next in
+        d.planned ~t ~t_next arrivals reservations;
+        let finished, still =
+          Slice.execute lp.ex ~t ~t_next lp.by_id reservations acts
+        in
+        List.iter
+          (fun (a : active) ->
+            Hashtbl.remove lp.by_id a.orig.Coflow.id;
+            lp.retired <- a.orig.Coflow.id :: lp.retired;
+            d.finished t_next a.orig)
+          finished;
+        lp.actives <- still;
+        pull lp d t_next;
+        (match d.event_timer with
+        | Some h when timed ->
+          Obs.Registry.observe h
+            (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) w0) /. 1e9)
+        | _ -> ());
+        if lp.actives <> [] || d.next_arrival () <> None then loop t_next
+    end
+  in
+  (match d.next_arrival () with
+  | None -> ()
+  | Some c ->
+    pull lp d c.Coflow.arrival;
+    loop c.Coflow.arrival);
+  Slice.close lp.ex;
+  { events = !events; setups = Slice.setups lp.ex; stopped = !stopped }
+
 let replay ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
     ?(replan = `Full) ?(config = Inter.default_config) ?shard_stats
     ?(on_complete = no_release) ?on_slice ~delta ~bandwidth coflows =
   if bandwidth <= 0. then invalid_arg "Circuit_sim.replay: bandwidth <= 0";
   if delta < 0. then invalid_arg "Circuit_sim.replay: negative delta";
+  if replan = `Full && config.Inter.buckets <> 0 then
+    invalid_arg "Circuit_sim.replay: buckets need an anchored replan mode";
+  if replan = `Full && config.shards <> 1 then
+    invalid_arg "Circuit_sim.replay: shards need an anchored replan mode";
   check_unique_ids coflows;
-  (* the active Coflows by id, kept across the whole replay *)
-  let by_id : (int, active) Hashtbl.t = Hashtbl.create 64 in
-  let remaining_of id =
-    match Hashtbl.find_opt by_id id with
-    | Some a -> a.remaining
-    | None -> invalid_arg "Circuit_sim.replay: unknown Coflow in engine"
+  let lp =
+    create ~timeline:true ~replan ~policy ~order ~config ~delta ~bandwidth
   in
-  let p =
-    match replan with
-    | `Full ->
-      if config.Inter.buckets <> 0 then
-        invalid_arg "Circuit_sim.replay: buckets need an anchored replan mode";
-      if config.shards <> 1 then
-        invalid_arg "Circuit_sim.replay: shards need an anchored replan mode";
-      full_planner ~policy ~order ~carry_circuits:config.carry_circuits ~delta
-        ~bandwidth
-    | (`Rebuild | `Incremental) as mode ->
-      anchored_planner ~rebuild:(mode = `Rebuild) ~policy ~order ~config ~delta
-        ~bandwidth ~remaining_of
-  in
+  let obs = lp.obs in
   let arrivals = Event_queue.create () in
   List.iter
     (fun c -> Event_queue.push arrivals ~time:c.Coflow.arrival c)
     (List.sort Coflow.compare_arrival coflows);
-  let obs = Obs.Control.enabled () in
-  let ex = Slice.create ~timeline:true ~bandwidth in
-  (* actives in admission order, newest first; this order reaches the
-     policy's ties *)
-  let actives : active list ref = ref [] in
-  let newly : Coflow.t list ref = ref [] in
-  let retired : int list ref = ref [] in
   let ccts = ref [] and finishes = ref [] in
-  let n_events = ref 0 in
   let makespan = ref 0. in
-  let admit t =
-    List.iter
+  let pull t =
+    List.filter_map
       (fun (_, (c : Coflow.t)) ->
         if obs then
           Obs.Timeline.record
@@ -231,103 +380,62 @@ let replay ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
           finishes := (c.id, c.arrival) :: !finishes;
           if obs then
             Obs.Timeline.record
-              (Obs.Timeline.Finish { coflow = c.id; t = c.arrival; cct = 0. })
+              (Obs.Timeline.Finish { coflow = c.id; t = c.arrival; cct = 0. });
+          None
         end
-        else begin
-          let a = { orig = c; remaining = Demand.copy c.demand } in
-          Hashtbl.replace by_id c.id a;
-          actives := a :: !actives;
-          newly := c :: !newly
-        end)
+        else Some c)
       (Event_queue.drain_until arrivals t)
   in
-  let finish t_next (a : active) =
-    let id = a.orig.Coflow.id in
-    let cct = t_next -. a.orig.Coflow.arrival in
-    ccts := (id, cct) :: !ccts;
-    finishes := (id, t_next) :: !finishes;
+  let planned ~t ~t_next _ reservations =
+    (match on_slice with
+    | Some f ->
+      let established, plan = lp.p.view ~t in
+      f ~t ~t_next ~established ~coflows:(List.map scheduled lp.actives) plan
+    | None -> ());
+    if obs then begin
+      let rescheduled, spliced, conflicts, rollbacks = lp.p.work () in
+      sample_slice ~t ~t_next ~n_active:(List.length lp.actives) ~rescheduled
+        ~spliced ~conflicts ~rollbacks reservations
+    end
+  in
+  let finished t_next (c : Coflow.t) =
+    let cct = t_next -. c.arrival in
+    ccts := (c.id, cct) :: !ccts;
+    finishes := (c.id, t_next) :: !finishes;
     makespan := Float.max !makespan t_next;
     if obs then
-      Obs.Timeline.record (Obs.Timeline.Finish { coflow = id; t = t_next; cct });
-    Hashtbl.remove by_id id;
-    retired := id :: !retired;
+      Obs.Timeline.record (Obs.Timeline.Finish { coflow = c.id; t = t_next; cct });
     List.iter
       (fun (c : Coflow.t) ->
         if c.arrival < t_next then
           invalid_arg "Circuit_sim.replay: released Coflow arrives in the past";
         Event_queue.push arrivals ~time:c.arrival c)
-      (on_complete id t_next)
+      (on_complete c.id t_next)
   in
-  let rec loop t =
-    incr n_events;
-    if obs then Obs.Registry.incr m_events;
-    match (!actives, Event_queue.peek arrivals) with
-    | [], None -> ()
-    | [], Some (ta, _) ->
-      admit ta;
-      (* an idle gap: no circuit survives it *)
-      p.idle ();
-      loop ta
-    | acts, next_arrival ->
-      let advance () =
-        p.advance ~t ~arrivals:!newly ~finished:!retired acts
-      in
-      (if not obs then advance ()
-       else begin
-         Obs.Tracer.begin_span ~cat:"sim" "sim.replan";
-         let w0 = Obs.Control.now_ns () in
-         advance ();
-         Obs.Registry.observe h_plan
-           (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) w0) /. 1e9);
-         Obs.Tracer.end_span ~cat:"sim" "sim.replan"
-       end);
-      newly := [];
-      retired := [];
-      let t_done = p.next_finish acts in
-      let t_next =
-        match next_arrival with
-        | Some (ta, _) -> Float.min ta t_done
-        | None -> t_done
-      in
-      (* active Coflows always have a planned finish; waking at a
-         fabricated instant would stall the replay *)
-      if t_next = infinity then
-        invalid_arg "Circuit_sim.replay: active Coflows but an idle engine";
-      (match on_slice with
-      | Some f ->
-        let established, plan = p.view ~t in
-        f ~t ~t_next ~established ~coflows:(List.map scheduled acts) plan
-      | None -> ());
-      let reservations = p.slice ~t ~t_next in
-      if obs then begin
-        let rescheduled, spliced, conflicts, rollbacks = p.work () in
-        sample_slice ~t ~t_next ~n_active:(List.length acts) ~rescheduled
-          ~spliced ~conflicts ~rollbacks reservations
-      end;
-      let finished, still =
-        Slice.execute ex ~t ~t_next by_id reservations acts
-      in
-      List.iter (finish t_next) finished;
-      actives := still;
-      admit t_next;
-      if !actives <> [] || not (Event_queue.is_empty arrivals) then loop t_next
+  let o =
+    drive lp
+      {
+        stop = (fun () -> false);
+        next_arrival =
+          (fun () -> Option.map snd (Event_queue.peek arrivals));
+        pull;
+        keep = None;
+        planned;
+        finished;
+        event_counter = m_events;
+        event_timer = None;
+      }
   in
-  (match Event_queue.peek arrivals with
-  | None -> ()
-  | Some (t0, _) ->
-    admit t0;
-    loop t0);
-  (match (shard_stats, p.engine) with
+  (match (shard_stats, lp.p.engine) with
   | Some r, Some eng -> r := Inter.engine_shard_stats eng
   | _ -> ());
-  Slice.close ex;
   let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l in
   {
     Sim_result.ccts = sorted !ccts;
     finishes = sorted !finishes;
     makespan = !makespan;
-    n_events = !n_events;
-    total_setups = Slice.setups ex;
+    n_events = o.events;
+    total_setups = o.setups;
   }
 
 let run ?policy ?order ?carry_circuits ?replan ?buckets ?bucket_base ?shards

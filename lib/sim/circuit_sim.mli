@@ -3,16 +3,17 @@
 
     Like Varys (and like the deployment sketch in paper §6), the
     scheduler recomputes the circuit plan only on Coflow arrivals and
-    completions, and runs each slice between two events on the shared
-    executor {!Slice}. Under [`Full] the Port Reservation Table is
-    rebuilt at every rescheduling instant from the remaining demands
-    in policy order; the anchored modes repair one persistent table.
-    Either way, circuits physically established (mid-transmission) at
-    that instant carry over without paying a new reconfiguration
-    delay, while a circuit preempted by a newly arrived
-    higher-priority Coflow costs its owner a fresh delta when it is
-    re-established later — the
-    inter-Coflow preemption semantics of §4.2. *)
+    completions, and runs each slice between two events on the
+    executor {!Slice}; one event loop ({!drive}) does so for every
+    replan mode and for [Sunflow_serve.Serve.run]. Under [`Full] the
+    Port Reservation Table is rebuilt at every rescheduling instant
+    from the remaining demands in policy order; the anchored modes
+    repair one persistent table. Either way, circuits physically
+    established (mid-transmission) at that instant carry over without
+    paying a new reconfiguration delay, while a circuit preempted by a
+    newly arrived higher-priority Coflow costs its owner a fresh delta
+    when it is re-established later — the inter-Coflow preemption
+    semantics of §4.2. *)
 
 type replan = [ `Full | `Rebuild | `Incremental ]
 (** How the circuit plan is maintained across scheduling events.
@@ -120,12 +121,70 @@ val run :
     everything else calls {!replay}. It goes with the next change to
     the benchmark. *)
 
-val shard_runner : unit -> Sunflow_core.Inter.pass_runner
-(** The pass runner {!replay}'s anchored replan hands its engine: the
-    {!Sunflow_parallel.Pool} domain pool when it has more than one
-    domain, {!Sunflow_core.Inter.sequential_runner} otherwise. Only a
-    sharded engine has several passes per event to hand it. Exposed
-    for the other event loop driving the engine ([Sunflow_serve]). *)
+(** {1 The event loop}
+
+    Each event polls [stop], steps the planner with the Coflows pulled
+    and finished since the last step, executes the slice up to the
+    next arrival or planned finish, retires what finished and pulls
+    the arrivals due at the slice's end. An event with no active
+    Coflow is an idle gap: it only pulls the next arrival. *)
+
+type loop
+
+val serving :
+  policy:Sunflow_core.Inter.policy ->
+  order:Sunflow_core.Order.t ->
+  config:Sunflow_core.Inter.config ->
+  delta:float ->
+  bandwidth:float ->
+  loop * Sunflow_core.Inter.engine
+(** A loop on the [`Incremental] engine that records no per-Coflow
+    timeline, for a caller that must stay bounded in memory, and its
+    engine — to read; it is stepped only through the loop. *)
+
+type driver = {
+  stop : unit -> bool;  (** polled once per event; [true] ends the run *)
+  next_arrival : unit -> Sunflow_core.Coflow.t option;
+      (** the earliest arrival not yet pulled *)
+  pull : float -> Sunflow_core.Coflow.t list;
+      (** pull the arrivals due by the instant and return, in order,
+          those the fabric must serve *)
+  keep : (Sunflow_core.Coflow.t -> bool) option;
+      (** admission control: each pulled Coflow is scheduled alone at
+          once, after the last slice's finishes are retired, and its
+          plan is retracted again (a pure removal) unless [keep c],
+          called right after that schedule (its finish is in the
+          engine), holds; an event's own step then only retires
+          finishes. [None]: an event's step schedules what was
+          pulled. *)
+  planned :
+    t:float ->
+    t_next:float ->
+    Sunflow_core.Coflow.t list ->
+    Sunflow_core.Prt.reservation list ->
+    unit;
+      (** per non-idle event, before the slice [[t, t_next)] runs:
+          the arrivals its step scheduled (newest first) and the
+          windows it executes *)
+  finished : float -> Sunflow_core.Coflow.t -> unit;
+      (** a Coflow completed at the instant and left the loop *)
+  event_counter : Sunflow_obs.Registry.counter;  (** counts events *)
+  event_timer : Sunflow_obs.Registry.histogram option;
+      (** wall time of each non-idle event, from its step through its
+          closing pull *)
+}
+(** What a caller brings to {!drive}; the metrics are fed only when
+    obs is on. *)
+
+type outcome = {
+  events : int;  (** idle gaps included *)
+  setups : int;  (** circuit establishments executed *)
+  stopped : bool;  (** [stop] ended the run *)
+}
+
+val drive : loop -> driver -> outcome
+(** Run until no Coflow is active and none is left to arrive, or
+    [stop] fires. *)
 
 val intra_cct :
   ?order:Sunflow_core.Order.t ->

@@ -1,5 +1,5 @@
-(** Execution of one scheduling slice [[t, t_next)], shared by every
-    circuit event loop ({!Circuit_sim.replay} in each replan mode, and
+(** Execution of one scheduling slice [[t, t_next)] for the one circuit
+    event loop ({!Circuit_sim.drive}, behind {!Circuit_sim.replay} and
     [Sunflow_serve.Serve.run]): windows whose setup starts in the
     slice establish a circuit, each window's transmission overlap
     drains its flow, rounding residue is snapped to zero, and Coflows

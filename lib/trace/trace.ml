@@ -83,9 +83,9 @@ let parse_coflow ~n_ports ~line toks =
 
    One line at a time over a [next] thunk, so pipes and stdin work and
    resident memory stays O(1 coflow) regardless of stream length. The
-   header-count check moves to where a stream can make it: at EOF for a
+   header-count check sits where a stream can make it: at EOF for a
    shortfall, at the first surplus line (after counting the rest, so the
-   message matches the batch parser's) for an excess. *)
+   message gives the file's full count) for an excess. *)
 
 let channel_lines ic () =
   match input_line ic with l -> Some l | exception End_of_file -> None
@@ -128,8 +128,8 @@ let read_stream next ~on_header =
               None
             | Some (line, l) ->
               if !count = n_coflows then begin
-                (* surplus line: count the rest so the message matches
-                   the one-shot parser's *)
+                (* surplus line: count the rest so the message gives
+                   the file's full count *)
                 let rec drain n =
                   match next_meaningful () with
                   | None -> n
@@ -148,71 +148,42 @@ let reader ?(on_header = no_header) ic =
   let pull = read_stream (channel_lines ic) ~on_header in
   fun () -> Option.map snd (pull ())
 
-let fold_meaningful next ~on_header ~init ~f =
-  let pull = read_stream next ~on_header in
-  let rec go acc =
-    match pull () with None -> acc | Some (line, c) -> go (f acc ~line c)
-  in
+let fold ?on_header ic ~init ~f =
+  let pull = reader ?on_header ic in
+  let rec go acc = match pull () with None -> acc | Some c -> go (f acc c) in
   go init
 
-let fold ?(on_header = no_header) ic ~init ~f =
-  fold_meaningful (channel_lines ic) ~on_header ~init
-    ~f:(fun acc ~line:_ c -> f acc c)
-
-let iter ?on_header ic ~f = fold ?on_header ic ~init:() ~f:(fun () c -> f c)
+(* The batch readers: the stream core plus the duplicate-id check a
+   stream cannot afford (it needs every id ever seen). *)
+let collect next =
+  let ports = ref 0 and seen = Hashtbl.create 64 in
+  let pull =
+    read_stream next ~on_header:(fun ~n_ports ~n_coflows:_ -> ports := n_ports)
+  in
+  let rec go acc =
+    match pull () with
+    | None -> { n_ports = !ports; coflows = List.rev acc }
+    | Some (line, (c : Coflow.t)) ->
+      if Hashtbl.mem seen c.id then fail line "duplicate Coflow id %d" c.id;
+      Hashtbl.replace seen c.id ();
+      go (c :: acc)
+  in
+  go []
 
 let parse text =
-  let lines = String.split_on_char '\n' text in
-  let meaningful =
-    List.mapi (fun i l -> (i + 1, String.trim l)) lines
-    |> List.filter (fun (_, l) -> l <> "" && not (String.length l > 0 && l.[0] = '#'))
-  in
-  match meaningful with
-  | [] -> raise (Parse_error { line = 1; message = "empty trace" })
-  | (line0, header) :: rest ->
-    (match tokens_of_line header with
-    | [ n_ports; n_coflows ] ->
-      let n_ports = int_tok line0 n_ports in
-      let n_coflows = int_tok line0 n_coflows in
-      if n_ports <= 0 then fail line0 "non-positive port count";
-      if List.length rest <> n_coflows then
-        fail line0 "header promises %d coflows, file has %d" n_coflows
-          (List.length rest);
-      let seen = Hashtbl.create 64 in
-      let coflows =
-        List.map
-          (fun (line, l) ->
-            let c = parse_coflow ~n_ports ~line (tokens_of_line l) in
-            if Hashtbl.mem seen c.Coflow.id then
-              fail line "duplicate Coflow id %d" c.Coflow.id;
-            Hashtbl.replace seen c.Coflow.id ();
-            c)
-          rest
-      in
-      { n_ports; coflows }
-    | _ -> fail line0 "header must be: <num_racks> <num_coflows>")
+  let lines = ref (String.split_on_char '\n' text) in
+  collect (fun () ->
+      match !lines with
+      | [] -> None
+      | l :: rest ->
+        lines := rest;
+        Some l)
 
 let load path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      (* stream through the same core [fold] uses — no whole-file read,
-         no [in_channel_length] (which fails on non-seekable inputs) —
-         adding back the duplicate-id check the one-shot [parse] does *)
-      let ports = ref 0 in
-      let seen = Hashtbl.create 64 in
-      let coflows =
-        fold_meaningful (channel_lines ic)
-          ~on_header:(fun ~n_ports ~n_coflows:_ -> ports := n_ports)
-          ~init:[]
-          ~f:(fun acc ~line (c : Coflow.t) ->
-            if Hashtbl.mem seen c.Coflow.id then
-              fail line "duplicate Coflow id %d" c.Coflow.id;
-            Hashtbl.replace seen c.Coflow.id ();
-            c :: acc)
-      in
-      { n_ports = !ports; coflows = List.rev coflows })
+    (fun () -> collect (channel_lines ic))
 
 (* --- full-precision serialisation ---
 

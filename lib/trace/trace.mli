@@ -24,21 +24,22 @@ type t = { n_ports : int; coflows : Sunflow_core.Coflow.t list }
 exception Parse_error of { line : int; message : string }
 
 val parse : string -> t
-(** Parse the format from a string. Raises {!Parse_error} with a
+(** Parse the format from a string, through the same streaming core
+    as {!fold}, fed the string's lines. Raises {!Parse_error} with a
     1-based line number on malformed input (bad counts, rack out of
     range, non-positive size, negative arrival, a non-finite number
-    such as [nan], [inf] or [1e400], duplicate Coflow id).
-    Blank lines and lines starting with [#] are skipped. *)
+    such as [nan], [inf] or [1e400], duplicate Coflow id). Blank lines
+    and lines starting with [#] are skipped. Faults are reported in
+    file order: a header-count mismatch surfaces only once every line
+    has been read (a shortfall) or at the first surplus line, so a
+    malformed or duplicate line before that point is reported
+    first. *)
 
 val load : string -> t
-(** Read a trace file through the streaming core {!fold} is built on —
-    one line at a time, never the whole file at once — with {!parse}'s
-    duplicate-Coflow-id check added back. The input channel is closed
-    even when reading or parsing raises. Same successful results and
-    {!Parse_error} line numbers as [parse] on the file's contents; the
-    only divergence is ordering when a header-count mismatch coexists
-    with a malformed line (streaming reports whichever it reaches
-    first, the one-shot parser always reports the count). *)
+(** {!parse} over a file, read one line at a time — never the whole
+    file at once, and no [in_channel_length], so pipes work. The input
+    channel is closed even when reading or parsing raises. Same
+    results and {!Parse_error}s as {!parse} on the file's contents. *)
 
 val fold :
   ?on_header:(n_ports:int -> n_coflows:int -> unit) ->
@@ -48,8 +49,8 @@ val fold :
   'a
 (** Stream the format from a channel, folding [f] over Coflows in file
     order without ever materialising the list — the serving loop's
-    reader, and it works on non-seekable inputs (pipes, stdin) where
-    {!load}'s old whole-file read could not. [on_header] fires once
+    reader, and it works on non-seekable inputs (pipes, stdin), where
+    a whole-file read could not. [on_header] fires once
     with the header's declared counts before the first Coflow. The
     header count is still enforced (a shortfall is detected at EOF, a
     surplus at the first extra line), but duplicate Coflow ids are
@@ -57,13 +58,6 @@ val fold :
     the unbounded state a streaming consumer exists to avoid; callers
     that need it (like {!load}) layer it on top. Raises {!Parse_error}
     as {!parse} does. Does not close the channel. *)
-
-val iter :
-  ?on_header:(n_ports:int -> n_coflows:int -> unit) ->
-  in_channel ->
-  f:(Sunflow_core.Coflow.t -> unit) ->
-  unit
-(** [fold] with a unit accumulator. *)
 
 val reader :
   ?on_header:(n_ports:int -> n_coflows:int -> unit) ->

@@ -260,10 +260,57 @@ let test_conservation_on_admitted_subset () =
   Alcotest.(check string) "conservation clean" ""
     (String.concat "; " (List.map (fun (v : Violation.t) -> v.Violation.message) vs))
 
+(* --- [stop] is polled once per event, before the event does any work:
+   a [stop] that turns true on its k-th poll leaves exactly k - 1
+   events processed, the arrival accounting consistent, and (the
+   fabric going dark) every established circuit torn down --- *)
+
+let test_stop_polled_once_per_event () =
+  let trace =
+    Synthetic.generate
+      { Synthetic.default_params with seed = 5; n_coflows = 120; span = 400. }
+  in
+  let k = 40 in
+  List.iter
+    (fun (label, deadline_of) ->
+      let polls = ref 0 in
+      let stop () =
+        incr polls;
+        !polls >= k
+      in
+      let stats, setups, teardowns =
+        with_obs_counts (fun () ->
+            Serve.run ?deadline_of ~stop ~delta ~bandwidth:b
+              (stream_of_list trace.Trace.coflows))
+      in
+      let check_int what = Alcotest.(check int) (label ^ ": " ^ what) in
+      Alcotest.(check bool) (label ^ ": stopped") true stats.Serve.stopped;
+      check_int "stop polled k times" k !polls;
+      check_int "events = k - 1" (k - 1) stats.Serve.events;
+      Alcotest.(check bool)
+        (label ^ ": admitted + rejected <= arrivals")
+        true
+        (stats.Serve.admitted + stats.Serve.rejected <= stats.Serve.arrivals);
+      Alcotest.(check bool)
+        (label ^ ": stopped before the stream ran dry")
+        true
+        (stats.Serve.arrivals < 120);
+      check_int "teardowns balance setups" setups teardowns)
+    [
+      ("no deadlines", None);
+      ( "deadlines",
+        Some
+          (fun (c : Coflow.t) ->
+            c.Coflow.arrival
+            +. (3. *. Bounds.circuit_lower ~bandwidth:b ~delta c.demand)) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "matches the batch incremental replay" `Quick
       test_matches_incremental_replay;
+    Alcotest.test_case "stop is polled once per event" `Quick
+      test_stop_polled_once_per_event;
     Alcotest.test_case "soak: 100k arrivals, bounded memory" `Slow
       test_soak_bounded_memory;
     Alcotest.test_case "retired demand is collectable" `Quick
