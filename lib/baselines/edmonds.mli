@@ -8,9 +8,6 @@
     causing large Coflow delay — the paper reports Solstice servicing
     Coflows more than 6x faster than Edmonds on average. *)
 
-val default_slot : float
-(** 300 ms, mid-range of the paper's "hundreds of milliseconds". *)
-
 val assignments :
   ?slot:float ->
   ?adaptive:bool ->
@@ -18,7 +15,8 @@ val assignments :
   Sunflow_core.Demand.t ->
   Assignment.t list
 (** Slot-by-slot maximum-weight matchings until the demand is covered.
-    With [adaptive] (default [false] — the faithful fixed-slot
+    [slot] defaults to 300 ms, mid-range of the paper's "hundreds of
+    milliseconds". With [adaptive] (default [false] — the faithful fixed-slot
     behaviour) each slot is shortened when every matched circuit would
     finish early, an obvious improvement real deployments approximate
     by timing out idle configurations. *)

@@ -4,6 +4,8 @@ module Bvn = Sunflow_matching.Bvn
 module Sinkhorn = Sunflow_matching.Sinkhorn
 
 let quantization_steps = 4096
+(* bound on proportional-share rounds before the exact endgame finishes
+   the remainder (never reached on sane demand) *)
 let max_rounds = 64
 
 (* Exact BvN on the integer lattice: the idealised variant and the

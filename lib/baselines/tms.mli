@@ -22,10 +22,6 @@
 val quantization_steps : int
 (** Lattice resolution of the exact endgame and of the ideal variant. *)
 
-val max_rounds : int
-(** Bound on proportional-share rounds before the exact endgame
-    finishes the remainder (never reached on sane demand). *)
-
 val assignments :
   ?ideal:bool ->
   ?delta:float ->

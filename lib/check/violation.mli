@@ -56,9 +56,6 @@ val v :
   ?coflow:int -> ?at:float -> code -> ('a, unit, string, t) format4 -> 'a
 (** [v code fmt ...] builds a violation, [Printf]-style. *)
 
-val code_name : code -> string
-(** Stable kebab-case name, e.g. ["port-overlap"]. *)
-
 val pp : Format.formatter -> t -> unit
 (** One line: [code [coflow N] [at T]: message]. *)
 

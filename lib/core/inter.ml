@@ -443,7 +443,6 @@ let engine_min_finish g =
 
 let engine_rescheduled g = g.g_rescheduled
 let engine_spliced g = g.g_spliced
-let engine_shards g = g.g_config.shards
 
 type shard_stats = {
   shard_steps : int;
@@ -736,7 +735,7 @@ type pass_out =
    a clean entry nobody touched keeps its plan at zero cost. This
    matches the rebuild oracle's decisions bit-for-bit:
    [Sunflow.schedule] reads and writes only the ports of the Coflow's
-   own demand ([probe_pair] / [next_release_pair] take explicit ports),
+   own demand ([Prt.chance] takes explicit ports),
    so each rescheduled entry sees, on every port it queries, exactly
    the prefix plus already-processed suffix — the rebuild table's
    content at the same turn. Windows never evicted sit on ports no new

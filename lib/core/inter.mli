@@ -244,9 +244,6 @@ val engine_spliced : engine -> int
     counted as spliced, so the tally is not comparable across shard
     counts (the plans are). *)
 
-val engine_shards : engine -> int
-(** The effective shard count ([1] by default and for rebuild engines). *)
-
 val engine_shard_stats : engine -> shard_stats
 (** Cumulative sharded-path statistics; all zero when [shards = 1]
     (one table, nothing to conflict or roll back, and no step counted

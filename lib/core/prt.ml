@@ -87,22 +87,16 @@ let pp_stats ppf s =
 (* --- storage ---------------------------------------------------------- *)
 
 (* Per-port reservations in a dynamic array sorted by start time, with
-   the same windows' start times unboxed in a parallel float array (the
-   key every per-slot binary search runs on, so a probe reads flat
-   floats instead of chasing a pointer per step) and a third array of
-   their stop times sorted ascending. The start-sorted view answers
-   [probe_pair] / [fits_exact] by binary search; the stop-sorted view
-   answers [next_release_pair] the same way. Windows on one port never
-   overlap beyond [time_tolerance], so both views stay nearly identical
-   in order — but the tolerance allows sub-nanosecond rounding-dust
-   overlaps, which is why the stop times get their own exactly-sorted
-   array instead of piggybacking on the start order. Cells of [res] at
-   and past [len] hold [dummy_res], so a slot never keeps a removed
-   window reachable. *)
+   the same windows' start times unboxed in a parallel float array: the
+   key every per-slot search runs on, so a probe reads flat floats
+   instead of chasing a pointer per step. Windows on one port never
+   overlap beyond [time_tolerance], so start order is stop order up to
+   sub-nanosecond rounding dust; the queries that need a window's stop
+   read it off the record. Cells of [res] at and past [len] hold
+   [dummy_res], so a slot never keeps a removed window reachable. *)
 type slot = {
   mutable res : reservation array;  (* sorted by start *)
   mutable starts : float array;  (* [res.(i).start], in step with [res] *)
-  mutable stops : float array;  (* the same windows' stops, sorted *)
   mutable len : int;
 }
 
@@ -161,7 +155,7 @@ let dummy_iblock = { ib_res = [||]; ib_len = 0; ib_max_stop = neg_infinity }
 (* Shared read-only stand-in for ports that never held a window, and
    the filler of grown port arrays. [reserve] materialises a fresh slot
    where it finds this one, so it is never mutated. *)
-let empty_slot = { res = [||]; starts = [||]; stops = [||]; len = 0 }
+let empty_slot = { res = [||]; starts = [||]; len = 0 }
 
 (* the slot of port [p] in one namespace; a negative port or one past
    the array never held a window *)
@@ -191,9 +185,10 @@ let bsearch_gt c key arr len x =
 
 let res_start (r : reservation) = r.start
 
-(* [bsearch_gt] specialised to a slot's unboxed [starts] / [stops]:
-   no key closure, and every probe is a flat float read *)
-let search_gt c (keys : float array) len (x : float) =
+(* [bsearch_gt] specialised to a slot's unboxed [starts]:
+   no key closure, and every probe is a flat float read. Inlined, so
+   [chance] passes it an unboxed instant. *)
+let[@inline] search_gt c (keys : float array) len (x : float) =
   let lo = ref 0 and hi = ref len in
   while !lo < !hi do
     c.c_scans.v <- c.c_scans.v + 1;
@@ -207,53 +202,64 @@ let search_gt c (keys : float array) len (x : float) =
    nanosecond is rounding noise, not a double booking. *)
 let time_tolerance = 1e-9
 
-(* whether a window at or left of index [j] covers [instant]: in a
-   table of (tolerance-)disjoint windows that is the predecessor window
-   of the instant, plus at most a dust neighbourhood of windows whose
-   stops trail within [time_tolerance] of each other *)
-let rec covered c (s : slot) j instant =
-  if j < 0 then false
-  else begin
+(* --- the scheduler's wake query -----------------------------------------
+
+   [chance] fuses Algorithm 1's port test (lines 15-16) with the
+   blocked flow's retry (line 10) into one walk over the circuit's two
+   port slots. Its float input and outputs travel through the caller's
+   flat [cell], [covering] takes the cell and [search_gt] is inlined,
+   so without flambda nothing on the path is boxed. *)
+
+(* index of a window at or left of [j] that contains [cell.(0)], or
+   -1. In a table of (tolerance-)disjoint windows that is the
+   instant's predecessor window, or one in the dust run of windows
+   whose stops trail it within [time_tolerance]. *)
+let covering c (s : slot) j (cell : float array) =
+  let x = cell.(0) in
+  let j = ref j and found = ref (-1) in
+  while !found < 0 && !j >= 0 do
     c.c_scans.v <- c.c_scans.v + 1;
-    let st = stop s.res.(j) in
-    if st > instant then true
-    else if st > instant -. time_tolerance then covered c s (j - 1) instant
-    else false
-  end
+    let st = stop s.res.(!j) in
+    if st > x then found := !j
+    else if st > x -. time_tolerance then decr j
+    else j := -1
+  done;
+  !found
 
-(* The scheduler's inner-loop probe, fused across a circuit's two
-   endpoints: when both ports are free at [instant] it returns the
-   earlier next-start over both (the [tm] of Algorithm 1 line 16),
-   otherwise [neg_infinity] — unambiguous, since real next-starts are
-   positive or [infinity]. Each endpoint counts as one query, the Out
-   port only when the In port was free (it is not probed otherwise). *)
-let probe_pair t ~src ~dst instant =
+(* Walk from [cell.(0)] to the first instant [y] at which both ports
+   are free and the next start [tm] on either is more than [gap] away.
+   A busy port sends the walk to its covering window's stop; a start
+   within [gap] sends it to the stop of the window opening at [tm]
+   (every instant before that stop is either covered by that window or
+   sees [tm] nearer still). Each step lands on a window stop strictly
+   later, so the walk ends. One query, whatever the steps. *)
+let chance t ~src ~dst ~gap (cell : float array) =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
-  let s = slot_of t.ins src in
-  let i = search_gt c s.starts s.len instant in
-  if covered c s (i - 1) instant then neg_infinity
-  else begin
-    let in_next = if i < s.len then s.starts.(i) else infinity in
-    c.c_queries.v <- c.c_queries.v + 1;
-    let s = slot_of t.outs dst in
-    let i = search_gt c s.starts s.len instant in
-    if covered c s (i - 1) instant then neg_infinity
-    else Float.min in_next (if i < s.len then s.starts.(i) else infinity)
-  end
-
-(* the scheduler's blocked-flow retry path: the earliest release on
-   either endpoint of a circuit. Both stops are read inline so neither
-   is boxed on its way to the [min]. *)
-let next_release_pair t ~src ~dst instant =
-  let c = counters () in
-  c.c_queries.v <- c.c_queries.v + 1;
-  let s = slot_of t.ins src in
-  let i = search_gt c s.stops s.len instant in
-  let in_next = if i < s.len then s.stops.(i) else infinity in
-  let s = slot_of t.outs dst in
-  let i = search_gt c s.stops s.len instant in
-  Float.min in_next (if i < s.len then s.stops.(i) else infinity)
+  let si = slot_of t.ins src and so = slot_of t.outs dst in
+  let walking = ref true in
+  while !walking do
+    let i = search_gt c si.starts si.len cell.(0) in
+    let j = covering c si (i - 1) cell in
+    if j >= 0 then cell.(0) <- stop si.res.(j)
+    else begin
+      let o = search_gt c so.starts so.len cell.(0) in
+      let j = covering c so (o - 1) cell in
+      if j >= 0 then cell.(0) <- stop so.res.(j)
+      else begin
+        let next_in = if i < si.len then si.starts.(i) else infinity in
+        let next_out = if o < so.len then so.starts.(o) else infinity in
+        let tm = Float.min next_in next_out in
+        if tm -. cell.(0) <= gap then
+          cell.(0) <-
+            (if next_in <= next_out then stop si.res.(i) else stop so.res.(o))
+        else begin
+          cell.(1) <- tm;
+          walking := false
+        end
+      end
+    end
+  done
 
 (* windows of slot [s] starting at or before [r.start], from index [j]
    leftward: any stop strictly past [r.start] is a positive-measure
@@ -326,7 +332,7 @@ let own_slot slots p =
   let s = slots.(p) in
   if s != empty_slot then s
   else begin
-    let s = { res = [||]; starts = [||]; stops = [||]; len = 0 } in
+    let s = { res = [||]; starts = [||]; len = 0 } in
     slots.(p) <- s;
     s
   end
@@ -341,29 +347,27 @@ let slot_insert c (s : slot) side port r =
   let k = search_gt c s.starts s.len r.start in
   (* left neighbours: windows starting at or before [r.start] can only
      reach into [r] while their stops stay above [r.start] *)
-  let rec check_left j =
-    if j >= 0 then begin
-      c.c_scans.v <- c.c_scans.v + 1;
-      let e = s.res.(j) in
-      if stop e > r.start then begin
-        if overlaps e r then reject_overlap side port r e;
-        check_left (j - 1)
-      end
+  let j = ref (k - 1) in
+  while !j >= 0 do
+    c.c_scans.v <- c.c_scans.v + 1;
+    let e = s.res.(!j) in
+    if stop e > r.start then begin
+      if overlaps e r then reject_overlap side port r e;
+      decr j
     end
-  in
-  check_left (k - 1);
+    else j := -1
+  done;
   (* right neighbours: windows starting inside [r)'s span *)
-  let rec check_right j =
-    if j < s.len then begin
-      c.c_scans.v <- c.c_scans.v + 1;
-      let e = s.res.(j) in
-      if e.start < stop r then begin
-        if overlaps e r then reject_overlap side port r e;
-        check_right (j + 1)
-      end
+  let j = ref k in
+  while !j < s.len do
+    c.c_scans.v <- c.c_scans.v + 1;
+    let e = s.res.(!j) in
+    if e.start < stop r then begin
+      if overlaps e r then reject_overlap side port r e;
+      incr j
     end
-  in
-  check_right k;
+    else j := s.len
+  done;
   let cap = Array.length s.res in
   if s.len = cap then begin
     let cap' = grow_cap cap in
@@ -372,32 +376,18 @@ let slot_insert c (s : slot) side port r =
     s.res <- res;
     let starts = Array.make cap' 0. in
     Array.blit s.starts 0 starts 0 s.len;
-    s.starts <- starts;
-    let stops = Array.make cap' 0. in
-    Array.blit s.stops 0 stops 0 s.len;
-    s.stops <- stops
+    s.starts <- starts
   end;
   Array.blit s.res k s.res (k + 1) (s.len - k);
   s.res.(k) <- r;
   Array.blit s.starts k s.starts (k + 1) (s.len - k);
   s.starts.(k) <- r.start;
-  let stop_r = stop r in
-  let sk = search_gt c s.stops s.len stop_r in
-  Array.blit s.stops sk s.stops (sk + 1) (s.len - sk);
-  s.stops.(sk) <- stop_r;
   s.len <- s.len + 1;
   k
 
-let slot_remove c (s : slot) k stop_time =
+let slot_remove (s : slot) k =
   Array.blit s.res (k + 1) s.res k (s.len - k - 1);
   Array.blit s.starts (k + 1) s.starts k (s.len - k - 1);
-  let sk =
-    (* any entry equal to [stop_time] is interchangeable *)
-    let i = search_gt c s.stops s.len stop_time - 1 in
-    assert (i >= 0 && s.stops.(i) = stop_time);
-    i
-  in
-  Array.blit s.stops (sk + 1) s.stops sk (s.len - sk - 1);
   s.len <- s.len - 1;
   (* unpin the vacated cell *)
   s.res.(s.len) <- dummy_res
@@ -484,30 +474,28 @@ let iidx_insert c t r =
    must survive [-noassert] builds). *)
 let iidx_remove c t r =
   let found_block = ref (-1) and found_pos = ref (-1) in
-  let scan_block j =
-    let b = t.iblocks.(j) in
+  (* the equal-start run can span block boundaries leftward: scan the
+     located block, then each block to its left whose last window still
+     starts at or after [r.start] *)
+  let j = ref (iidx_locate c t r.start) and first = ref true in
+  while
+    !found_pos < 0 && !j >= 0
+    && (!first
+       ||
+       let b = t.iblocks.(!j) in
+       b.ib_len > 0 && b.ib_res.(b.ib_len - 1).start >= r.start)
+  do
+    first := false;
+    let b = t.iblocks.(!j) in
     let i = ref (bsearch_gt c res_start b.ib_res b.ib_len r.start - 1) in
     while !found_pos < 0 && !i >= 0 && b.ib_res.(!i).start = r.start do
       c.c_scans.v <- c.c_scans.v + 1;
       if same_window b.ib_res.(!i) r then begin
-        found_block := j;
+        found_block := !j;
         found_pos := !i
       end
       else decr i
-    done
-  in
-  (* the equal-start run can span block boundaries leftward *)
-  let j = ref (iidx_locate c t r.start) in
-  let continue_left () =
-    !found_pos < 0 && !j >= 0
-    &&
-    let b = t.iblocks.(!j) in
-    b.ib_len > 0 && b.ib_res.(b.ib_len - 1).start >= r.start
-  in
-  if !j >= 0 then scan_block !j;
-  decr j;
-  while continue_left () do
-    scan_block !j;
+    done;
     decr j
   done;
   if !found_pos < 0 then
@@ -540,7 +528,7 @@ let reserve t r =
   (try ignore (slot_insert c (own_slot t.outs r.dst) "out" r.dst r : int)
    with e ->
      c.c_rollbacks.v <- c.c_rollbacks.v + 1;
-     slot_remove c s_in k_in (stop r);
+     slot_remove s_in k_in;
      raise e);
   (* both slots accepted: the window is definitely in, so the interval
      index can take it (the Out-conflict undo path above never touches
@@ -600,11 +588,11 @@ let remove t r =
   let k = slot_find c s_in r in
   if k < 0 then false
   else begin
-    slot_remove c s_in k (stop r);
+    slot_remove s_in k;
     let s_out = slot_of t.outs r.dst in
     let k_out = slot_find c s_out r in
     assert (k_out >= 0);
-    slot_remove c s_out k_out (stop r);
+    slot_remove s_out k_out;
     iidx_remove c t r;
     owner_remove t r;
     c.c_rollbacks.v <- c.c_rollbacks.v + 1;

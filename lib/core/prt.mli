@@ -17,11 +17,11 @@
     indexed by port number: a query reads its port's slot without
     hashing or allocating a key. Each slot keeps its windows in a
     dynamic array sorted by start time, with the start times unboxed in
-    a parallel float array and a stop-sorted view of the same windows,
-    so every point query is a binary search over flat floats, O(log n)
-    per port. There is no table-wide release index: releases are asked
-    per port ({!next_release_pair}). See DESIGN.md, "PRT data structure
-    & complexity".
+    a parallel float array, so every point query is a binary search
+    over flat floats, O(log n) per port. There is no table-wide
+    release index: a blocked circuit's next chance is walked on its own
+    two ports ({!chance}). See DESIGN.md, "PRT data structure &
+    complexity".
 
     Memory: the slot arrays reach the highest port id ever reserved, so
     a table costs O(highest port id) words per namespace on top of its
@@ -49,9 +49,9 @@ type t
 
 type stats = {
   queries : int;
-      (** public lookups answered: per-port probes (two for a
-          {!probe_pair} whose In port is free), next-release queries,
-          {!fits_exact}, {!remove} and the interval-index queries *)
+      (** public lookups answered: one per {!chance} call, whatever
+          its steps, {!fits_exact}, {!remove} and the interval-index
+          queries *)
   scans : int;
       (** binary-search probes over the port slots and the interval
           index, plus neighbourhood walks. There is no release index,
@@ -91,21 +91,22 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val create : unit -> t
 
-val probe_pair : t -> src:int -> dst:int -> float -> float
-(** Algorithm 1's port test (lines 15–16) across a circuit's two
-    endpoints. When no window on [In src] or [Out dst] contains the
-    instant (a window [[start, stop)] contains [start] but not
-    [stop]), the earliest reservation start strictly after the instant
-    on either port — the "next-reserv-time" [tm], or [infinity];
-    otherwise [neg_infinity] (unambiguous — real next-starts are
-    non-negative or [infinity]). Counts one query per port probed: the
-    Out port is only probed when the In port was free. *)
-
-val next_release_pair : t -> src:int -> dst:int -> float -> float
-(** Earliest reservation stop strictly greater than the instant on
-    [In src] or [Out dst], or [infinity] — the release of Algorithm 1
-    line 10, restricted to a blocked circuit's own two ports, which
-    keeps the scheduler's retry path local under inter-Coflow load. *)
+val chance :
+  t -> src:int -> dst:int -> gap:float -> float array -> unit
+(** [chance t ~src ~dst ~gap cell]: the circuit's next chance to
+    reserve, at or after the instant [cell.(0)]. Writes to [cell.(0)]
+    the first instant [y] at which no window on [In src] or [Out dst]
+    contains [y] (a window [[start, stop)] contains [start] but not
+    [stop]) and the earliest start strictly after [y] on either port —
+    Algorithm 1's "next-reserv-time" [tm], written to [cell.(1)], or
+    [infinity] — lies more than [gap] after [y]. With [gap = 0.] that
+    is the first free instant, the port test of Algorithm 1 lines
+    15-16. Every [y] past the input is a window stop on one of the two
+    ports: a busy port moves the search to its covering window's stop,
+    and a start within [gap] to the stop of the window opening at
+    [tm]. [cell] needs two elements; passing the instant through it
+    keeps the call free of float boxing. Counts one query, whatever
+    the number of steps. *)
 
 val fits_exact : t -> reservation -> bool
 (** Whether the window intersects no existing window on either of its

@@ -8,7 +8,7 @@ type result = {
    Sunflow_obs.Control.enabled; the PRT work counters underneath stay
    always-on). The schedule is traced as one outer span with two
    phase children: candidate selection (demand -> ordered pending
-   flows) and the reservation loop (PRT probe/reserve driven by the
+   flows) and the reservation loop (PRT chance/reserve driven by the
    wake heap). *)
 module Obs = Sunflow_obs
 
@@ -16,79 +16,79 @@ let m_schedules = Obs.Registry.counter "sunflow.schedules"
 let m_wakes = Obs.Registry.counter "sunflow.wakes"
 let h_flows = Obs.Registry.histogram "sunflow.flows_per_schedule"
 
-(* One pending flow with its remaining processing time. [fresh] tracks
-   whether the flow may still reuse a pre-established circuit (only
-   before its first reservation, and only at the schedule start).
-   [idx] is the flow's rank in the reservation consideration order; it
-   breaks ties between flows retried at the same instant so the
-   event-driven loop visits them exactly as the round-robin loop did.
-   Every field is mutable: the records live in a per-domain scratch
-   arena and are rewritten call to call instead of reallocated. *)
-type pending = {
-  mutable src : int;
-  mutable dst : int;
-  mutable idx : int;
-  mutable remaining : float;
-  mutable fresh : bool;
+(* The per-domain scratch arena, reused across calls so the kernel's
+   steady state allocates nothing proportional to the flow count. The
+   pending flows are parallel arrays indexed by the flow's rank in the
+   reservation consideration order: endpoints, remaining processing
+   time (unboxed), whether the flow may still reuse a pre-established
+   circuit (only before its first reservation, and only at the schedule
+   start). The wake heap holds (time, rank) pairs in two more parallel
+   arrays; the rank breaks ties between flows woken at the same
+   instant, so the event-driven loop visits them exactly as the
+   round-robin loop did. [cell] carries instants into and out of
+   {!Prt.chance} and the heap, so no float is boxed on the wake path.
+   Reuse rules (see DESIGN.md "Schedule kernel"): the arena holds only
+   scalars, except the growable accumulator of made reservations,
+   whose slots are cleared back to a dummy before the call returns, so
+   a retained arena never pins schedule outputs against the GC. A
+   reentrant call (a hostile [established] closure calling [schedule])
+   finds the arena busy and falls back to a fresh one. *)
+type scratch = {
+  mutable f_src : int array;
+  mutable f_dst : int array;
+  mutable f_rem : float array;
+  mutable f_fresh : bool array;
+  mutable wk_time : float array;  (* wake heap: times, unboxed *)
+  mutable wk_flow : int array;  (* wake heap: flow ranks, parallel *)
+  mutable wk_len : int;
+  mutable made : Prt.reservation array;  (* creation order *)
+  mutable n_made : int;
+  cell : float array;  (* [Prt.chance]'s instant in, [y] and [tm] out *)
+  mutable busy : bool;
 }
-
-let dummy_pending =
-  { src = -1; dst = -1; idx = -1; remaining = 0.; fresh = false }
 
 let dummy_res =
   { Prt.coflow = min_int; src = 0; dst = 0; start = 0.; setup = 0.; length = 0. }
 
-(* The per-domain scratch arena: the pending pool, the wake heap
-   (parallel arrays — unboxed times next to their flows) and the
-   growable accumulator of made reservations, all reused across calls
-   so the kernel's steady state allocates nothing proportional to the
-   flow count. Reuse rules (see DESIGN.md "Schedule kernel"): the
-   arena owns only scalar-field [pending] records; every slot that
-   ever referenced a caller-visible value (a made reservation, a
-   popped heap flow) is cleared back to a dummy before the call
-   returns, so a retained arena never pins schedule outputs against
-   the GC. A reentrant call (a hostile [established] closure
-   calling [schedule]) finds the arena busy and falls back to a fresh
-   one. *)
-type scratch = {
-  mutable pool : pending array;
-  mutable wk_time : float array;  (* wake heap: times, unboxed *)
-  mutable wk_flow : pending array;  (* wake heap: flows, parallel *)
-  mutable wk_len : int;
-  mutable made : Prt.reservation array;  (* creation order *)
-  mutable n_made : int;
-  mutable busy : bool;
-}
-
 let fresh_scratch () =
   {
-    pool = [||];
+    f_src = [||];
+    f_dst = [||];
+    f_rem = [||];
+    f_fresh = [||];
     wk_time = [||];
     wk_flow = [||];
     wk_len = 0;
     made = [||];
     n_made = 0;
+    cell = [| 0.; 0. |];
     busy = false;
   }
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
-let pool_ensure sc n =
-  let cap = Array.length sc.pool in
+(* room for [n] pending flows, and for as many heap entries (each flow
+   has at most one) *)
+let flows_ensure sc n =
+  let cap = Array.length sc.f_src in
   if n > cap then begin
     let cap' = max 8 (max n (2 * cap)) in
-    let arr =
-      Array.init cap' (fun i ->
-          if i < cap then sc.pool.(i)
-          else { src = -1; dst = -1; idx = -1; remaining = 0.; fresh = false })
+    let grow a fill =
+      let a' = Array.make cap' fill in
+      Array.blit a 0 a' 0 cap;
+      a'
     in
-    sc.pool <- arr
+    sc.f_src <- grow sc.f_src 0;
+    sc.f_dst <- grow sc.f_dst 0;
+    sc.f_rem <- grow sc.f_rem 0.;
+    sc.f_fresh <- grow sc.f_fresh false;
+    sc.wk_time <- grow sc.wk_time 0.;
+    sc.wk_flow <- grow sc.wk_flow 0
   end
 
 (* an exception can abandon the call mid-drain; clear every slot that
-   might reference a reservation or flow so the arena pins nothing *)
+   might reference a reservation so the arena pins nothing *)
 let scratch_abort sc =
-  Array.fill sc.wk_flow 0 (Array.length sc.wk_flow) dummy_pending;
   sc.wk_len <- 0;
   Array.fill sc.made 0 (Array.length sc.made) dummy_res;
   sc.n_made <- 0;
@@ -98,15 +98,12 @@ let scratch_abort sc =
 
    Min-heap of flow wake-up times ordered by (time, consideration
    rank), so simultaneous wake-ups replay in the original reservation
-   order. Each pending flow has exactly one entry. Same element
-   movement as the boxed-entry heap it replaces, on the scratch
-   arena's parallel arrays; a pop clears the vacated slot back to
-   [dummy_pending] — the boxed heap left the popped entry parked at
-   [data.(len)], pinning its flow until a later push overwrote it. *)
+   order. Each pending flow has at most one entry, so the arrays sized
+   by [flows_ensure] never overflow. *)
 
 let wk_before sc i j =
   sc.wk_time.(i) < sc.wk_time.(j)
-  || (sc.wk_time.(i) = sc.wk_time.(j) && sc.wk_flow.(i).idx < sc.wk_flow.(j).idx)
+  || (sc.wk_time.(i) = sc.wk_time.(j) && sc.wk_flow.(i) < sc.wk_flow.(j))
 
 let wk_swap sc i j =
   let t = sc.wk_time.(i) in
@@ -116,19 +113,10 @@ let wk_swap sc i j =
   sc.wk_flow.(i) <- sc.wk_flow.(j);
   sc.wk_flow.(j) <- f
 
-let wk_push sc time flow =
-  let cap = Array.length sc.wk_time in
-  if sc.wk_len = cap then begin
-    let cap' = max 8 (2 * cap) in
-    let ts = Array.make cap' 0. in
-    Array.blit sc.wk_time 0 ts 0 sc.wk_len;
-    sc.wk_time <- ts;
-    let fs = Array.make cap' dummy_pending in
-    Array.blit sc.wk_flow 0 fs 0 sc.wk_len;
-    sc.wk_flow <- fs
-  end;
-  sc.wk_time.(sc.wk_len) <- time;
-  sc.wk_flow.(sc.wk_len) <- flow;
+(* wake flow [f] at the instant in [sc.cell.(0)] *)
+let wk_push sc f =
+  sc.wk_time.(sc.wk_len) <- sc.cell.(0);
+  sc.wk_flow.(sc.wk_len) <- f;
   sc.wk_len <- sc.wk_len + 1;
   let i = ref (sc.wk_len - 1) in
   while !i > 0 && wk_before sc !i ((!i - 1) / 2) do
@@ -144,7 +132,6 @@ let wk_drop sc =
     sc.wk_time.(0) <- sc.wk_time.(n);
     sc.wk_flow.(0) <- sc.wk_flow.(n)
   end;
-  sc.wk_flow.(n) <- dummy_pending;
   if n > 1 then begin
     let i = ref 0 in
     let continue_ = ref true in
@@ -171,53 +158,54 @@ let made_push sc r =
   sc.made.(sc.n_made) <- r;
   sc.n_made <- sc.n_made + 1
 
-(* MakeReservation (Algorithm 1 lines 13-23). Pushes the reservation
-   made, if any, onto the scratch accumulator. The paper's guard is
-   [lm < delta -> l = 0]; we also skip the boundary case [lm = setup],
-   where the reservation would be pure reconfiguration transmitting
-   nothing. The two port probes are fused into [Prt.probe_pair]:
-   [neg_infinity] means a busy port, anything else is the earlier
-   next-reserv-time [tm] over both free ports. *)
-let make_reservation sc prt ~coflow ~now ~delta ~established t p =
-  let tm = Prt.probe_pair prt ~src:p.src ~dst:p.dst t in
-  if tm <> neg_infinity then begin
-    let setup =
-      if p.fresh && t = now && established (p.src, p.dst) then 0. else delta
-    in
-    let lm = tm -. t in
-    let ld = setup +. p.remaining in
-    let l = if lm <= setup then 0. else Float.min lm ld in
-    (* rounding of [t +. (tm -. t)] can overshoot [tm]; clamp by the
-       measured overshoot (one step almost always lands the window at
-       or before [tm] — a second only when the clamp itself rounds up) *)
-    let rec shave l =
-      if l <= 0. || t +. l <= tm then l
-      else shave (Float.min (l -. (t +. l -. tm)) (Float.pred l))
-    in
-    let l = if l = lm then shave l else l in
-    let l = if l <= setup then 0. else l in
-    if l > 0. then begin
-      let r =
-        { Prt.coflow; src = p.src; dst = p.dst; start = t; setup; length = l }
-      in
-      Prt.reserve prt r;
-      p.remaining <- ld -. l;
-      p.fresh <- false;
-      made_push sc r
-    end
+(* MakeReservation (Algorithm 1 lines 13-23) for flow [f] at instant
+   [t], both of whose ports [Prt.chance] found free with the next
+   reservation start [tm]. Returns the reservation made, or
+   [dummy_res]. The paper's guard is [lm < delta -> l = 0]; we also
+   skip the boundary case [lm = setup], where the reservation would be
+   pure reconfiguration transmitting nothing. [t] and [tm] are read
+   off the cell, so they reach here unboxed. *)
+let make_reservation sc prt ~coflow ~now ~delta ~established f =
+  let t = sc.cell.(0) and tm = sc.cell.(1) in
+  let src = sc.f_src.(f) and dst = sc.f_dst.(f) in
+  let setup =
+    if sc.f_fresh.(f) && t = now && established (src, dst) then 0. else delta
+  in
+  let lm = tm -. t in
+  let ld = setup +. sc.f_rem.(f) in
+  let l = ref (if lm <= setup then 0. else Float.min lm ld) in
+  (* rounding of [t +. (tm -. t)] can overshoot [tm]; clamp by the
+     measured overshoot (one step almost always lands the window at or
+     before [tm] — a second only when the clamp itself rounds up) *)
+  if !l = lm then
+    while !l > 0. && t +. !l > tm do
+      l := Float.min (!l -. (t +. !l -. tm)) (Float.pred !l)
+    done;
+  if !l > setup then begin
+    let r = { Prt.coflow; src; dst; start = t; setup; length = !l } in
+    Prt.reserve prt r;
+    sc.f_rem.(f) <- ld -. !l;
+    sc.f_fresh.(f) <- false;
+    made_push sc r;
+    r
   end
+  else dummy_res
 
 let no_circuit _ = false
 
-(* The reservation loop is event-driven: a flow that fails (or makes
-   partial progress) can next change state only when one of its two
-   ports releases a window, so it sleeps until exactly that instant
-   instead of being retried at every release in the fabric. A release
-   added to its ports later by another flow's reservation cannot wake
-   it earlier: such a window occupies a port the flow needed, and ends
-   strictly before the state the flow was already waiting on clears.
-   This replays the round-robin loop reservation for reservation while
-   doing O(1) retries per release instead of O(|pending|). *)
+(* The reservation loop is event-driven: a flow sleeps until its next
+   chance to reserve, the first window stop on its own two ports at
+   which both are free and the next start is more than delta away
+   ([Prt.chance]). Every instant it skips is a certain failure: within
+   one call the table only gains windows, so a port busy at an instant
+   stays busy and a next start only moves nearer, and after [now] the
+   setup is always delta. The instant it lands on is a stop the
+   round-robin loop also visits, under the same (time, rank) key, and
+   a wake that reserves nothing changes no state, so this replays the
+   round-robin loop reservation for reservation (DESIGN.md, "PRT data
+   structure & complexity"). After a reservation the search starts
+   from the new window's stop; after a failed try at a free instant,
+   from [tm]. *)
 let schedule ?prt ?(now = 0.) ?(order = Order.Ordered_port)
     ?(established = no_circuit) ?(quantum = 0.) ~delta ~bandwidth coflow =
   if bandwidth <= 0. then invalid_arg "Sunflow.schedule: bandwidth <= 0";
@@ -251,15 +239,13 @@ let schedule ?prt ?(now = 0.) ?(order = Order.Ordered_port)
       (fun ((src, dst), bytes) ->
         let remaining = to_processing bytes in
         if remaining > 0. then begin
-          let i = !n_pending in
-          pool_ensure sc (i + 1);
-          let p = sc.pool.(i) in
-          p.src <- src;
-          p.dst <- dst;
-          p.idx <- i;
-          p.remaining <- remaining;
-          p.fresh <- true;
-          n_pending := i + 1
+          let f = !n_pending in
+          flows_ensure sc (f + 1);
+          sc.f_src.(f) <- src;
+          sc.f_dst.(f) <- dst;
+          sc.f_rem.(f) <- remaining;
+          sc.f_fresh.(f) <- true;
+          n_pending := f + 1
         end)
       entries;
     let n_pending = !n_pending in
@@ -268,24 +254,42 @@ let schedule ?prt ?(now = 0.) ?(order = Order.Ordered_port)
       Obs.Tracer.end_span ~cat:"core" "sunflow.candidates";
       Obs.Tracer.begin_span ~cat:"core" "sunflow.reserve"
     end;
-    for i = 0 to n_pending - 1 do
-      wk_push sc now sc.pool.(i)
+    let cell = sc.cell in
+    cell.(0) <- now;
+    for f = 0 to n_pending - 1 do
+      wk_push sc f
     done;
+    let coflow_id = coflow.Coflow.id in
     let n_wakes = ref 0 in
     while sc.wk_len > 0 do
       let t = sc.wk_time.(0) in
-      let p = sc.wk_flow.(0) in
+      let f = sc.wk_flow.(0) in
       wk_drop sc;
       incr n_wakes;
-      make_reservation sc prt ~coflow:coflow.Coflow.id ~now ~delta
-        ~established t p;
-      if p.remaining > 0. then begin
-        let t' = Prt.next_release_pair prt ~src:p.src ~dst:p.dst t in
-        if t' = infinity then
-          (* Impossible: a blocked flow implies a reservation releasing
-             after [t] (see the progress argument in the design doc). *)
-          invalid_arg "Sunflow.schedule: stuck with pending demand"
-        else wk_push sc t' p
+      let src = sc.f_src.(f) and dst = sc.f_dst.(f) in
+      cell.(0) <- t;
+      (* at [now] an established circuit may need no setup, so only a
+         free port is asked for *)
+      Prt.chance prt ~src ~dst ~gap:(if t = now then 0. else delta) cell;
+      if cell.(0) > t then
+        (* blocked at [t]: sleep until the next chance *)
+        wk_push sc f
+      else begin
+        let r =
+          make_reservation sc prt ~coflow:coflow_id ~now ~delta ~established
+            f
+        in
+        if sc.f_rem.(f) > 0. then begin
+          if r != dummy_res then cell.(0) <- Prt.stop r
+          else if cell.(1) = infinity then
+            (* Impossible: a free flow fails only against a start
+               within delta (see the progress argument in the design
+               doc), or a remainder lost to rounding against delta. *)
+            invalid_arg "Sunflow.schedule: stuck with pending demand"
+          else cell.(0) <- cell.(1);
+          Prt.chance prt ~src ~dst ~gap:delta cell;
+          wk_push sc f
+        end
       end
     done;
     if obs then Obs.Registry.add m_wakes !n_wakes;

@@ -177,8 +177,6 @@ let clear_caches () =
 let section ppf title =
   Format.fprintf ppf "@.==== %s ====@." title
 
-let subsection ppf title = Format.fprintf ppf "@.-- %s --@." title
-
 let kv ppf name fmt =
   Format.fprintf ppf "  %-36s " (name ^ ":");
   Format.kfprintf (fun ppf -> Format.pp_print_newline ppf ()) ppf fmt

@@ -78,7 +78,5 @@ val clear_caches : unit -> unit
 val section : Format.formatter -> string -> unit
 (** Banner like [==== FIGURE 3 ====]. *)
 
-val subsection : Format.formatter -> string -> unit
-
 val kv : Format.formatter -> string -> ('a, Format.formatter, unit) format -> 'a
 (** One aligned [name: value] line. *)

@@ -11,15 +11,6 @@ let create ~n_left ~n_right edges =
     edges;
   { n_left; n_right; adj }
 
-let of_threshold m ~threshold =
-  let n = Dense.size m in
-  let edges = ref [] in
-  Dense.iter_positive
-    (fun i j v -> if v >= threshold then edges := (i, j) :: !edges)
-    m;
-  create ~n_left:n ~n_right:n !edges
-
 let n_left g = g.n_left
 let n_right g = g.n_right
 let neighbours g u = g.adj.(u)
-let edge_count g = Array.fold_left (fun k l -> k + List.length l) 0 g.adj

@@ -9,13 +9,7 @@ val create : n_left:int -> n_right:int -> (int * int) list -> t
     endpoint out of range. Duplicate edges are kept (harmless for
     matching). *)
 
-val of_threshold : Dense.t -> threshold:float -> t
-(** Graph with an edge [(i, j)] for every matrix entry
-    [m.(i).(j) >= threshold] that is strictly positive. *)
-
 val n_left : t -> int
 val n_right : t -> int
 val neighbours : t -> int -> int list
 (** Right-neighbours of a left vertex. *)
-
-val edge_count : t -> int

@@ -14,10 +14,6 @@ type matching = { pair_left : int array; pair_right : int array; size : int }
 val solve : Bipartite.t -> matching
 (** A maximum matching of the graph. *)
 
-val is_perfect : Bipartite.t -> matching -> bool
-(** True when every left and every right vertex is matched (requires
-    [n_left = n_right]). *)
-
 val perfect : Bipartite.t -> (int * int) list option
 (** [perfect g] is the edge list of a perfect matching if one exists
     (requires [n_left g = n_right g]), or [None]. *)

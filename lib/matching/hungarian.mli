@@ -5,11 +5,6 @@
     the paper) computes a maximum-weight matching of the demand matrix
     for every fixed-length slot; this module provides it. *)
 
-val min_cost_assignment : Dense.t -> int array
-(** [min_cost_assignment c] is an array [a] mapping each row [i] to the
-    column [a.(i)] of a minimum-total-cost perfect assignment of the
-    square cost matrix [c]. *)
-
 val max_weight_assignment : Dense.t -> int array
 (** Perfect assignment maximising total weight (entries may be zero;
     zero-weight pairs are allowed in the result). *)

@@ -4,9 +4,6 @@
     [close_out] leaked the descriptor and could drop buffered
     output). *)
 
-val with_out_file : string -> (out_channel -> 'a) -> 'a
-(** [with_out_file path f] opens [path] for writing, runs [f] on the
-    channel and closes it even when [f] raises. *)
-
 val write_file : string -> string -> unit
-(** [write_file path contents] — [with_out_file] + [output_string]. *)
+(** [write_file path contents] opens [path] for writing, writes
+    [contents] and closes it even when the write raises. *)

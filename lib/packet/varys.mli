@@ -16,9 +16,5 @@
     early strands its bandwidth until the next event — the inefficiency
     the paper points out when discussing Fig. 9. *)
 
-val gamma : bandwidth:float -> Sunflow_core.Demand.t -> float
-(** The effective bottleneck time of a demand at full port rate —
-    equal to the packet-switched lower bound [T_L^p]. *)
-
 val allocate : Snapshot.scheduler
 (** SEBF + MADD + backfill. *)

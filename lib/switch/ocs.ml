@@ -1,7 +1,10 @@
+(* what one port is doing *)
 type port_state =
   | Idle
   | Configuring of { peer : int; ready_at : float }
+      (* dark: the circuit to [peer] is being set up *)
   | Connected of { peer : int; since : float }
+      (* light: transmitting to/from [peer] since [since] *)
 
 type t = {
   n_ports : int;

@@ -16,14 +16,6 @@
 
 type t
 
-(** What one port is doing. *)
-type port_state =
-  | Idle
-  | Configuring of { peer : int; ready_at : float }
-      (** dark: the circuit to [peer] is being set up *)
-  | Connected of { peer : int; since : float }
-      (** light: transmitting to/from [peer] since [since] *)
-
 val create : n_ports:int -> delta:float -> t
 (** A switch with all ports idle at time [0.]. Raises
     [Invalid_argument] on non-positive [n_ports] or negative
@@ -40,8 +32,6 @@ val advance : t -> float -> unit
     backwards move). Reconfigurations whose deadline has passed
     complete. *)
 
-val input_state : t -> int -> port_state
-val output_state : t -> int -> port_state
 
 val connect : t -> src:int -> dst:int -> (float, string) result
 (** Begin establishing circuit [(src, dst)]. Both ports must be idle

@@ -73,12 +73,12 @@ let prop_controller_rejects_or_executes =
 
 (* --- PRT: interleaved reserve/query streams vs the list oracle --- *)
 
-module Ref_prt = Test_prt.Ref_prt
+module Ref_prt = Util.Ref_prt
 
 type prt_op =
   | Reserve of Prt.reservation
   | Probe_pair of int * int * float
-  | Next_release of int * int * float
+  | Chance of int * int * float * float
 
 let prt_op_gen =
   QCheck2.Gen.(
@@ -103,8 +103,9 @@ let prt_op_gen =
         (* port 4 never holds a window: pairing with it probes one port *)
         (let* src = int_range 0 4 and* dst = int_range 0 4 in
          map (fun i -> Probe_pair (src, dst, i)) (grid 128));
-        (let* src = int_range 0 3 and* dst = int_range 0 3 in
-         map (fun i -> Next_release (src, dst, i)) (grid 128));
+        (let* src = int_range 0 4 and* dst = int_range 0 4 in
+         let* gap = oneofl [ 0.; 0.1; 0.5 ] in
+         map (fun i -> Chance (src, dst, gap, i)) (grid 128));
       ])
 
 let prop_prt_stream_oracle =
@@ -116,6 +117,7 @@ let prop_prt_stream_oracle =
        (fun ops ->
          let t = Prt.create () in
          let ref_t = Ref_prt.create () in
+         let cell = [| 0.; 0. |] in
          List.for_all
            (fun op ->
              match op with
@@ -127,23 +129,27 @@ let prop_prt_stream_oracle =
                in
                ok = ref_ok
              | Probe_pair (src, dst, i) ->
-               Prt.probe_pair t ~src ~dst i
-               = Ref_prt.probe_pair ref_t ~src ~dst i
-             | Next_release (src, dst, i) ->
-               Prt.next_release_pair t ~src ~dst i
-               = Ref_prt.next_release_pair ref_t ~src ~dst i)
+               Test_prt.probe_pair t ~src ~dst i
+               = Ref_prt.probe_pair (Ref_prt.port_list ref_t) ~src ~dst i
+             | Chance (src, dst, gap, i) ->
+               cell.(0) <- i;
+               Prt.chance t ~src ~dst ~gap cell;
+               (cell.(0), cell.(1))
+               = Ref_prt.chance (Ref_prt.port_list ref_t) ~src ~dst ~gap i)
            ops
          && Prt.all_reservations t = Ref_prt.all_reservations ref_t))
 
 (* --- Sunflow: event-driven loop vs the round-robin reference --- *)
 
-(* The pre-optimisation reservation loop, kept verbatim: every pending
-   flow is retried at every release on any pending flow's ports. The
+module Sunflow = Sunflow_core.Sunflow
+module Coflow = Sunflow_core.Coflow
+module Units = Sunflow_core.Units
+
+(* The pre-optimisation reservation loop, kept verbatim over the list
+   table: every pending flow is retried at every release on any pending
+   flow's ports, and the ports are asked by full scans. The
    event-driven scheduler must replay it reservation for reservation. *)
 module Ref_loop = struct
-  module Sunflow = Sunflow_core.Sunflow
-  module Coflow = Sunflow_core.Coflow
-  module Demand = Sunflow_core.Demand
   module Order = Sunflow_core.Order
 
   type pending = {
@@ -154,11 +160,9 @@ module Ref_loop = struct
   }
 
   let make_reservation prt ~coflow ~now ~delta ~established t p =
-    (* the fused form of the loop's two single-port probes, counter for
-       counter (the Out port is only probed when the In port is free):
-       [neg_infinity] when either port is busy, else the earlier of the
+    (* [neg_infinity] when either port is busy, else the earlier of the
        two next starts *)
-    let tm = Prt.probe_pair prt ~src:p.src ~dst:p.dst t in
+    let tm = Ref_prt.probe_pair (Ref_prt.port_list prt) ~src:p.src ~dst:p.dst t in
     if tm <> neg_infinity then begin
       let setup =
         if p.fresh && t = now && established (p.src, p.dst) then 0. else delta
@@ -176,7 +180,7 @@ module Ref_loop = struct
         let r =
           { Prt.coflow; src = p.src; dst = p.dst; start = t; setup; length = l }
         in
-        Prt.reserve prt r;
+        Ref_prt.reserve prt r;
         p.remaining <- ld -. l;
         p.fresh <- false;
         Some r
@@ -187,9 +191,8 @@ module Ref_loop = struct
 
   let no_circuit _ = false
 
-  let schedule ?prt ?(now = 0.) ?(order = Order.Ordered_port)
+  let schedule ~prt ?(now = 0.) ?(order = Order.Ordered_port)
       ?(established = no_circuit) ?(quantum = 0.) ~delta ~bandwidth coflow =
-    let prt = match prt with Some p -> p | None -> Prt.create () in
     let to_processing bytes =
       let p = bytes /. bandwidth in
       if quantum > 0. then quantum *. Float.ceil (p /. quantum) else p
@@ -221,7 +224,9 @@ module Ref_loop = struct
           let t' =
             List.fold_left
               (fun acc p ->
-                Float.min acc (Prt.next_release_pair prt ~src:p.src ~dst:p.dst t))
+                Float.min acc
+                  (Ref_prt.next_release_pair (Ref_prt.port_list prt)
+                     ~src:p.src ~dst:p.dst t))
               infinity pending
           in
           if t' = infinity then
@@ -241,6 +246,37 @@ module Ref_loop = struct
     { Sunflow.reservations; finish; setups }
 end
 
+(* Schedule [jobs] — (now, Coflow) pairs, in order — with both loops,
+   each on its own table, and require identical results after every
+   Coflow and identical tables at the end. Both tables start holding
+   [prefill] (each window offered to both; the two must agree on which
+   land). *)
+let loops_agree ?(prefill = []) ?order ?established ?quantum ~delta jobs =
+  let bandwidth = 1.25e8 in
+  let prt_new = Prt.create () and prt_ref = Ref_prt.create () in
+  List.for_all
+    (fun w ->
+      let ok = try Prt.reserve prt_new w; true with Invalid_argument _ -> false in
+      let ref_ok =
+        try Ref_prt.reserve prt_ref w; true with Invalid_argument _ -> false
+      in
+      ok = ref_ok)
+    prefill
+  && List.for_all
+       (fun (now, c) ->
+         let a =
+           Sunflow.schedule ~prt:prt_new ~now ?order ?established ?quantum
+             ~delta ~bandwidth c
+         in
+         let b =
+           Ref_loop.schedule ~prt:prt_ref ~now ?order ?established ?quantum
+             ~delta ~bandwidth c
+         in
+         a.Sunflow.reservations = b.Sunflow.reservations
+         && a.finish = b.finish && a.setups = b.setups)
+       jobs
+  && Prt.all_reservations prt_new = Ref_prt.all_reservations prt_ref
+
 let prop_event_loop_matches_round_robin =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
@@ -258,25 +294,95 @@ let prop_event_loop_matches_round_robin =
          in
          pure (coflows, delta, order))
        (fun (coflows, delta, order) ->
-         let bandwidth = 1.25e8 in
          (* inter-style: both loops extend their own shared table in the
             same Coflow order, so later Coflows see earlier reservations *)
-         let prt_new = Prt.create () and prt_ref = Prt.create () in
-         List.for_all
-           (fun c ->
-             let a =
-               Sunflow_core.Sunflow.schedule ~prt:prt_new ~order ~delta
-                 ~bandwidth c
-             in
-             let b =
-               Ref_loop.schedule ~prt:prt_ref ~order ~delta ~bandwidth c
-             in
-             a.Sunflow_core.Sunflow.reservations
-             = b.Sunflow_core.Sunflow.reservations
-             && a.finish = b.finish
-             && a.setups = b.setups)
-           coflows
-         && Prt.all_reservations prt_new = Prt.all_reservations prt_ref))
+         loops_agree ~order ~delta (List.map (fun c -> (0., c)) coflows)))
+
+(* The same, from a table already holding windows of other Coflows: the
+   prefill lies on a 1/64 s grid, shifted by sub-[time_tolerance] dust
+   so neighbouring windows abut, gap or overlap by rounding dust; the
+   Coflows start at random instants inside it, with random circuits
+   established and an optional quantum. *)
+let prop_loops_agree_prefilled =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"event-driven loop replays round-robin on a pre-filled table"
+       ~count:150
+       QCheck2.Gen.(
+         let window =
+           let* src = int_range 0 5 and* dst = int_range 0 5 in
+           let* start = int_range 0 128 and* len = int_range 1 24 in
+           let* dust = int_range (-5) 5 in
+           let* setup = oneofl [ 0.; 0.005 ] in
+           pure
+             {
+               Prt.coflow = 1000 + src;
+               src;
+               dst;
+               start = (float_of_int start /. 64.) +. (float_of_int dust *. 1e-10);
+               setup;
+               length = float_of_int len /. 64.;
+             }
+         in
+         let* prefill = list_size (int_range 0 60) window in
+         let* jobs =
+           list_size (int_range 1 3)
+             (pair (map (fun k -> float_of_int k /. 64.) (int_range 0 96))
+                (Util.Gen.coflow ~n_ports:6 ()))
+         in
+         let* delta = oneofl [ 0.; 0.001; 0.01; 0.1 ] in
+         let* quantum = oneofl [ 0.; 0.002 ] in
+         let* est = int_range 0 5 in
+         pure (prefill, jobs, delta, quantum, est))
+       (fun (prefill, jobs, delta, quantum, est) ->
+         let established (s, d) = (s + d) mod 6 = est in
+         loops_agree ~prefill ~established ~quantum ~delta jobs))
+
+(* The contended kernel case: 40 background Coflows on 16 ports, each
+   a partial shift permutation started 5 ms after the last, then one
+   96-flow Coflow (every port to the next six) scheduled at [now] into
+   the table they fill, with some of its circuits already established.
+   At [now = 0.] a few of those are free and reuse their circuit; at
+   100 ms every port is busy. *)
+let contended_jobs now =
+  let n = 16 in
+  let background =
+    List.init 40 (fun b ->
+        let d = Demand.create () in
+        for i = 0 to n - 1 do
+          if (i + b) mod 3 <> 0 then
+            Demand.set d i
+              ((i + 1 + b) mod n)
+              (Units.mb (1. +. float_of_int ((i * b) mod 7)))
+        done;
+        (Units.ms 5. *. float_of_int b, Coflow.make ~id:(b + 1) d))
+  in
+  let d = Demand.create () in
+  for i = 0 to n - 1 do
+    for s = 1 to 6 do
+      Demand.set d i ((i + s) mod n)
+        (Units.mb (0.5 +. float_of_int ((i + (3 * s)) mod 5)))
+    done
+  done;
+  background @ [ (now, Coflow.make ~id:0 d) ]
+
+let test_contended_matches_round_robin () =
+  let established (s, d) = (s + d) mod 4 = 1 in
+  List.iter
+    (fun (now, delta, quantum) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "now %g, delta %g, quantum %g" now delta quantum)
+        true
+        (loops_agree ~established ~quantum ~delta (contended_jobs now)))
+    (List.concat_map
+       (fun now ->
+         [
+           (now, 0., 0.);
+           (now, Units.ms 10., 0.);
+           (now, 0., Units.ms 1.);
+           (now, Units.ms 10., Units.ms 1.);
+         ])
+       [ 0.; Units.ms 100. ])
 
 (* --- demand state machine --- *)
 
@@ -320,5 +426,8 @@ let suite =
     prop_controller_rejects_or_executes;
     prop_prt_stream_oracle;
     prop_event_loop_matches_round_robin;
+    prop_loops_agree_prefilled;
+    Alcotest.test_case "contended Coflow replays round-robin" `Quick
+      test_contended_matches_round_robin;
     prop_demand_invariants;
   ]

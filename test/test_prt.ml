@@ -3,101 +3,24 @@ module Prt = Sunflow_core.Prt
 let r ?(coflow = 0) ~src ~dst ~start ~setup ~length () =
   { Prt.coflow; src; dst; start; setup; length }
 
-(* Reference list-based PRT: the pre-optimisation implementation kept
-   verbatim (sorted lists, full scans) as the oracle the array-backed
-   table must agree with reservation for reservation, plus full-scan
-   definitions of the fused two-port queries and [fits_exact]. *)
-module Ref_prt = struct
-  let stop (r : Prt.reservation) = r.Prt.start +. r.Prt.length
+module Ref_prt = Util.Ref_prt
 
-  type t = (Prt.port, Prt.reservation list) Hashtbl.t
+(* [Prt.chance]: the next chance at or after the instant, and the next
+   start after it *)
+let chance t ~src ~dst ~gap instant =
+  let cell = [| instant; nan |] in
+  Prt.chance t ~src ~dst ~gap cell;
+  (cell.(0), cell.(1))
 
-  let create () : t = Hashtbl.create 64
+(* Algorithm 1's port test through [chance]: with [gap = 0.] the walk
+   stays on the instant exactly when both ports are free there, and
+   then reports the next start ([infinity] if none); [neg_infinity]
+   marks a busy port *)
+let probe_pair t ~src ~dst instant =
+  let y, tm = chance t ~src ~dst ~gap:0. instant in
+  if y = instant then tm else neg_infinity
 
-  let port_list (t : t) p =
-    match Hashtbl.find_opt t p with Some l -> l | None -> []
-
-  let free_at t p instant =
-    List.for_all
-      (fun (r : Prt.reservation) -> instant < r.Prt.start || instant >= stop r)
-      (port_list t p)
-
-  let next_start_after t p instant =
-    List.fold_left
-      (fun acc (r : Prt.reservation) ->
-        if r.Prt.start > instant then Float.min acc r.Prt.start else acc)
-      infinity (port_list t p)
-
-  let port_next_release t p instant =
-    List.fold_left
-      (fun acc r ->
-        let s = stop r in
-        if s > instant then Float.min acc s else acc)
-      infinity (port_list t p)
-
-  let next_release_pair t ~src ~dst instant =
-    Float.min
-      (port_next_release t (Prt.In src) instant)
-      (port_next_release t (Prt.Out dst) instant)
-
-  let probe_pair t ~src ~dst instant =
-    if free_at t (Prt.In src) instant && free_at t (Prt.Out dst) instant then
-      Float.min
-        (next_start_after t (Prt.In src) instant)
-        (next_start_after t (Prt.Out dst) instant)
-    else neg_infinity
-
-  (* no window on either port intersects [r] with positive measure *)
-  let fits_exact t (r : Prt.reservation) =
-    let clear p =
-      List.for_all
-        (fun (e : Prt.reservation) ->
-          Float.min (stop e) (stop r) <= Float.max e.Prt.start r.Prt.start)
-        (port_list t p)
-    in
-    clear (Prt.In r.Prt.src) && clear (Prt.Out r.Prt.dst)
-
-  let time_tolerance = 1e-9
-
-  let overlaps (a : Prt.reservation) (b : Prt.reservation) =
-    Float.min (stop a) (stop b) -. Float.max a.Prt.start b.Prt.start
-    > time_tolerance
-
-  let insert_sorted t p (r : Prt.reservation) =
-    let l = port_list t p in
-    List.iter
-      (fun existing ->
-        if overlaps existing r then invalid_arg "Ref_prt.reserve: overlap")
-      l;
-    let sorted =
-      List.sort (fun (a : Prt.reservation) b -> compare a.Prt.start b.Prt.start) (r :: l)
-    in
-    Hashtbl.replace t p sorted
-
-  let reserve t (r : Prt.reservation) =
-    if r.Prt.length <= 0. then invalid_arg "Ref_prt.reserve: non-positive length";
-    if r.Prt.setup < 0. || r.Prt.setup > r.Prt.length then
-      invalid_arg "Ref_prt.reserve: setup outside [0, length]";
-    if r.Prt.src < 0 || r.Prt.dst < 0 then
-      invalid_arg "Ref_prt.reserve: negative port";
-    insert_sorted t (Prt.In r.Prt.src) r;
-    (try insert_sorted t (Prt.Out r.Prt.dst) r
-     with e ->
-       Hashtbl.replace t (Prt.In r.Prt.src)
-         (List.filter (fun x -> x != r) (port_list t (Prt.In r.Prt.src)));
-       raise e)
-
-  let all_reservations (t : t) =
-    Hashtbl.fold
-      (fun p rs acc ->
-        match p with Prt.In _ -> List.rev_append rs acc | Prt.Out _ -> acc)
-      t []
-    |> List.sort (fun (a : Prt.reservation) b ->
-           compare (a.Prt.start, a.Prt.src, a.Prt.dst)
-             (b.Prt.start, b.Prt.src, b.Prt.dst))
-end
-
-(* Single-port answers through the two-port probe: pair the port with
+(* Single-port answers through the two-port test: pair the port with
    one that never holds a window, so [probe_pair] is [neg_infinity]
    exactly when the port is busy at the instant and otherwise the
    port's next start strictly after it (or [infinity]). *)
@@ -105,8 +28,8 @@ let idle = 999
 
 let probe1 t p instant =
   match p with
-  | Prt.In src -> Prt.probe_pair t ~src ~dst:idle instant
-  | Prt.Out dst -> Prt.probe_pair t ~src:idle ~dst instant
+  | Prt.In src -> probe_pair t ~src ~dst:idle instant
+  | Prt.Out dst -> probe_pair t ~src:idle ~dst instant
 
 let free_at t p instant = probe1 t p instant <> neg_infinity
 
@@ -129,7 +52,7 @@ let test_free_at () =
   Alcotest.(check bool) "out port busy too" false (free_at t (Prt.Out 1) 2.);
   Alcotest.(check bool) "other port free" true (free_at t (Prt.In 1) 2.);
   Alcotest.(check (float 0.)) "busy partner blocks the pair" neg_infinity
-    (Prt.probe_pair t ~src:1 ~dst:1 2.)
+    (probe_pair t ~src:1 ~dst:1 2.)
 
 let test_in_out_namespaces () =
   let t = Prt.create () in
@@ -210,21 +133,35 @@ let test_next_start_after () =
   Alcotest.(check bool) "none left" true (probe1 t (Prt.In 0) 10. = infinity);
   (* the pair answers the earlier next start over both endpoints *)
   Util.check_close "earlier over both ports" 5.
-    (Prt.probe_pair t ~src:0 ~dst:4 0.);
+    (probe_pair t ~src:0 ~dst:4 0.);
   Util.check_close "the partner's start when earlier" 7.
-    (Prt.probe_pair t ~src:0 ~dst:4 6.)
+    (probe_pair t ~src:0 ~dst:4 6.)
 
+(* A blocked circuit's next chance is a release on its own ports: the
+   walk passes each release at which the other port is still busy, or
+   a start follows within [gap], and stops at the first at which
+   neither holds. *)
 let test_next_release () =
   let t = Prt.create () in
   Prt.reserve t (r ~src:0 ~dst:1 ~start:0. ~setup:0. ~length:4. ());
   Prt.reserve t (r ~src:2 ~dst:3 ~start:0. ~setup:0. ~length:2. ());
-  Util.check_close "earliest stop over both ports" 2.
-    (Prt.next_release_pair t ~src:0 ~dst:3 0.);
-  Util.check_close "next" 4. (Prt.next_release_pair t ~src:0 ~dst:3 2.);
-  Util.check_close "restricted to ports" 4.
-    (Prt.next_release_pair t ~src:0 ~dst:9 0.);
-  Alcotest.(check bool) "no windows no release" true
-    (Prt.next_release_pair t ~src:9 ~dst:9 0. = infinity)
+  Prt.reserve t (r ~src:4 ~dst:3 ~start:5. ~setup:0. ~length:1. ());
+  let next ~src ~dst ~gap i = fst (chance t ~src ~dst ~gap i) in
+  Util.check_close "past the earlier release, still blocked there" 4.
+    (next ~src:0 ~dst:3 ~gap:0. 0.);
+  Util.check_close "free at the instant: stays" 4.5
+    (next ~src:0 ~dst:3 ~gap:0. 4.5);
+  Util.check_close "a start within the gap: past its window" 6.
+    (next ~src:0 ~dst:3 ~gap:1.5 0.);
+  Util.check_close "a start beyond the gap: the release" 4.
+    (next ~src:0 ~dst:3 ~gap:0.5 0.);
+  Util.check_close "restricted to ports" 4. (next ~src:0 ~dst:9 ~gap:0. 0.);
+  Alcotest.(check (pair (float 0.) (float 0.))) "no windows: free, nothing ahead"
+    (0., infinity)
+    (chance t ~src:9 ~dst:9 ~gap:10. 0.);
+  (* a later window on the same ports is seen by the next query *)
+  Prt.reserve t (r ~src:0 ~dst:6 ~start:4. ~setup:0. ~length:0.25 ());
+  Util.check_close "the new window" 4.25 (next ~src:0 ~dst:3 ~gap:0. 3.)
 
 let test_established_at () =
   let t = Prt.create () in
@@ -251,9 +188,9 @@ let test_rollback_leaves_table_unchanged () =
     List.map
       (fun i ->
         ( probe1 t (Prt.In 5) i,
-          Prt.probe_pair t ~src:5 ~dst:1 i,
-          Prt.next_release_pair t ~src:0 ~dst:3 i,
-          Prt.next_release_pair t ~src:5 ~dst:1 i ))
+          probe_pair t ~src:5 ~dst:1 i,
+          chance t ~src:0 ~dst:3 ~gap:0.1 i,
+          chance t ~src:5 ~dst:1 ~gap:0.1 i ))
       probe_instants
   in
   (* In 5 is free, so the insert succeeds on the input port and must be
@@ -317,6 +254,7 @@ let agree_on_queries t ref_t stream =
   in
   (* [pairs] includes every never-reserved partner in [query_ports],
      so the single-port answers are covered by [probe_pair] too *)
+  let ws = Ref_prt.port_list ref_t in
   List.for_all
     (fun p -> Prt.port_reservations t p = Ref_prt.port_list ref_t p)
     ports
@@ -330,10 +268,13 @@ let agree_on_queries t ref_t stream =
        (fun instant ->
          List.for_all
            (fun (src, dst) ->
-             Prt.next_release_pair t ~src ~dst instant
-             = Ref_prt.next_release_pair ref_t ~src ~dst instant
-             && Prt.probe_pair t ~src ~dst instant
-                = Ref_prt.probe_pair ref_t ~src ~dst instant)
+             probe_pair t ~src ~dst instant
+             = Ref_prt.probe_pair ws ~src ~dst instant
+             && List.for_all
+                  (fun gap ->
+                    chance t ~src ~dst ~gap instant
+                    = Ref_prt.chance ws ~src ~dst ~gap instant)
+                  [ 0.05; 0.5 ])
            pairs)
        query_instants
 
@@ -365,6 +306,75 @@ let prop_oracle_vs_list_reference =
              && Prt.all_reservations t = Ref_prt.all_reservations ref_t)
            stream
          && agree_on_queries t ref_t stream))
+
+(* [Prt.chance] against the brute-force walk over the table's own port
+   lists, the way the scheduler drives it: increasing instants per
+   circuit and gap, across a second batch of windows reserved in
+   between. Window
+   edges sit on a 1/16 grid shifted by up to 0.4 ns, so neighbours
+   abut, leave dust gaps or overlap by sub-[time_tolerance] dust that
+   [reserve] admits. *)
+let prop_chance_vs_brute_force =
+  let window =
+    QCheck2.Gen.(
+      let* src = int_range 0 3 and* dst = int_range 0 3 in
+      let* start16 = int_range 0 96 and* len16 = int_range 1 24 in
+      let* dust = int_range (-4) 4 in
+      let* setup = oneofl [ 0.; 0.01 ] in
+      pure
+        (r ~src ~dst
+           ~start:((float_of_int start16 /. 16.) +. (float_of_int dust *. 1e-10))
+           ~setup
+           ~length:(float_of_int len16 /. 16.)
+           ()))
+  in
+  let instants =
+    QCheck2.Gen.(
+      map
+        (fun l -> List.sort compare (List.map (fun k -> float_of_int k /. 16.) l))
+        (list_size (int_range 1 12) (int_range 0 128)))
+  in
+  QCheck2.Test.make
+    ~name:"chance agrees with a brute-force walk over a growing table"
+    ~count:300
+    QCheck2.Gen.(
+      tup4
+        (list_size (int_range 0 30) window)
+        (list_size (int_range 1 30) window)
+        instants instants)
+    (fun (first, second, early, late) ->
+      let t = Prt.create () in
+      let reserve_all =
+        List.iter (fun w -> try Prt.reserve t w with Invalid_argument _ -> ())
+      in
+      let circuits =
+        List.concat_map
+          (fun src ->
+            List.concat_map
+              (fun dst ->
+                List.map (fun gap -> (src, dst, gap)) [ 0.; 0.05; 0.3 ])
+              [ 0; 1; 2; 3; 4 ])
+          [ 0; 1; 2; 3; 4 ]
+      in
+      let cell = [| 0.; 0. |] in
+      let agree instants =
+        List.for_all
+          (fun (src, dst, gap) ->
+            List.for_all
+              (fun x ->
+                cell.(0) <- x;
+                Prt.chance t ~src ~dst ~gap cell;
+                (cell.(0), cell.(1))
+                = Ref_prt.chance (Prt.port_reservations t) ~src ~dst ~gap x)
+              instants)
+          circuits
+      in
+      reserve_all first;
+      let ok_early = agree early in
+      reserve_all second;
+      let last = List.fold_left Float.max 0. early in
+      ok_early && agree (List.map (fun x -> last +. x) late))
+  |> QCheck_alcotest.to_alcotest
 
 let prop_no_overlap =
   QCheck_alcotest.to_alcotest
@@ -404,8 +414,8 @@ let test_concurrent_counters () =
     for i = 0 to queries - 1 do
       (* one query each, whatever the port's state *)
       ignore
-        (Prt.next_release_pair t ~src:0 ~dst:idle (float_of_int i *. 0.31)
-          : float)
+        (chance t ~src:0 ~dst:idle ~gap:0.1 (float_of_int i *. 0.31)
+          : float * float)
     done
   in
   let before = Prt.stats () in
@@ -427,7 +437,7 @@ let test_concurrent_counters () =
 
 (* everything a reader can observe of a table over the ports the tests
    use: windows per port and overall, the interval index's answers and
-   both hot queries *)
+   the wake query at two gaps *)
 let table_fingerprint t =
   let instants = [ 0.; 0.5; 1.; 2.; 5. ] in
   ( Prt.all_reservations t,
@@ -438,10 +448,7 @@ let table_fingerprint t =
       (fun i ->
         List.concat_map
           (fun (src, dst) ->
-            [
-              Prt.probe_pair t ~src ~dst i;
-              Prt.next_release_pair t ~src ~dst i;
-            ])
+            [ chance t ~src ~dst ~gap:0. i; chance t ~src ~dst ~gap:0.3 i ])
           [ (0, 0); (1, 1); (2, 2); (4, 5) ])
       instants )
 
@@ -502,7 +509,7 @@ let test_remove_consistency () =
   Alcotest.(check bool) "remove present" true (Prt.remove t a);
   Alcotest.(check bool) "remove absent" false (Prt.remove t a);
   Alcotest.(check (float 0.)) "releases updated" 2.
-    (Prt.next_release_pair t ~src:0 ~dst:2 0.5);
+    (fst (chance t ~src:0 ~dst:2 ~gap:0. 0.5));
   Alcotest.(check bool) "In port freed" true (free_at t (Prt.In 0) 0.5);
   Alcotest.(check bool) "Out port freed" true (free_at t (Prt.Out 1) 0.5);
   Alcotest.(check bool) "other window intact" false (free_at t (Prt.In 1) 0.5)
@@ -531,19 +538,19 @@ let test_out_of_range_ports () =
         [ Prt.In p; Prt.Out p ];
       Alcotest.(check (float 0.))
         (label "probe_pair") infinity
-        (Prt.probe_pair t ~src:p ~dst:p 0.5);
-      Alcotest.(check (float 0.))
-        (label "next_release_pair") infinity
-        (Prt.next_release_pair t ~src:p ~dst:p 0.5);
+        (probe_pair t ~src:p ~dst:p 0.5);
+      Alcotest.(check (pair (float 0.) (float 0.)))
+        (label "chance") (0.5, infinity)
+        (chance t ~src:p ~dst:p ~gap:1. 0.5);
       let w = r ~src:p ~dst:p ~start:0. ~setup:0. ~length:5. () in
       Alcotest.(check bool) (label "fits_exact") true (Prt.fits_exact t w);
       Alcotest.(check bool) (label "remove") false (Prt.remove t w))
     far;
   (* one endpoint in range: the in-range port decides *)
   Alcotest.(check (float 0.)) "busy Out port blocks" neg_infinity
-    (Prt.probe_pair t ~src:(-1) ~dst:1 0.5);
+    (probe_pair t ~src:(-1) ~dst:1 0.5);
   Alcotest.(check (float 0.)) "release on the in-range port" 1.
-    (Prt.next_release_pair t ~src:max_int ~dst:1 0.5);
+    (fst (chance t ~src:max_int ~dst:1 ~gap:0. 0.5));
   Alcotest.(check bool) "same reservations" true
     (before = Prt.all_reservations t);
   Alcotest.(check bool) "same port windows" true
@@ -551,10 +558,10 @@ let test_out_of_range_ports () =
   Alcotest.(check int) "nothing grown" before_words
     (Obj.reachable_words (Obj.repr t))
 
-(* The scheduler's two hot queries read the dense slots directly: no
-   port key, closure or tuple is allocated, only the boxed float a
-   non-inlined OCaml function returns when the answer is computed (a
-   constant answer such as [neg_infinity] is not even boxed). *)
+(* The scheduler's wake query reads the dense slots directly and takes
+   its instant and returns its answer through the caller's float cell:
+   no port key, closure, tuple or boxed float is allocated, whatever
+   the walk's length. *)
 let test_hot_queries_allocate_only_result () =
   let t = Prt.create () in
   for i = 0 to 39 do
@@ -562,24 +569,23 @@ let test_hot_queries_allocate_only_result () =
       (r ~coflow:i ~src:(i mod 8) ~dst:(i * 3 mod 8)
          ~start:(float_of_int (i / 8)) ~setup:0.01 ~length:0.9 ())
   done;
-  let n = 10_000 and instant = 2.5 in
-  let per_call f =
+  let n = 10_000 in
+  let cell = [| 0.; 0. |] in
+  let per_call gap =
     let w0 = Gc.minor_words () in
     for i = 0 to n - 1 do
-      ignore (f ~src:(i mod 9) ~dst:(i mod 7) : float)
+      cell.(0) <- 2.5;
+      Prt.chance t ~src:(i mod 9) ~dst:(i mod 7) ~gap cell
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
-  let words = per_call (fun ~src ~dst -> Prt.probe_pair t ~src ~dst instant) in
-  Alcotest.(check bool)
-    (Printf.sprintf "probe_pair: %.2f words/call <= 2" words)
-    true (words <= 2.);
-  let words =
-    per_call (fun ~src ~dst -> Prt.next_release_pair t ~src ~dst instant)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "next_release_pair: %.2f words/call <= 2" words)
-    true (words <= 2.)
+  List.iter
+    (fun gap ->
+      let words = per_call gap in
+      Alcotest.(check bool)
+        (Printf.sprintf "chance ~gap:%g: %.2f words/call = 0" gap words)
+        true (words = 0.))
+    [ 0.; 0.5 ]
 
 (* [remove] matches windows field for field, not by physical identity:
    a freshly built copy of a reserved window removes it from both
@@ -817,5 +823,6 @@ let suite =
     Alcotest.test_case "fits_exact strictness" `Quick test_fits_exact;
     Alcotest.test_case "splice_exact atomicity" `Quick test_splice_exact;
     prop_oracle_vs_list_reference;
+    prop_chance_vs_brute_force;
     prop_no_overlap;
   ]
