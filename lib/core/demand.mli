@@ -3,7 +3,11 @@
     A demand maps circuits [(src, dst)] — input port to output port —
     to a number of bytes. Ports are non-negative integers (rack ids in
     the paper's 150-port fabric). Demands are mutable: the simulators
-    decrement them in place as traffic drains.
+    decrement them in place as traffic drains. Each value lives in its
+    own mutable cell, which {!drain} updates in place (no float is
+    allocated, so a long-lived demand has nothing new to promote);
+    {!set} and {!add} install a fresh cell. {!copy} is deep: draining
+    a copy never changes the original.
 
     Entries with zero or negative bytes are never stored; setting an
     entry to [0.] removes it, so [n_flows] is always the number of
@@ -20,6 +24,8 @@ val of_list : ((int * int) * float) list -> t
     and non-finite bytes raise [Invalid_argument]. *)
 
 val copy : t -> t
+(** An independent demand with the same entries (fresh cells), laid out
+    like the original, so both fold in the same order. *)
 
 val get : t -> int -> int -> float
 (** Bytes remaining from [src] to [dst] ([0.] if absent). *)
@@ -34,7 +40,10 @@ val add : t -> int -> int -> float -> unit
 
 val drain : t -> int -> int -> float -> unit
 (** [drain d i j b] removes up to [b] bytes from entry [(i, j)],
-    clamping at zero. *)
+    clamping at zero. An entry that reaches zero is removed. *)
+
+val snap : t -> eps:float -> unit
+(** Remove, in place, every entry of at most [eps] bytes. *)
 
 val entries : t -> ((int * int) * float) list
 (** All non-zero entries, sorted by [(src, dst)] for determinism. *)

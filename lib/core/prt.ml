@@ -206,9 +206,11 @@ let time_tolerance = 1e-9
 
    [chance] fuses Algorithm 1's port test (lines 15-16) with the
    blocked flow's retry (line 10) into one walk over the circuit's two
-   port slots. Its float input and outputs travel through the caller's
-   flat [cell], [covering] takes the cell and [search_gt] is inlined,
-   so without flambda nothing on the path is boxed. *)
+   port slots, a loop over [walk]; [step] exports one step of it, so
+   the scheduler can see why a flow was blocked. The float input and
+   outputs travel through the caller's flat [cell], [covering] takes
+   the cell and [search_gt] is inlined, so without flambda nothing on
+   the path is boxed. *)
 
 (* index of a window at or left of [j] that contains [cell.(0)], or
    -1. In a table of (tolerance-)disjoint windows that is the
@@ -226,39 +228,60 @@ let covering c (s : slot) j (cell : float array) =
   done;
   !found
 
-(* Walk from [cell.(0)] to the first instant [y] at which both ports
-   are free and the next start [tm] on either is more than [gap] away.
-   A busy port sends the walk to its covering window's stop; a start
-   within [gap] sends it to the stop of the window opening at [tm]
+type step = Free | In_busy | Out_busy | Near
+
+(* One step of the walk from [cell.(0)] (see [step] in the interface).
+   A busy port moves the instant to its covering window's stop; a start
+   within [gap] moves it to the stop of the window opening at [tm]
    (every instant before that stop is either covered by that window or
-   sees [tm] nearer still). Each step lands on a window stop strictly
-   later, so the walk ends. One query, whatever the steps. *)
+   sees [tm] nearer still). [cell.(1)] gets the start of the window
+   whose stop the instant moved to, or [tm] when both ports are free.
+   Uncounted as a query: its callers count one each. *)
+let walk c (si : slot) (so : slot) ~gap (cell : float array) =
+  let i = search_gt c si.starts si.len cell.(0) in
+  let j = covering c si (i - 1) cell in
+  if j >= 0 then begin
+    cell.(1) <- si.starts.(j);
+    cell.(0) <- stop si.res.(j);
+    In_busy
+  end
+  else begin
+    let o = search_gt c so.starts so.len cell.(0) in
+    let j = covering c so (o - 1) cell in
+    if j >= 0 then begin
+      cell.(1) <- so.starts.(j);
+      cell.(0) <- stop so.res.(j);
+      Out_busy
+    end
+    else begin
+      let next_in = if i < si.len then si.starts.(i) else infinity in
+      let next_out = if o < so.len then so.starts.(o) else infinity in
+      let tm = Float.min next_in next_out in
+      cell.(1) <- tm;
+      if tm -. cell.(0) <= gap then begin
+        cell.(0) <-
+          (if next_in <= next_out then stop si.res.(i) else stop so.res.(o));
+        Near
+      end
+      else Free
+    end
+  end
+
+let step t ~src ~dst ~gap (cell : float array) =
+  let c = counters () in
+  c.c_queries.v <- c.c_queries.v + 1;
+  walk c (slot_of t.ins src) (slot_of t.outs dst) ~gap cell
+
+(* Walk to the first instant [y] at which both ports are free and the
+   next start [tm] on either is more than [gap] away. Each step lands
+   on a window stop strictly later, so the walk ends. One query,
+   whatever the steps. *)
 let chance t ~src ~dst ~gap (cell : float array) =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
   let si = slot_of t.ins src and so = slot_of t.outs dst in
-  let walking = ref true in
-  while !walking do
-    let i = search_gt c si.starts si.len cell.(0) in
-    let j = covering c si (i - 1) cell in
-    if j >= 0 then cell.(0) <- stop si.res.(j)
-    else begin
-      let o = search_gt c so.starts so.len cell.(0) in
-      let j = covering c so (o - 1) cell in
-      if j >= 0 then cell.(0) <- stop so.res.(j)
-      else begin
-        let next_in = if i < si.len then si.starts.(i) else infinity in
-        let next_out = if o < so.len then so.starts.(o) else infinity in
-        let tm = Float.min next_in next_out in
-        if tm -. cell.(0) <= gap then
-          cell.(0) <-
-            (if next_in <= next_out then stop si.res.(i) else stop so.res.(o))
-        else begin
-          cell.(1) <- tm;
-          walking := false
-        end
-      end
-    end
+  while walk c si so ~gap cell != Free do
+    ()
   done
 
 (* windows of slot [s] starting at or before [r.start], from index [j]

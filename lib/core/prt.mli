@@ -50,8 +50,8 @@ type t
 type stats = {
   queries : int;
       (** public lookups answered: one per {!chance} call, whatever
-          its steps, {!fits_exact}, {!remove} and the interval-index
-          queries *)
+          its steps, one per {!step}, {!fits_exact}, {!remove} and the
+          interval-index queries *)
   scans : int;
       (** binary-search probes over the port slots and the interval
           index, plus neighbourhood walks. There is no release index,
@@ -107,6 +107,21 @@ val chance :
     [tm]. [cell] needs two elements; passing the instant through it
     keeps the call free of float boxing. Counts one query, whatever
     the number of steps. *)
+
+type step =
+  | Free  (** both ports free at [cell.(0)]; [tm] is in [cell.(1)] *)
+  | In_busy  (** a window on [In src] contains the instant *)
+  | Out_busy  (** a window on [Out dst] does; [In src] is free *)
+  | Near  (** both free, but [tm] lies within [gap] *)
+
+val step : t -> src:int -> dst:int -> gap:float -> float array -> step
+(** One step of {!chance}'s walk from the instant [cell.(0)], and why
+    it moved. [Free] leaves [cell.(0)] and writes [tm] to [cell.(1)];
+    any other answer moves [cell.(0)] to a window's stop and writes
+    that window's start to [cell.(1)]: the covering window of the
+    busy port (the input port is asked first), or the window opening
+    at [tm]. {!chance} is exactly this step repeated until [Free].
+    Counts one query; allocates nothing. *)
 
 val fits_exact : t -> reservation -> bool
 (** Whether the window intersects no existing window on either of its

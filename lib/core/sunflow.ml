@@ -26,7 +26,12 @@ let h_flows = Obs.Registry.histogram "sunflow.flows_per_schedule"
    arrays; the rank breaks ties between flows woken at the same
    instant, so the event-driven loop visits them exactly as the
    round-robin loop did. [cell] carries instants into and out of
-   {!Prt.chance} and the heap, so no float is boxed on the wake path.
+   {!Prt.step}, {!Prt.chance} and the heap, so no float is boxed on the
+   wake path. The park groups (see [schedule]) are two more per-flow
+   arrays (next member, side) and per-port records indexed
+   [2 * port + side] (key, head, last member, call epoch); a record is
+   live only under the current call's epoch, so a call resets them by
+   bumping [epoch], not by clearing.
    Reuse rules (see DESIGN.md "Schedule kernel"): the arena holds only
    scalars, except the growable accumulator of made reservations,
    whose slots are cleared back to a dummy before the call returns, so
@@ -41,9 +46,17 @@ type scratch = {
   mutable wk_time : float array;  (* wake heap: times, unboxed *)
   mutable wk_flow : int array;  (* wake heap: flow ranks, parallel *)
   mutable wk_len : int;
+  mutable g_next : int array;  (* next member of the flow's park group, or -1 *)
+  mutable g_side : int array;  (* side of the group the flow is in, or -1 *)
+  mutable p_key : float array;  (* per port side: its open group's key *)
+  mutable p_head : int array;  (* ... that group's head (in the heap) *)
+  mutable p_last : int array;  (* ... its highest-ranked member *)
+  mutable p_epoch : int array;  (* ... the call that opened it *)
+  mutable epoch : int;
   mutable made : Prt.reservation array;  (* creation order *)
   mutable n_made : int;
-  cell : float array;  (* [Prt.chance]'s instant in, [y] and [tm] out *)
+  cell : float array;
+      (* [Prt.step]'s instant in, [y] and [tm] out; then a group's key *)
   mutable busy : bool;
 }
 
@@ -59,31 +72,53 @@ let fresh_scratch () =
     wk_time = [||];
     wk_flow = [||];
     wk_len = 0;
+    g_next = [||];
+    g_side = [||];
+    p_key = [||];
+    p_head = [||];
+    p_last = [||];
+    p_epoch = [||];
+    epoch = 0;
     made = [||];
     n_made = 0;
-    cell = [| 0.; 0. |];
+    cell = [| 0.; 0.; 0. |];
     busy = false;
   }
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
+
+(* [a] in a fresh array of [n] cells, the new ones [fill] *)
+let grow a n fill =
+  let a' = Array.make n fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 (* room for [n] pending flows, and for as many heap entries (each flow
    has at most one) *)
 let flows_ensure sc n =
   let cap = Array.length sc.f_src in
   if n > cap then begin
-    let cap' = max 8 (max n (2 * cap)) in
-    let grow a fill =
-      let a' = Array.make cap' fill in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    sc.f_src <- grow sc.f_src 0;
-    sc.f_dst <- grow sc.f_dst 0;
-    sc.f_rem <- grow sc.f_rem 0.;
-    sc.f_fresh <- grow sc.f_fresh false;
-    sc.wk_time <- grow sc.wk_time 0.;
-    sc.wk_flow <- grow sc.wk_flow 0
+    let n = max 8 (max n (2 * cap)) in
+    sc.f_src <- grow sc.f_src n 0;
+    sc.f_dst <- grow sc.f_dst n 0;
+    sc.f_rem <- grow sc.f_rem n 0.;
+    sc.f_fresh <- grow sc.f_fresh n false;
+    sc.wk_time <- grow sc.wk_time n 0.;
+    sc.wk_flow <- grow sc.wk_flow n 0;
+    sc.g_next <- grow sc.g_next n 0;
+    sc.g_side <- grow sc.g_side n 0
+  end
+
+(* room for the group record of port side [q]; grown cells carry no
+   call's epoch *)
+let groups_ensure sc q =
+  let cap = Array.length sc.p_key in
+  if q >= cap then begin
+    let n = max 16 (max (q + 1) (2 * cap)) in
+    sc.p_key <- grow sc.p_key n 0.;
+    sc.p_head <- grow sc.p_head n 0;
+    sc.p_last <- grow sc.p_last n 0;
+    sc.p_epoch <- grow sc.p_epoch n (-1)
   end
 
 (* an exception can abandon the call mid-drain; clear every slot that
@@ -113,9 +148,9 @@ let wk_swap sc i j =
   sc.wk_flow.(i) <- sc.wk_flow.(j);
   sc.wk_flow.(j) <- f
 
-(* wake flow [f] at the instant in [sc.cell.(0)] *)
-let wk_push sc f =
-  sc.wk_time.(sc.wk_len) <- sc.cell.(0);
+(* wake flow [f] at the instant in [sc.cell.(k)] *)
+let wk_push sc k f =
+  sc.wk_time.(sc.wk_len) <- sc.cell.(k);
   sc.wk_flow.(sc.wk_len) <- f;
   sc.wk_len <- sc.wk_len + 1;
   let i = ref (sc.wk_len - 1) in
@@ -146,6 +181,64 @@ let wk_drop sc =
         i := !smallest
       end
     done
+  end
+
+(* --- park groups ---------------------------------------------------------
+
+   Flows blocked on one port until the same window stop wait in a park
+   group: a chain in rank order whose head alone is in the wake heap,
+   under the group's key. No member can reserve before the key (see
+   [schedule]). Each port side's record describes its open group, the
+   last one opened there; only the open group takes new members. *)
+
+(* the record index of flow [f]'s port on [side] (0 input, 1 output) *)
+let port_side sc f side =
+  if side = 0 then 2 * sc.f_src.(f) else (2 * sc.f_dst.(f)) + 1
+
+let heads_open sc q f = sc.p_epoch.(q) = sc.epoch && sc.p_head.(q) = f
+
+(* [f] leaves the group it heads on [side]; the next member, if any,
+   heads the rest from the key in [cell.(2)] *)
+let group_leave sc f side =
+  let q = port_side sc f side and m = sc.g_next.(f) in
+  sc.g_side.(f) <- -1;
+  if heads_open sc q f then
+    if m >= 0 then begin
+      sc.p_head.(q) <- m;
+      sc.p_key.(q) <- sc.cell.(2)
+    end
+    else sc.p_epoch.(q) <- -1;
+  if m >= 0 then wk_push sc 2 m
+
+(* the port of the group [f] heads on [side] is busy until [cell.(0)]:
+   the whole group waits there *)
+let group_rekey sc f side =
+  let q = port_side sc f side in
+  if heads_open sc q f then sc.p_key.(q) <- sc.cell.(0);
+  wk_push sc 0 f
+
+(* [f]'s next chance, in [cell.(0)], is the stop of a window that blocks
+   it on [side]: join the port's open group if that waits for the same
+   instant and ends below [f], else open a new one *)
+let group_join sc f side =
+  let q = port_side sc f side in
+  groups_ensure sc q;
+  sc.g_side.(f) <- side;
+  sc.g_next.(f) <- -1;
+  if
+    sc.p_epoch.(q) = sc.epoch
+    && sc.p_key.(q) = sc.cell.(0)
+    && sc.p_last.(q) < f
+  then begin
+    sc.g_next.(sc.p_last.(q)) <- f;
+    sc.p_last.(q) <- f
+  end
+  else begin
+    sc.p_epoch.(q) <- sc.epoch;
+    sc.p_key.(q) <- sc.cell.(0);
+    sc.p_head.(q) <- f;
+    sc.p_last.(q) <- f;
+    wk_push sc 0 f
   end
 
 let made_push sc r =
@@ -205,7 +298,14 @@ let no_circuit _ = false
    round-robin loop reservation for reservation (DESIGN.md, "PRT data
    structure & complexity"). After a reservation the search starts
    from the new window's stop; after a failed try at a free instant,
-   from [tm]. *)
+   from [tm].
+
+   Flows that a sibling's window, opened at the instant they woke,
+   blocks until their next chance park behind it in a group, and only
+   the group's head is woken. Every parked key is a lower bound of the
+   member's next chance, and members follow their head in rank order,
+   so each is still tried wherever the round-robin loop would reserve
+   for it (DESIGN.md, "Park groups"). *)
 let schedule ?prt ?(now = 0.) ?(order = Order.Ordered_port)
     ?(established = no_circuit) ?(quantum = 0.) ~delta ~bandwidth coflow =
   if bandwidth <= 0. then invalid_arg "Sunflow.schedule: bandwidth <= 0";
@@ -245,6 +345,7 @@ let schedule ?prt ?(now = 0.) ?(order = Order.Ordered_port)
           sc.f_dst.(f) <- dst;
           sc.f_rem.(f) <- remaining;
           sc.f_fresh.(f) <- true;
+          sc.g_side.(f) <- -1;
           n_pending := f + 1
         end)
       entries;
@@ -256,8 +357,9 @@ let schedule ?prt ?(now = 0.) ?(order = Order.Ordered_port)
     end;
     let cell = sc.cell in
     cell.(0) <- now;
+    sc.epoch <- sc.epoch + 1;
     for f = 0 to n_pending - 1 do
-      wk_push sc f
+      wk_push sc 0 f
     done;
     let coflow_id = coflow.Coflow.id in
     let n_wakes = ref 0 in
@@ -267,18 +369,23 @@ let schedule ?prt ?(now = 0.) ?(order = Order.Ordered_port)
       wk_drop sc;
       incr n_wakes;
       let src = sc.f_src.(f) and dst = sc.f_dst.(f) in
-      cell.(0) <- t;
       (* at [now] an established circuit may need no setup, so only a
          free port is asked for *)
-      Prt.chance prt ~src ~dst ~gap:(if t = now then 0. else delta) cell;
-      if cell.(0) > t then
-        (* blocked at [t]: sleep until the next chance *)
-        wk_push sc f
-      else begin
+      let gap = if t = now then 0. else delta in
+      let side = sc.g_side.(f) in
+      cell.(0) <- t;
+      cell.(2) <- t;
+      match Prt.step prt ~src ~dst ~gap cell with
+      | Prt.Free ->
         let r =
           make_reservation sc prt ~coflow:coflow_id ~now ~delta ~established
             f
         in
+        if side >= 0 then begin
+          (* the rest cannot take the port before the new window's stop *)
+          if r != dummy_res then cell.(2) <- Prt.stop r;
+          group_leave sc f side
+        end;
         if sc.f_rem.(f) > 0. then begin
           if r != dummy_res then cell.(0) <- Prt.stop r
           else if cell.(1) = infinity then
@@ -288,9 +395,27 @@ let schedule ?prt ?(now = 0.) ?(order = Order.Ordered_port)
             invalid_arg "Sunflow.schedule: stuck with pending demand"
           else cell.(0) <- cell.(1);
           Prt.chance prt ~src ~dst ~gap:delta cell;
-          wk_push sc f
+          wk_push sc 0 f
         end
-      end
+      | Prt.Near ->
+        if side >= 0 then group_leave sc f side;
+        Prt.chance prt ~src ~dst ~gap cell;
+        wk_push sc 0 f
+      | (Prt.In_busy | Prt.Out_busy) as busy ->
+        (* a window on side [on] holds [t] until [cell.(0)]; it opened
+           at [t], a sibling's just now, if it starts at [t] *)
+        let on = match busy with Prt.In_busy -> 0 | _ -> 1 in
+        let opened_now = cell.(1) = t in
+        if side >= 0 && side <> on then group_leave sc f side;
+        cell.(2) <- cell.(0);
+        Prt.chance prt ~src ~dst ~gap cell;
+        if cell.(0) > cell.(2) || not (side = on || opened_now) then begin
+          (* [f] goes alone; a group it heads on [on] waits for the stop *)
+          if side = on then group_leave sc f side;
+          wk_push sc 0 f
+        end
+        else if side = on then group_rekey sc f side
+        else group_join sc f on
     done;
     if obs then Obs.Registry.add m_wakes !n_wakes;
     let finish = ref now and setups = ref 0 in

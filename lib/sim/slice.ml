@@ -16,11 +16,7 @@ let g_delta = Obs.Registry.gauge "sim.delta_s"
    megabytes, so the tolerance is harmless. *)
 let byte_eps bandwidth = Float.max 1e-3 (bandwidth *. 1e-6)
 
-let snap_demand ~bandwidth d =
-  let eps = byte_eps bandwidth in
-  List.iter
-    (fun ((i, j), v) -> if v <= eps then Demand.set d i j 0.)
-    (Demand.entries d)
+let snap_demand ~bandwidth d = Demand.snap d ~eps:(byte_eps bandwidth)
 
 type t = {
   bandwidth : float;

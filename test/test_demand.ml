@@ -87,6 +87,99 @@ let prop_total_nonneg =
          List.for_all (fun (_, v) -> v > 0.) (Demand.entries d)
          && Demand.total_bytes d >= 0.))
 
+(* a drained copy shares no cell with its original *)
+let test_drain_copy () =
+  let d = sample () in
+  let c = Demand.copy d in
+  Demand.drain c 0 5 4.;
+  Demand.drain c 2 7 100.;
+  checkf "copy drained" 6. (Demand.get c 0 5);
+  checkf "original kept" 10. (Demand.get d 0 5);
+  checkf "original kept the emptied entry" (Demand.get (sample ()) 2 7)
+    (Demand.get d 2 7);
+  Demand.drain d 0 6 1.;
+  checkf "copy kept" (Demand.get (sample ()) 0 6) (Demand.get c 0 6)
+
+(* The demand against a plain float table run through the same
+   operations, written as the demand worked before its values moved
+   into cells (a snap removes entry by entry in sorted order). The
+   tables hash alike, so every fold visits the same order and every
+   sum must match bit for bit. *)
+type op =
+  | Set of int * int * float
+  | Add of int * int * float
+  | Drain of int * int * float
+  | Copy
+  | Snap of float
+
+let op_gen =
+  QCheck2.Gen.(
+    let* i = int_range 0 3 and* j = int_range 0 3 in
+    let* v = float_range 0. 100. in
+    oneof
+      [
+        pure (Set (i, j, v));
+        pure (Add (i, j, v));
+        pure (Drain (i, j, v));
+        pure Copy;
+        map (fun e -> Snap e) (float_range 0. 30.);
+      ])
+
+let prop_matches_plain_table =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"demand ops match a plain float table bit for bit"
+       ~count:500
+       QCheck2.Gen.(list_size (int_range 0 80) op_gen)
+       (fun ops ->
+         let d = ref (Demand.create ()) in
+         let r : (int * int, float) Hashtbl.t ref = ref (Hashtbl.create 16) in
+         let get i j = Option.value ~default:0. (Hashtbl.find_opt !r (i, j)) in
+         let set i j v =
+           if v > 0. then Hashtbl.replace !r (i, j) v
+           else Hashtbl.remove !r (i, j)
+         in
+         let entries () =
+           Hashtbl.fold (fun k v acc -> (k, v) :: acc) !r []
+           |> List.sort (fun (a, _) (b, _) -> compare a b)
+         in
+         let agree () =
+           let ports = [ 0; 1; 2; 3 ] in
+           Demand.entries !d = entries ()
+           && Demand.total_bytes !d = Hashtbl.fold (fun _ v a -> a +. v) !r 0.
+           && List.for_all
+                (fun p ->
+                  Demand.row_sum !d p
+                  = Hashtbl.fold
+                      (fun (i, _) v a -> if i = p then a +. v else a)
+                      !r 0.
+                  && Demand.col_sum !d p
+                     = Hashtbl.fold
+                         (fun (_, j) v a -> if j = p then a +. v else a)
+                         !r 0.)
+                ports
+         in
+         List.for_all
+           (fun op ->
+             (match op with
+             | Set (i, j, v) ->
+               Demand.set !d i j v;
+               set i j v
+             | Add (i, j, v) ->
+               Demand.add !d i j v;
+               set i j (get i j +. v)
+             | Drain (i, j, b) ->
+               Demand.drain !d i j b;
+               let v = get i j in
+               set i j (v -. Float.min v b)
+             | Copy ->
+               d := Demand.copy !d;
+               r := Hashtbl.copy !r
+             | Snap eps ->
+               Demand.snap !d ~eps;
+               List.iter (fun ((i, j), v) -> if v <= eps then set i j 0.) (entries ()));
+             agree ())
+           ops))
+
 let suite =
   [
     Alcotest.test_case "get set remove" `Quick test_get_set;
@@ -95,7 +188,10 @@ let suite =
     Alcotest.test_case "aggregates" `Quick test_aggregates;
     Alcotest.test_case "entries sorted" `Quick test_entries_sorted;
     Alcotest.test_case "scale map copy" `Quick test_scale_map_copy;
+    Alcotest.test_case "drained copy leaves the original" `Quick
+      test_drain_copy;
     Alcotest.test_case "to_dense" `Quick test_to_dense;
     Alcotest.test_case "equal" `Quick test_equal;
     prop_total_nonneg;
+    prop_matches_plain_table;
   ]

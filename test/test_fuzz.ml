@@ -303,27 +303,29 @@ let prop_event_loop_matches_round_robin =
    so neighbouring windows abut, gap or overlap by rounding dust; the
    Coflows start at random instants inside it, with random circuits
    established and an optional quantum. *)
+let prefill_window ~n_ports =
+  QCheck2.Gen.(
+    let* src = int_range 0 (n_ports - 1) and* dst = int_range 0 (n_ports - 1) in
+    let* start = int_range 0 128 and* len = int_range 1 24 in
+    let* dust = int_range (-5) 5 in
+    let* setup = oneofl [ 0.; 0.005 ] in
+    pure
+      {
+        Prt.coflow = 1000 + src;
+        src;
+        dst;
+        start = (float_of_int start /. 64.) +. (float_of_int dust *. 1e-10);
+        setup;
+        length = float_of_int len /. 64.;
+      })
+
 let prop_loops_agree_prefilled =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
        ~name:"event-driven loop replays round-robin on a pre-filled table"
        ~count:150
        QCheck2.Gen.(
-         let window =
-           let* src = int_range 0 5 and* dst = int_range 0 5 in
-           let* start = int_range 0 128 and* len = int_range 1 24 in
-           let* dust = int_range (-5) 5 in
-           let* setup = oneofl [ 0.; 0.005 ] in
-           pure
-             {
-               Prt.coflow = 1000 + src;
-               src;
-               dst;
-               start = (float_of_int start /. 64.) +. (float_of_int dust *. 1e-10);
-               setup;
-               length = float_of_int len /. 64.;
-             }
-         in
+         let window = prefill_window ~n_ports:6 in
          let* prefill = list_size (int_range 0 60) window in
          let* jobs =
            list_size (int_range 1 3)
@@ -384,6 +386,143 @@ let test_contended_matches_round_robin () =
          ])
        [ 0.; Units.ms 100. ])
 
+(* The kernel's wake counter over the last job of [jobs] alone. *)
+let kernel_wakes ?established ~delta jobs =
+  let wakes = Sunflow_obs.Registry.counter "sunflow.wakes" in
+  let prt = Prt.create () in
+  let run (now, c) =
+    ignore
+      (Sunflow.schedule ~prt ~now ?established ~delta ~bandwidth:1.25e8 c)
+  in
+  match List.rev jobs with
+  | [] -> 0
+  | last :: rest ->
+    List.iter run (List.rev rest);
+    Sunflow_obs.Control.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Sunflow_obs.Control.set_enabled false)
+      (fun () ->
+        Sunflow_obs.Registry.counter_reset wakes;
+        run last;
+        Sunflow_obs.Registry.counter_value wakes)
+
+(* Parking sibling-blocked flows must not cost wakes on the contended
+   case: the ceilings are the loop's counts before park groups. Two
+   variants that replay the loop just as exactly exceed the first one:
+   joining a group at the first blocking hop, without the full walk
+   (541), and a head re-keying its group without walking its own ports
+   (489). See DESIGN.md, "Park groups". *)
+let test_contended_wakes () =
+  List.iter
+    (fun (now, delta, ceiling) ->
+      let wakes = kernel_wakes ~delta (contended_jobs now) in
+      Alcotest.(check bool)
+        (Printf.sprintf "now %g, delta %g: %d wakes <= %d" now delta wakes
+           ceiling)
+        true (wakes <= ceiling))
+    [
+      (0., 0., 453);
+      (0., Units.ms 10., 477);
+      (Units.ms 100., 0., 441);
+      (Units.ms 100., Units.ms 10., 496);
+    ]
+
+(* --- herd shapes: many sibling flows share one port --- *)
+
+let herd_coflow id pairs =
+  Coflow.make ~id
+    (Demand.of_list
+       (List.mapi
+          (fun k pair -> (pair, Units.mb (0.5 +. float_of_int (k * 7 mod 5))))
+          pairs))
+
+let herd_shapes =
+  [
+    ("1->32", List.init 32 (fun k -> (0, k)));
+    ("32->1", List.init 32 (fun k -> (k, 0)));
+    ("8x8", List.init 64 (fun k -> (k / 8, k mod 8)));
+  ]
+
+(* other Coflows' windows over ports 0-31 on a 1/64 s grid, shifted by
+   rounding dust; the ones that would overlap are refused by both
+   tables alike *)
+let herd_prefill =
+  List.init 96 (fun k ->
+      {
+        Prt.coflow = 1000 + k;
+        src = k * 5 mod 32;
+        dst = k * 7 mod 32;
+        start =
+          (float_of_int (k * 3 mod 64) /. 64.)
+          +. (float_of_int ((k mod 11) - 5) *. 1e-10);
+        setup = (if k mod 2 = 0 then 0.005 else 0.);
+        length = float_of_int (1 + (k mod 6)) /. 64.;
+      })
+
+(* each shape twice (the second Coflow queues behind the first), on an
+   empty and on a pre-filled table *)
+let test_herd_shapes () =
+  let established (s, d) = (s + d) mod 4 = 1 in
+  List.iter
+    (fun (name, pairs) ->
+      List.iter
+        (fun (prefill, now, delta, quantum) ->
+          let jobs = [ (now, herd_coflow 1 pairs); (now, herd_coflow 2 pairs) ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s table, delta %g, quantum %g" name
+               (if prefill = [] then "empty" else "pre-filled")
+               delta quantum)
+            true
+            (loops_agree ~prefill ~established ~quantum ~delta jobs))
+        (List.concat_map
+           (fun (prefill, now) ->
+             List.concat_map
+               (fun delta ->
+                 [ (prefill, now, delta, 0.); (prefill, now, delta, Units.ms 1.) ])
+               [ 0.; Units.ms 10. ])
+           [ ([], 0.); (herd_prefill, 1. /. 32.) ]))
+    herd_shapes
+
+(* Few ports on one side, many flows: groups form, re-key and split on
+   nearly every wake. *)
+let prop_loops_agree_narrow =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"event-driven loop replays round-robin on narrow herds"
+       ~count:200
+       QCheck2.Gen.(
+         let coflow id =
+           let* narrow = int_range 2 3 and* wide_in = bool in
+           let* n = int_range 1 24 in
+           let* flows =
+             list_size (pure n)
+               (triple (int_range 0 (narrow - 1)) (int_range 0 7)
+                  (float_range 0.1 16.))
+           in
+           pure
+             (Coflow.make ~id
+                (Demand.of_list
+                   (List.map
+                      (fun (a, b, mb) ->
+                        ((if wide_in then (b, a) else (a, b)), Units.mb mb))
+                      flows)))
+         in
+         let* prefill = list_size (int_range 0 30) (prefill_window ~n_ports:8) in
+         let* n_jobs = int_range 1 3 in
+         let* jobs =
+           flatten_l
+             (List.init n_jobs (fun id ->
+                  pair (map (fun k -> float_of_int k /. 64.) (int_range 0 64))
+                    (coflow id)))
+         in
+         let* delta = oneofl [ 0.; 0.001; 0.01 ] in
+         let* quantum = oneofl [ 0.; 0.002 ] in
+         let* est = int_range 0 3 in
+         pure (prefill, jobs, delta, quantum, est))
+       (fun (prefill, jobs, delta, quantum, est) ->
+         let established (s, d) = (s + d) mod 4 = est in
+         loops_agree ~prefill ~established ~quantum ~delta jobs))
+
 (* --- demand state machine --- *)
 
 type op = Set of int * int * float | Add of int * int * float | Drain of int * int * float
@@ -429,5 +568,10 @@ let suite =
     prop_loops_agree_prefilled;
     Alcotest.test_case "contended Coflow replays round-robin" `Quick
       test_contended_matches_round_robin;
+    Alcotest.test_case "contended Coflow wakes no more than before" `Quick
+      test_contended_wakes;
+    Alcotest.test_case "herd shapes replay round-robin" `Quick
+      test_herd_shapes;
+    prop_loops_agree_narrow;
     prop_demand_invariants;
   ]

@@ -579,13 +579,38 @@ let test_hot_queries_allocate_only_result () =
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
+  (* one step, from instants that are busy, near a start or free *)
+  let instants = [| 2.5; 2.95; 10. |] in
+  let seen = Array.make 4 0 in
+  let step_per_call gap =
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      cell.(0) <- instants.(i / 9 mod 3);
+      let k =
+        match Prt.step t ~src:(i mod 9) ~dst:(i mod 7) ~gap cell with
+        | Prt.Free -> 0
+        | Prt.In_busy -> 1
+        | Prt.Out_busy -> 2
+        | Prt.Near -> 3
+      in
+      seen.(k) <- seen.(k) + 1
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
   List.iter
     (fun gap ->
       let words = per_call gap in
       Alcotest.(check bool)
         (Printf.sprintf "chance ~gap:%g: %.2f words/call = 0" gap words)
+        true (words = 0.);
+      let words = step_per_call gap in
+      Alcotest.(check bool)
+        (Printf.sprintf "step ~gap:%g: %.2f words/call = 0" gap words)
         true (words = 0.))
-    [ 0.; 0.5 ]
+    [ 0.; 0.5 ];
+  Array.iteri
+    (fun k n -> Alcotest.(check bool) (Printf.sprintf "step answer %d seen" k) true (n > 0))
+    seen
 
 (* [remove] matches windows field for field, not by physical identity:
    a freshly built copy of a reserved window removes it from both
