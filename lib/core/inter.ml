@@ -580,7 +580,7 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
               if r.Prt.start +. r.Prt.setup <= now then
                 Some (r.Prt.src, r.Prt.dst)
               else None)
-       |> List.sort_uniq compare
+       |> List.sort_uniq Prt.compare_circuits
      else []);
   (* a window whose reconfiguration straddles [now] is neither an
      established circuit nor a fresh one; [schedule] restarts such
@@ -1027,23 +1027,16 @@ let clip_from t0 r =
     }
   else r
 
-(* [Prt.reservations_in]'s deterministic physical order — replicated
-   here so the sharded merge sorts (and dedupes mirror twins) exactly
-   the way a single table would have emitted the slice *)
-let window_order (a : Prt.reservation) (b : Prt.reservation) =
-  compare
-    (a.Prt.start, a.Prt.src, a.Prt.dst, a.Prt.coflow, a.Prt.setup, a.Prt.length)
-    (b.Prt.start, b.Prt.src, b.Prt.dst, b.Prt.coflow, b.Prt.setup, b.Prt.length)
-
 let engine_slice g ~t0 ~t1 =
   match g.g_prts with
   | [| prt |] -> List.map (clip_from t0) (Prt.reservations_in prt t0 t1)
   | prts ->
-    (* union over shard tables; a cross-shard window appears in both
-       endpoint shards and [sort_uniq] keeps one copy *)
+    (* union over shard tables, in the order one table would emit the
+       slice; a cross-shard window appears in both endpoint shards and
+       [sort_uniq] keeps one copy *)
     Array.to_list prts
     |> List.concat_map (fun prt -> Prt.reservations_in prt t0 t1)
-    |> List.sort_uniq window_order
+    |> List.sort_uniq Prt.physical_order
     |> List.map (clip_from t0)
 
 (* materialise the persistent plan as a [result] equivalent to what a

@@ -100,26 +100,6 @@ type slot = {
   mutable len : int;
 }
 
-(* The interval index: every live window once (keyed on its input-port
-   identity), held in one globally start-sorted sequence of bounded
-   blocks, each block caching the max stop over its windows. Stabbing
-   and slice queries ([covering_at] / [reservations_in]) binary-search
-   the block sequence for the instant's position, then walk blocks
-   leftward pruning in O(1) every block whose cached max stop cannot
-   reach the instant — so a query costs O(log n + answer) element
-   probes plus one O(1) summary check per block, instead of the
-   per-port fold over every port slot the table used before (which
-   made the slice queries that anchor each replay event linear in the
-   port count regardless of how many windows actually overlap). *)
-
-let iblock_cap = 128 (* split threshold; a block holds < iblock_cap windows *)
-
-type iblock = {
-  mutable ib_res : reservation array;  (* start-sorted *)
-  mutable ib_len : int;
-  mutable ib_max_stop : float;  (* max stop over the block's windows *)
-}
-
 (* Port slots are dense arrays indexed by port number, one per
    namespace, grown (doubling) by [reserve] on first use of a port.
    Cells of ports that never held a window share [empty_slot]. *)
@@ -130,27 +110,15 @@ type t = {
      finished Coflow's reservations can be retired in O(own windows)
      without scanning the table *)
   owners : (int, reservation list ref) Hashtbl.t;
-  (* interval index over all live windows; see [iblock] above *)
-  mutable iblocks : iblock array;
-  mutable n_iblocks : int;
 }
 
-let create () =
-  {
-    ins = [||];
-    outs = [||];
-    owners = Hashtbl.create 64;
-    iblocks = [||];
-    n_iblocks = 0;
-  }
+let create () = { ins = [||]; outs = [||]; owners = Hashtbl.create 64 }
 
 let dummy_res =
-  (* filler for vacated port-slot and interval-index cells;
-     [length = 0.] can never enter the table through [reserve], so it
-     is distinguishable from any live window *)
+  (* filler for vacated port-slot cells; [length = 0.] can never enter
+     the table through [reserve], so it is distinguishable from any
+     live window *)
   { coflow = min_int; src = 0; dst = 0; start = 0.; setup = 0.; length = 0. }
-
-let dummy_iblock = { ib_res = [||]; ib_len = 0; ib_max_stop = neg_infinity }
 
 (* Shared read-only stand-in for ports that never held a window, and
    the filler of grown port arrays. [reserve] materialises a fresh slot
@@ -171,23 +139,10 @@ let find_slot t = function
    Each search counts its probes into the [scans] counter so the bench
    harness can report how much work the table did. *)
 
-(* first index with [key arr.(i) > x], i.e. the successor position;
-   [c] is the calling domain's counter record. The interval index
-   searches its blocks of boxed windows with this. *)
-let bsearch_gt c key arr len x =
-  let lo = ref 0 and hi = ref len in
-  while !lo < !hi do
-    c.c_scans.v <- c.c_scans.v + 1;
-    let mid = (!lo + !hi) / 2 in
-    if key arr.(mid) <= x then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let res_start (r : reservation) = r.start
-
-(* [bsearch_gt] specialised to a slot's unboxed [starts]:
-   no key closure, and every probe is a flat float read. Inlined, so
-   [chance] passes it an unboxed instant. *)
+(* first index with [keys.(i) > x] among a slot's unboxed [starts],
+   i.e. the successor position; [c] is the calling domain's counter
+   record. Every probe is a flat float read. Inlined, so [chance]
+   passes it an unboxed instant. *)
 let[@inline] search_gt c (keys : float array) len (x : float) =
   let lo = ref 0 and hi = ref len in
   while !lo < !hi do
@@ -202,6 +157,18 @@ let[@inline] search_gt c (keys : float array) len (x : float) =
    nanosecond is rounding noise, not a double booking. *)
 let time_tolerance = 1e-9
 
+(* Whether window [w], met on a leftward walk through its slot, ends
+   the walk for instant [x]: no window earlier in the slot can reach
+   past [x]. One that did would start at or before [w] and stop after
+   it, so it would overlap [w] by [stop w -. w.start] — the very float
+   expression [overlaps] computes for that pair — and [reserve]
+   forbids that beyond [time_tolerance]. Windows no longer than the
+   tolerance, and those of the dust run (stops within the tolerance
+   below [x]), end nothing: an earlier window may still cover [x]. *)
+let[@inline] shields w x =
+  let st = stop w in
+  st <= x -. time_tolerance && st -. w.start > time_tolerance
+
 (* --- the scheduler's wake query -----------------------------------------
 
    [chance] fuses Algorithm 1's port test (lines 15-16) with the
@@ -214,17 +181,17 @@ let time_tolerance = 1e-9
 
 (* index of a window at or left of [j] that contains [cell.(0)], or
    -1. In a table of (tolerance-)disjoint windows that is the
-   instant's predecessor window, or one in the dust run of windows
-   whose stops trail it within [time_tolerance]. *)
+   instant's predecessor window, or one behind windows that do not
+   [shield] the instant. *)
 let covering c (s : slot) j (cell : float array) =
   let x = cell.(0) in
   let j = ref j and found = ref (-1) in
   while !found < 0 && !j >= 0 do
     c.c_scans.v <- c.c_scans.v + 1;
-    let st = stop s.res.(!j) in
-    if st > x then found := !j
-    else if st > x -. time_tolerance then decr j
-    else j := -1
+    let w = s.res.(!j) in
+    if stop w > x then found := !j
+    else if shields w x then j := -1
+    else decr j
   done;
   !found
 
@@ -286,18 +253,14 @@ let chance t ~src ~dst ~gap (cell : float array) =
 
 (* windows of slot [s] starting at or before [r.start], from index [j]
    leftward: any stop strictly past [r.start] is a positive-measure
-   intersection. The walk crosses the dust run (stops within
-   [time_tolerance] below [r.start]) because tolerated pairwise dust
-   overlaps let an earlier window reach past a later one's stop by up
-   to the tolerance. *)
+   intersection. The walk ends at a window that [shields] [r.start]. *)
 let rec clean_left c (s : slot) r j =
   if j < 0 then true
   else begin
     c.c_scans.v <- c.c_scans.v + 1;
-    let st = stop s.res.(j) in
-    if st <= r.start -. time_tolerance then true
-    else if st > r.start then false
-    else clean_left c s r (j - 1)
+    let w = s.res.(j) in
+    if stop w > r.start then false
+    else shields w r.start || clean_left c s r (j - 1)
   end
 
 (* [r] intersects no window of slot [s] with positive measure *)
@@ -368,8 +331,11 @@ let own_slot slots p =
    [port] name the port in the overlap error. *)
 let slot_insert c (s : slot) side port r =
   let k = search_gt c s.starts s.len r.start in
-  (* left neighbours: windows starting at or before [r.start] can only
-     reach into [r] while their stops stay above [r.start] *)
+  (* left neighbours: windows starting at or before [r.start] reach
+     into [r] only with stops above [r.start]. A window stopping at or
+     before [r.start] ends the walk unless it is no longer than the
+     tolerance: anything earlier that reached into [r] beyond the
+     tolerance would overlap it by its full length (see [shields]). *)
   let j = ref (k - 1) in
   while !j >= 0 do
     c.c_scans.v <- c.c_scans.v + 1;
@@ -378,7 +344,8 @@ let slot_insert c (s : slot) side port r =
       if overlaps e r then reject_overlap side port r e;
       decr j
     end
-    else j := -1
+    else if stop e -. e.start > time_tolerance then j := -1
+    else decr j
   done;
   (* right neighbours: windows starting inside [r)'s span *)
   let j = ref k in
@@ -422,120 +389,6 @@ let same_window a b =
   a.coflow = b.coflow && a.src = b.src && a.dst = b.dst
   && a.start = b.start && a.setup = b.setup && a.length = b.length
 
-(* --- interval index maintenance ---------------------------------------
-
-   Invariants: blocks are globally ordered by start (every window in
-   block [i] starts at or before every window in block [i+1]; windows
-   with equal starts may span a boundary), every block holds at least
-   one and fewer than [iblock_cap] windows, every live window appears
-   exactly once, and [ib_max_stop] is the exact max stop over the
-   block's windows. Vacated array slots (both block slots and window
-   slots) are reset to dummies so the index never pins a removed
-   window against the GC. *)
-
-(* last block whose first window starts at or before [x], or -1 *)
-let iidx_locate c t x =
-  let lo = ref 0 and hi = ref t.n_iblocks in
-  while !lo < !hi do
-    c.c_scans.v <- c.c_scans.v + 1;
-    let mid = (!lo + !hi) / 2 in
-    if t.iblocks.(mid).ib_res.(0).start <= x then lo := mid + 1 else hi := mid
-  done;
-  !lo - 1
-
-let iidx_insert_block t k b =
-  let cap = Array.length t.iblocks in
-  if t.n_iblocks = cap then begin
-    let arr = Array.make (grow_cap cap) dummy_iblock in
-    Array.blit t.iblocks 0 arr 0 t.n_iblocks;
-    t.iblocks <- arr
-  end;
-  Array.blit t.iblocks k t.iblocks (k + 1) (t.n_iblocks - k);
-  t.iblocks.(k) <- b;
-  t.n_iblocks <- t.n_iblocks + 1
-
-let iidx_recompute_max b =
-  let m = ref neg_infinity in
-  for i = 0 to b.ib_len - 1 do
-    m := Float.max !m (stop b.ib_res.(i))
-  done;
-  b.ib_max_stop <- m.contents
-
-let iidx_insert c t r =
-  if t.n_iblocks = 0 then begin
-    let arr = Array.make iblock_cap dummy_res in
-    arr.(0) <- r;
-    iidx_insert_block t 0 { ib_res = arr; ib_len = 1; ib_max_stop = stop r }
-  end
-  else begin
-    let bi = max 0 (iidx_locate c t r.start) in
-    let b = t.iblocks.(bi) in
-    let k = bsearch_gt c res_start b.ib_res b.ib_len r.start in
-    Array.blit b.ib_res k b.ib_res (k + 1) (b.ib_len - k);
-    b.ib_res.(k) <- r;
-    b.ib_len <- b.ib_len + 1;
-    b.ib_max_stop <- Float.max b.ib_max_stop (stop r);
-    if b.ib_len = iblock_cap then begin
-      (* split into two half-full blocks, clearing the moved slots *)
-      let half = iblock_cap / 2 in
-      let arr = Array.make iblock_cap dummy_res in
-      Array.blit b.ib_res half arr 0 (iblock_cap - half);
-      let right =
-        { ib_res = arr; ib_len = iblock_cap - half; ib_max_stop = neg_infinity }
-      in
-      Array.fill b.ib_res half (iblock_cap - half) dummy_res;
-      b.ib_len <- half;
-      iidx_recompute_max b;
-      iidx_recompute_max right;
-      iidx_insert_block t (bi + 1) right
-    end
-  end
-
-(* remove the window field-for-field equal to [r]; the caller has already
-   proven presence in the port slots, so absence here means the index
-   lost sync with the table — fail loudly (and unconditionally: this
-   must survive [-noassert] builds). *)
-let iidx_remove c t r =
-  let found_block = ref (-1) and found_pos = ref (-1) in
-  (* the equal-start run can span block boundaries leftward: scan the
-     located block, then each block to its left whose last window still
-     starts at or after [r.start] *)
-  let j = ref (iidx_locate c t r.start) and first = ref true in
-  while
-    !found_pos < 0 && !j >= 0
-    && (!first
-       ||
-       let b = t.iblocks.(!j) in
-       b.ib_len > 0 && b.ib_res.(b.ib_len - 1).start >= r.start)
-  do
-    first := false;
-    let b = t.iblocks.(!j) in
-    let i = ref (bsearch_gt c res_start b.ib_res b.ib_len r.start - 1) in
-    while !found_pos < 0 && !i >= 0 && b.ib_res.(!i).start = r.start do
-      c.c_scans.v <- c.c_scans.v + 1;
-      if same_window b.ib_res.(!i) r then begin
-        found_block := !j;
-        found_pos := !i
-      end
-      else decr i
-    done;
-    decr j
-  done;
-  if !found_pos < 0 then
-    invalid_arg "Prt: interval index out of sync with the port slots";
-  let b = t.iblocks.(!found_block) in
-  Array.blit b.ib_res (!found_pos + 1) b.ib_res !found_pos
-    (b.ib_len - !found_pos - 1);
-  b.ib_len <- b.ib_len - 1;
-  b.ib_res.(b.ib_len) <- dummy_res;
-  if b.ib_len = 0 then begin
-    Array.blit t.iblocks (!found_block + 1) t.iblocks !found_block
-      (t.n_iblocks - !found_block - 1);
-    t.n_iblocks <- t.n_iblocks - 1;
-    t.iblocks.(t.n_iblocks) <- dummy_iblock
-  end
-  else if stop r = b.ib_max_stop then iidx_recompute_max b
-
 let reserve t r =
   if r.length <= 0. then invalid_arg "Prt.reserve: non-positive length";
   if r.setup < 0. || r.setup > r.length then
@@ -553,10 +406,6 @@ let reserve t r =
      c.c_rollbacks.v <- c.c_rollbacks.v + 1;
      slot_remove s_in k_in;
      raise e);
-  (* both slots accepted: the window is definitely in, so the interval
-     index can take it (the Out-conflict undo path above never touches
-     the index) *)
-  iidx_insert c t r;
   (match Hashtbl.find_opt t.owners r.coflow with
    | Some l -> l := r :: !l
    | None -> Hashtbl.add t.owners r.coflow (ref [ r ]));
@@ -616,7 +465,6 @@ let remove t r =
     let k_out = slot_find c s_out r in
     assert (k_out >= 0);
     slot_remove s_out k_out;
-    iidx_remove c t r;
     owner_remove t r;
     c.c_rollbacks.v <- c.c_rollbacks.v + 1;
     true
@@ -645,40 +493,67 @@ let slot_windows s acc =
 
 let port_reservations t p = slot_windows (find_slot t p) []
 
+(* Field-wise orders: the same answers as polymorphic [compare] on the
+   key tuples (whose floats compare as [Float.compare] does), without
+   building a tuple per comparison. *)
+let compare_circuits ((s1 : int), (d1 : int)) (s2, d2) =
+  let c = Int.compare s1 s2 in
+  if c <> 0 then c else Int.compare d1 d2
+
+(* [(start, src, dst)] *)
+let start_order a b =
+  let c = Float.compare a.start b.start in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.src b.src in
+    if c <> 0 then c else Int.compare a.dst b.dst
+
+(* [(start, src, dst, coflow, setup, length)]: the full window
+   identity, so equal-start dust twins, whose array order depends on
+   insertion order, sort the same in every table holding them *)
+let physical_order a b =
+  let c = start_order a b in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.coflow b.coflow in
+    if c <> 0 then c
+    else
+      let c = Float.compare a.setup b.setup in
+      if c <> 0 then c else Float.compare a.length b.length
+
 let all_reservations t =
   let acc = ref [] in
   for p = Array.length t.ins - 1 downto 0 do
     let s = t.ins.(p) in
     if s.len > 0 then acc := slot_windows s !acc
   done;
-  List.sort
-    (fun a b -> compare (a.start, a.src, a.dst) (b.start, b.src, b.dst))
-    !acc
+  List.sort start_order !acc
 
-(* all windows with [start <= instant < stop], answered from the
-   interval index: binary-search the last block whose first window
-   starts at or before [instant], then walk blocks leftward — a block
-   whose cached [ib_max_stop] cannot reach [instant] is pruned in O(1),
-   so the walk costs O(log n + answer-bearing blocks) instead of a scan
-   over every port's array *)
+(* Stabbing and slice queries scan the input slots: every window has
+   exactly one input port, so each is met once. Per slot, a binary
+   search finds the instant, and a leftward walk from it collects the
+   windows stopping past the instant until one [shields] it. *)
+
+(* windows of slot [s] at or left of index [j] that stop past [x],
+   consed onto [acc] *)
+let rec cover_left c (s : slot) x j acc =
+  if j < 0 then acc
+  else begin
+    c.c_scans.v <- c.c_scans.v + 1;
+    let w = s.res.(j) in
+    if stop w > x then cover_left c s x (j - 1) (w :: acc)
+    else if shields w x then acc
+    else cover_left c s x (j - 1) acc
+  end
+
 let covering_at t instant =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
   let acc = ref [] in
-  let bi = iidx_locate c t instant in
-  for j = bi downto 0 do
-    let b = t.iblocks.(j) in
-    if b.ib_max_stop > instant then begin
-      let hi =
-        if j = bi then bsearch_gt c res_start b.ib_res b.ib_len instant - 1
-        else b.ib_len - 1
-      in
-      for i = hi downto 0 do
-        c.c_scans.v <- c.c_scans.v + 1;
-        let r = b.ib_res.(i) in
-        if stop r > instant then acc := r :: !acc
-      done
-    end
+  for p = 0 to Array.length t.ins - 1 do
+    let s = t.ins.(p) in
+    if s.len > 0 then
+      acc := cover_left c s instant (search_gt c s.starts s.len instant - 1) !acc
   done;
   !acc
 
@@ -686,50 +561,30 @@ let established_at t instant =
   covering_at t instant
   |> List.filter_map (fun r ->
          if r.start +. r.setup <= instant then Some (r.src, r.dst) else None)
-  |> List.sort_uniq compare
-
-(* deterministic physical order for slice execution: equal-start dust
-   twins are insertion-order independent in the arrays, so callers that
-   must iterate identically across differently-built tables sort on the
-   full window identity *)
-let physical_order a b =
-  compare
-    (a.start, a.src, a.dst, a.coflow, a.setup, a.length)
-    (b.start, b.src, b.dst, b.coflow, b.setup, b.length)
+  |> List.sort_uniq compare_circuits
 
 let reservations_in t t0 t1 =
   let c = counters () in
   c.c_queries.v <- c.c_queries.v + 1;
   let acc = ref [] in
-  let bi = iidx_locate c t t0 in
-  (* windows starting at or before [t0] that still reach past it:
-     leftward block walk with max-stop pruning, as in [covering_at] *)
-  for j = bi downto 0 do
-    let b = t.iblocks.(j) in
-    if b.ib_max_stop > t0 then begin
-      let hi =
-        if j = bi then bsearch_gt c res_start b.ib_res b.ib_len t0 - 1
-        else b.ib_len - 1
-      in
-      for i = hi downto 0 do
-        c.c_scans.v <- c.c_scans.v + 1;
-        let r = b.ib_res.(i) in
-        if stop r > t0 then acc := r :: !acc
-      done
+  for p = 0 to Array.length t.ins - 1 do
+    let s = t.ins.(p) in
+    if s.len > 0 then begin
+      let k = search_gt c s.starts s.len t0 in
+      (* windows opening inside the slice ([t0 < start < t1]) *)
+      let j = ref k in
+      while
+        !j < s.len
+        && begin
+             c.c_scans.v <- c.c_scans.v + 1;
+             s.starts.(!j) < t1
+           end
+      do
+        acc := s.res.(!j) :: !acc;
+        incr j
+      done;
+      (* and those starting at or before [t0] that reach past it *)
+      acc := cover_left c s t0 (k - 1) !acc
     end
   done;
-  (* windows opening inside the slice ([t0 < start < t1]): one forward
-     walk in global start order from the first window past [t0] *)
-  (try
-     for j = max bi 0 to t.n_iblocks - 1 do
-       let b = t.iblocks.(j) in
-       let i0 = if j = bi then bsearch_gt c res_start b.ib_res b.ib_len t0 else 0 in
-       for i = i0 to b.ib_len - 1 do
-         c.c_scans.v <- c.c_scans.v + 1;
-         let r = b.ib_res.(i) in
-         if r.start >= t1 then raise Exit;
-         acc := r :: !acc
-       done
-     done
-   with Exit -> ());
   List.sort physical_order !acc

@@ -18,9 +18,10 @@
     hashing or allocating a key. Each slot keeps its windows in a
     dynamic array sorted by start time, with the start times unboxed in
     a parallel float array, so every point query is a binary search
-    over flat floats, O(log n) per port. There is no table-wide
-    release index: a blocked circuit's next chance is walked on its own
-    two ports ({!chance}). See DESIGN.md, "PRT data structure &
+    over flat floats, O(log n) per port. There is no table-wide index:
+    a blocked circuit's next chance is walked on its own two ports
+    ({!chance}), and the stabbing and slice queries search every
+    non-empty input slot. See DESIGN.md, "PRT data structure &
     complexity".
 
     Memory: the slot arrays reach the highest port id ever reserved, so
@@ -50,20 +51,25 @@ type t
 type stats = {
   queries : int;
       (** public lookups answered: one per {!chance} call, whatever
-          its steps, one per {!step}, {!fits_exact}, {!remove} and the
-          interval-index queries *)
+          its steps, one per {!step}, {!fits_exact}, {!remove},
+          {!covering_at} and {!reservations_in} *)
   scans : int;
-      (** binary-search probes over the port slots and the interval
-          index, plus neighbourhood walks. There is no release index,
-          so [reserve] and [remove] pay no search for one. *)
+      (** port-slot probes: binary-search steps plus the windows a
+          neighbourhood walk reads ({!reserve}'s overlap check,
+          {!fits_exact}, {!chance}, {!remove}'s equal-start run, and
+          the collecting walks of {!covering_at} and
+          {!reservations_in}, which probe every non-empty input
+          slot). Nothing beside the slots is kept in step, so
+          [reserve] and [remove] probe only their two ports. *)
   reservations : int;  (** successful {!reserve} calls *)
   rollbacks : int;
       (** windows removed again after having been reserved: reserves
           undone after an Out-port conflict, plus every successful
           {!remove}, whoever calls it ({!retract_coflow}, the engine's
-          eviction, [Deadline.admit] dropping a rejected plan). On the
-          perfbench storm replay this equals the reservation count
-          (64.7k). *)
+          eviction, [Deadline.admit] dropping a rejected plan). It
+          is not tied to [reservations]: undone reserves were never
+          counted there, and windows still held when a run ends are
+          never removed. *)
 }
 (** Cumulative work counters over every table in the process, for the
     bench harness ([BENCH_prt.json]). Queries count public lookups;
@@ -150,8 +156,8 @@ val splice_exact : t -> reservation list -> bool
 
 val remove : t -> reservation -> bool
 (** Remove the window field-for-field equal to the argument (not
-    necessarily the same physical record) from both of its ports, the
-    interval index and the ownership index. Returns [false]
+    necessarily the same physical record) from both of its ports and
+    the ownership index. Returns [false]
     (leaving the table untouched) when no such window exists. Sub-dust
     twins — identical windows within {e time_tolerance} — are
     interchangeable; one of them goes. *)
@@ -167,7 +173,18 @@ val port_reservations : t -> port -> reservation list
 
 val all_reservations : t -> reservation list
 (** Every reservation once (keyed on input ports), sorted by
-    [(start, src, dst)]. *)
+    [(start, src, dst)]; windows equal on that key keep their order
+    in the port slot (the sort is stable). *)
+
+val physical_order : reservation -> reservation -> int
+(** Total order on the full window identity
+    [(start, src, dst, coflow, setup, length)], field by field: the
+    sign of polymorphic [compare] on that tuple, without building one.
+    {!reservations_in} sorts its answer with it. *)
+
+val compare_circuits : int * int -> int * int -> int
+(** The order of polymorphic [compare] on [(src, dst)] circuits,
+    field by field. {!established_at} sorts its answer with it. *)
 
 val established_at : t -> float -> (int * int) list
 (** Circuits actively transmitting at an instant: reservations with
@@ -176,8 +193,11 @@ val established_at : t -> float -> (int * int) list
 
 val covering_at : t -> float -> reservation list
 (** Every reservation whose window contains the instant
-    ([start <= t < stop]), in unspecified order. Answered from the
-    interval index in O(log n + answer-bearing blocks).
+    ([start <= t < stop]), in unspecified order. Every non-empty
+    input slot is binary-searched, then walked leftward over its
+    windows that reach past the instant, crossing windows no longer
+    than the tolerance and the rounding-dust run: O(ports in use ·
+    log n + answer).
     [established_at]'s answer is exactly the [(src, dst)] set of these
     windows filtered to [start + setup <= t]. *)
 
@@ -186,5 +206,7 @@ val reservations_in : t -> float -> float -> reservation list
     [[t0, t1)] — [stop > t0] and [start < t1] — sorted by the full
     window identity [(start, src, dst, coflow, setup, length)] so the
     order is identical across differently-built tables holding the same
-    windows. O(log n + answer-bearing blocks) from the interval index,
-    plus the sort of the answer. *)
+    windows ({!physical_order}). Per non-empty input slot, one binary
+    search for [t0], {!covering_at}'s leftward walk and a forward walk
+    while [start < t1]: O(ports in use · log n + answer), plus the
+    sort of the answer. *)

@@ -436,7 +436,7 @@ let test_concurrent_counters () =
 (* --- removal / retract --- *)
 
 (* everything a reader can observe of a table over the ports the tests
-   use: windows per port and overall, the interval index's answers and
+   use: windows per port and overall, the stabbing and slice answers and
    the wake query at two gaps *)
 let table_fingerprint t =
   let instants = [ 0.; 0.5; 1.; 2.; 5. ] in
@@ -614,7 +614,7 @@ let test_hot_queries_allocate_only_result () =
 
 (* [remove] matches windows field for field, not by physical identity:
    a freshly built copy of a reserved window removes it from both
-   ports, the interval index and the owner's list. *)
+   ports and the owner's list. *)
 let test_remove_field_copy () =
   let t = Prt.create () in
   let w = r ~coflow:7 ~src:2 ~dst:3 ~start:0.5 ~setup:0.01 ~length:1. () in
@@ -640,7 +640,7 @@ let test_remove_field_copy () =
     (List.length (Prt.port_reservations t (Prt.In 2)));
   Alcotest.(check int) "Out port empty" 0
     (List.length (Prt.port_reservations t (Prt.Out 3)));
-  Alcotest.(check bool) "gone from the interval index" true
+  Alcotest.(check bool) "gone from the slot queries" true
     (List.for_all (fun x -> x.Prt.src <> 2) (Prt.covering_at t 0.75));
   Alcotest.(check bool) "second copy finds nothing" false (Prt.remove t twin);
   (* the owner's list lost it too: only [other] is left to retract *)
@@ -670,99 +670,215 @@ let test_covering_and_range () =
   Alcotest.(check (list int)) "boundaries" [ 2; 3 ]
     (ids (Prt.reservations_in t 1. 2.0001))
 
-(* --- the interval index (PR 6) --- *)
+(* --- slot queries under rounding dust --- *)
 
-(* Stabbing queries against a brute-force linear scan over a mirror
-   list, through enough windows to force several block splits, with
-   interleaved removals, a batch reserved and removed again, and a
-   retraction — the whole maintenance surface the index must
-   survive. *)
-let test_interval_index_oracle () =
+(* [covering_at], [reservations_in], [chance], [fits_exact] and
+   [reserve]'s admission against brute force over a mirror list,
+   through reserves, removals and a retraction. The windows are built
+   to exercise the leftward walks' stopping rule: circuits on distinct
+   ports, neighbours overlapping by less than [time_tolerance],
+   windows shorter than the tolerance nested inside longer ones (which
+   must not hide them), and equal-start twins. *)
+let test_slot_queries_oracle () =
   let rng = Sunflow_stats.Rng.create 4242 in
   let t = Prt.create () in
   let mirror = ref [] in
-  (* loopback circuits (src = dst) keyed by one per-port clock, so the
-     generated windows are always admissible *)
-  let n_ports = 24 in
-  let next_free = Array.make n_ports 0. in
+  let n_ports = 6 in
+  let tol = Ref_prt.time_tolerance in
+  let stop w = w.Prt.start +. w.Prt.length in
+  let overlap a b = Float.min (stop a) (stop b) -. Float.max a.Prt.start b.Prt.start in
+  let shares a b = a.Prt.src = b.Prt.src || a.Prt.dst = b.Prt.dst in
+  let pick l = List.nth l (Sunflow_stats.Rng.int rng (List.length l)) in
+  let port () = Sunflow_stats.Rng.int rng n_ports in
+  let dust () = pick [ 0.; 1e-12; 3e-10; 9e-10 ] in
+  let short () = pick [ 1e-12; 4e-10; 1e-9 ] in
   let fresh () =
-    let s = Sunflow_stats.Rng.int rng n_ports in
-    let start = next_free.(s) +. Sunflow_stats.Rng.float rng 0.2 in
-    let length = 0.01 +. Sunflow_stats.Rng.float rng 0.3 in
-    next_free.(s) <- start +. length;
-    r ~coflow:s ~src:s ~dst:s ~start ~setup:0. ~length ()
+    let coflow = Sunflow_stats.Rng.int rng 5 in
+    let src = port () and dst = port () in
+    let length = 0.05 +. Sunflow_stats.Rng.float rng 0.5 in
+    let start =
+      match (!mirror, Sunflow_stats.Rng.int rng 4) with
+      | [], _ | _, 0 -> Sunflow_stats.Rng.float rng 6.
+      | l, 1 ->
+        (* abut a window, a few ulps early or exactly *)
+        stop (pick l) -. dust ()
+      | l, 2 -> (pick l).Prt.start
+      | l, _ ->
+        (* somewhere inside a window: a short one nests, a long one
+           conflicts unless its ports differ *)
+        let w = pick l in
+        w.Prt.start +. (Sunflow_stats.Rng.float rng 1. *. w.Prt.length)
+    in
+    let length = if Sunflow_stats.Rng.int rng 3 = 0 then short () else length in
+    r ~coflow ~src ~dst ~start ~setup:0. ~length ()
   in
   let reserve () =
     let w = fresh () in
-    Prt.reserve t w;
-    mirror := w :: !mirror
+    let admissible =
+      List.for_all (fun m -> not (shares m w && overlap m w > tol)) !mirror
+    in
+    let accepted =
+      try
+        Prt.reserve t w;
+        true
+      with Invalid_argument _ -> false
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "reserve [%.17g, %.17g) on %d->%d" w.Prt.start (stop w)
+         w.Prt.src w.Prt.dst)
+      admissible accepted;
+    if accepted then mirror := w :: !mirror
   in
   let remove_random () =
     match !mirror with
     | [] -> ()
     | l ->
-      let w = List.nth l (Sunflow_stats.Rng.int rng (List.length l)) in
+      let w = pick l in
       Alcotest.(check bool) "mirror window present" true (Prt.remove t w);
-      mirror := List.filter (fun x -> x <> w) !mirror
+      let rec drop = function
+        | [] -> []
+        | x :: tl -> if x = w then tl else x :: drop tl
+      in
+      mirror := drop !mirror
   in
-  let stop w = w.Prt.start +. w.Prt.length in
-  let norm = List.sort compare in
+  let sorted = List.sort Prt.physical_order in
+  let ws p =
+    List.filter
+      (fun w ->
+        match p with Prt.In i -> w.Prt.src = i | Prt.Out j -> w.Prt.dst = j)
+      !mirror
+  in
+  (* every boundary, a dust step either side of it, and the middle of
+     each window, plus random instants *)
+  let instants () =
+    List.concat_map
+      (fun w ->
+        let s = stop w in
+        [ w.Prt.start; s; s -. 1e-12; s +. 1e-12; s -. 5e-10;
+          w.Prt.start +. (w.Prt.length /. 2.) ])
+      !mirror
+    @ List.init 20 (fun _ -> Sunflow_stats.Rng.float rng 7.)
+  in
   let agree label =
-    for _ = 1 to 40 do
-      let x = Sunflow_stats.Rng.float rng 8. in
-      let brute =
-        List.filter (fun w -> w.Prt.start <= x && x < stop w) !mirror
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "%s: covering_at %g" label x)
-        (List.length brute)
-        (List.length (Prt.covering_at t x));
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: covering_at %g windows" label x)
-        true
-        (norm brute = norm (Prt.covering_at t x))
-    done;
-    for _ = 1 to 40 do
-      let t0 = Sunflow_stats.Rng.float rng 8. in
-      let t1 = t0 +. Sunflow_stats.Rng.float rng 3. -. 0.5 in
-      let brute =
-        List.filter
-          (fun w ->
-            (w.Prt.start <= t0 && stop w > t0)
-            || (w.Prt.start > t0 && w.Prt.start < t1))
-          !mirror
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: reservations_in [%g, %g)" label t0 t1)
-        true
-        (norm brute = norm (Prt.reservations_in t t0 t1))
-    done
+    let xs = instants () in
+    List.iter
+      (fun x ->
+        let brute =
+          List.filter (fun w -> w.Prt.start <= x && x < stop w) !mirror
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: covering_at %.17g" label x)
+          true
+          (sorted brute = sorted (Prt.covering_at t x));
+        let t1 = x +. Sunflow_stats.Rng.float rng 1.5 -. 0.25 in
+        let brute =
+          List.filter
+            (fun w ->
+              (w.Prt.start <= x && stop w > x)
+              || (w.Prt.start > x && w.Prt.start < t1))
+            !mirror
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: reservations_in [%.17g, %.17g)" label x t1)
+          true
+          (sorted brute = Prt.reservations_in t x t1);
+        let src = port () and dst = port () in
+        List.iter
+          (fun gap ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: chance %d->%d gap %g at %.17g" label src dst
+                 gap x)
+              true
+              (chance t ~src ~dst ~gap x = Ref_prt.chance ws ~src ~dst ~gap x))
+          [ 0.; 0.1 ])
+      xs;
+    List.iter
+      (fun w ->
+        let w = { w with Prt.src = port (); dst = port () } in
+        let clear =
+          List.for_all (fun m -> not (shares m w && overlap m w > 0.)) !mirror
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: fits_exact [%.17g, %.17g)" label w.Prt.start
+             (stop w))
+          clear (Prt.fits_exact t w))
+      (List.init 60 (fun _ -> fresh ()))
   in
-  (* growth phase: far past one block capacity *)
-  for i = 1 to 400 do
+  for i = 1 to 300 do
     reserve ();
-    if i mod 3 = 0 then remove_random ()
+    if i mod 4 = 0 then remove_random ()
   done;
   agree "after growth";
-  (* a batch removed again right after it was reserved must vanish
-     from the index too *)
+  (* a batch removed again right after it was reserved must vanish *)
   let snap = table_fingerprint t in
-  let batch = List.init 120 (fun _ -> fresh ()) in
-  List.iter (Prt.reserve t) batch;
+  let before = !mirror in
+  for _ = 1 to 60 do
+    reserve ()
+  done;
+  let batch = List.filter (fun w -> not (List.memq w before)) !mirror in
   List.iter
     (fun w ->
       Alcotest.(check bool) "batch window present" true (Prt.remove t w))
     batch;
+  mirror := before;
   Alcotest.(check bool) "batch removal restores the table" true
     (table_fingerprint t = snap);
   agree "after batch removal";
   (* retraction drains by owner id *)
-  let victim = Sunflow_stats.Rng.int rng n_ports in
+  let victim = (pick !mirror).Prt.coflow in
   let gone = Prt.retract_coflow t victim in
   Alcotest.(check int) "retract count matches mirror" gone
     (List.length (List.filter (fun w -> w.Prt.coflow = victim) !mirror));
   mirror := List.filter (fun w -> w.Prt.coflow <> victim) !mirror;
   agree "after retract"
+
+(* A window no longer than the tolerance, nested inside a long one,
+   hides nothing from the leftward walks: the long window still covers
+   the instants after it, blocks the circuit there and refuses an
+   overlapping reserve. *)
+let test_nested_short_window () =
+  let t = Prt.create () in
+  let long = r ~coflow:1 ~src:0 ~dst:0 ~start:0. ~setup:0. ~length:10. () in
+  let short = r ~coflow:2 ~src:0 ~dst:1 ~start:5. ~setup:0. ~length:5e-10 () in
+  List.iter (Prt.reserve t) [ long; short ];
+  Alcotest.(check bool) "covering past the short window" true
+    (Prt.covering_at t 7. = [ long ]);
+  Alcotest.(check bool) "slice past the short window" true
+    (Prt.reservations_in t 7. 8. = [ long ]);
+  Alcotest.(check bool) "port busy past the short window" true
+    (chance t ~src:0 ~dst:2 ~gap:0. 7. = (10., infinity));
+  let inside = r ~coflow:3 ~src:0 ~dst:2 ~start:6. ~setup:0. ~length:1. () in
+  Alcotest.(check bool) "not an exact fit" false (Prt.fits_exact t inside);
+  Alcotest.check_raises "reserve refuses the overlap"
+    (Invalid_argument
+       "Prt.reserve: overlap on in.0: new [6, 7) vs existing [0, 10)")
+    (fun () -> Prt.reserve t inside)
+
+(* [Prt.physical_order] and [Prt.compare_circuits] are field-wise
+   comparators; their sign must be polymorphic [compare]'s on the key
+   tuples, floats' [nan] and signed zeros included *)
+let prop_orders_match_compare =
+  let field_float = QCheck2.Gen.oneofl [ 0.; -0.; 1.; 1. +. 1e-12; nan; infinity ] in
+  let field_int = QCheck2.Gen.int_range 0 2 in
+  let window =
+    QCheck2.Gen.(
+      let* start = field_float and* src = field_int and* dst = field_int in
+      let* coflow = field_int and* setup = field_float in
+      let* length = field_float in
+      pure { Prt.coflow; src; dst; start; setup; length })
+  in
+  let key w =
+    (w.Prt.start, w.Prt.src, w.Prt.dst, w.Prt.coflow, w.Prt.setup, w.Prt.length)
+  in
+  let sign x = Int.compare x 0 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"field-wise orders match polymorphic compare"
+       ~count:2000
+       QCheck2.Gen.(pair window window)
+       (fun (a, b) ->
+         sign (Prt.physical_order a b) = sign (compare (key a) (key b))
+         && sign (Prt.compare_circuits (a.Prt.src, a.Prt.dst) (b.Prt.src, b.Prt.dst))
+            = sign (compare (a.Prt.src, a.Prt.dst) (b.Prt.src, b.Prt.dst))))
 
 let test_fits_exact () =
   let t = Prt.create () in
@@ -843,11 +959,14 @@ let suite =
       test_hot_queries_allocate_only_result;
     Alcotest.test_case "covering_at / reservations_in" `Quick
       test_covering_and_range;
-    Alcotest.test_case "interval index vs stabbing oracle" `Quick
-      test_interval_index_oracle;
+    Alcotest.test_case "slot queries vs brute force under rounding dust"
+      `Quick test_slot_queries_oracle;
+    Alcotest.test_case "nested short window hides nothing" `Quick
+      test_nested_short_window;
     Alcotest.test_case "fits_exact strictness" `Quick test_fits_exact;
     Alcotest.test_case "splice_exact atomicity" `Quick test_splice_exact;
     prop_oracle_vs_list_reference;
     prop_chance_vs_brute_force;
     prop_no_overlap;
+    prop_orders_match_compare;
   ]
