@@ -32,18 +32,13 @@
    the recorded mean CCT drift of the bucketed order against the exact
    shortest-first run must stay within the 10% fidelity budget.
 
-   Since schema /7 it gates the sharded simulation core: the pod-local
-   storm must have replayed at shards = 1 and at several sharded
-   widths with every digest identical (bit-identity across shard
-   counts at benchmark scale), the cross-shard conflict rate must be
-   recomputable from its inputs and stay at or under 15% on every
-   sharded row, and — full harness only — the best sharded run must
-   beat shards = 1 by at least 1.3x replan wall-clock and 1.15x
-   end-to-end, single-domain.
+   Schema /7 added a sharded-engine section ("shards"); the engine
+   now keeps one table, so the harness no longer writes it and
+   nothing reads it in older files.
 
    Since schema /8 it gates the CCT attribution engine: the report
    section must have replayed the settings trace under the anchored
-   engine variants (incremental, rebuild, and a sharded run) with the
+   engine variants (incremental and rebuild) with the
    report body digesting identically across all of them and zero
    attribution-conservation violations, and the exported report file
    itself must validate — schema sunflow-report/1, the aggregate
@@ -436,91 +431,6 @@ let check_scf_drift root =
          over the 10%% fidelity budget"
         (100. *. rel_mean)
 
-(* The sharded engine (schema /7): bit-identity across shard counts,
-   a bounded cross-shard conflict rate, and the single-domain speedup
-   floors. The replan-wall floor (1.3x) sits on the time the sharding
-   actually attacks — the per-event scheduling work — while the
-   end-to-end floor (1.15x) keeps the win visible through the
-   fixed simulation-loop costs every shard count shares. Both compare
-   shards = 1 against the best sharded row, and both are skipped in
-   fast mode (the smoke trace is too small to time meaningfully). *)
-let check_shards root fast =
-  match field root "shards" with
-  | Null -> bad "shards: missing — the harness did not run the shard section"
-  | sh ->
-    List.iter
-      (fun key ->
-        check_counter ("shards." ^ key) (field sh key))
-      [ "pods"; "pod_size"; "coflows"; "reps" ];
-    let rows =
-      List.map
-        (fun row ->
-          let shards =
-            let x = as_num "shards.rows.shards" (field row "shards") in
-            if Float.of_int (Float.to_int x) <> x || x < 1. then
-              bad "shards.rows.shards: expected a positive integer, got %g" x;
-            Float.to_int x
-          in
-          let what fmt = Printf.sprintf "shards.rows[%d].%s" shards fmt in
-          let wall = as_num (what "wall_s") (field row "wall_s") in
-          let plan = as_num (what "plan_s") (field row "plan_s") in
-          if wall <= 0. || plan <= 0. then
-            bad "%s: non-positive wall time" (what "wall_s/plan_s");
-          if plan > wall then
-            bad "%s: replan wall %g exceeds the end-to-end wall %g"
-              (what "plan_s") plan wall;
-          List.iter
-            (fun key -> check_counter (what key) (field row key))
-            [ "events"; "steps"; "conflicts"; "rollbacks" ];
-          let steps = as_num (what "steps") (field row "steps") in
-          let conflicts = as_num (what "conflicts") (field row "conflicts") in
-          let rate = as_num (what "conflict_rate") (field row "conflict_rate") in
-          let recomputed = if steps = 0. then 0. else conflicts /. steps in
-          if Float.abs (rate -. recomputed) > 1e-9 then
-            bad "%s: %g does not match conflicts/steps (%g)"
-              (what "conflict_rate") rate recomputed;
-          (shards, wall, plan, rate, as_str (what "digest") (field row "digest")))
-        (as_arr "shards.rows" (field sh "rows"))
-    in
-    let base =
-      match List.filter (fun (s, _, _, _, _) -> s = 1) rows with
-      | [ b ] -> b
-      | [] -> bad "shards.rows: no shards = 1 baseline row"
-      | _ -> bad "shards.rows: duplicate shards = 1 rows"
-    in
-    let sharded = List.filter (fun (s, _, _, _, _) -> s > 1) rows in
-    if sharded = [] then bad "shards.rows: no sharded rows";
-    let _, base_wall, base_plan, _, base_digest = base in
-    List.iter
-      (fun (s, _, _, rate, digest) ->
-        if digest <> base_digest then
-          bad
-            "shards.rows[%d]: digest %S differs from the shards = 1 baseline \
-             %S — the sharded engine is not bit-identical"
-            s digest base_digest;
-        if rate > 0.15 then
-          bad
-            "shards.rows[%d]: cross-shard conflict rate %.3f is over the \
-             0.15 ceiling — the trace is not shard-local-heavy"
-            s rate)
-      sharded;
-    if not fast then begin
-      let best f =
-        List.fold_left (fun a r -> Float.min a (f r)) infinity sharded
-      in
-      let plan_speedup = base_plan /. best (fun (_, _, p, _, _) -> p) in
-      if plan_speedup < 1.3 then
-        bad
-          "shards: best sharded replan speedup %.2fx is below the 1.3x gate"
-          plan_speedup;
-      let wall_speedup = base_wall /. best (fun (_, w, _, _, _) -> w) in
-      if wall_speedup < 1.15 then
-        bad
-          "shards: best sharded end-to-end speedup %.2fx is below the 1.15x \
-           gate"
-          wall_speedup
-    end
-
 (* The kernel microbench (schema /10): steady-state Sunflow.schedule
    against a persistent table. Ceilings sit ~2x over the measured
    baseline — loose enough for machine noise, tight enough that a
@@ -576,12 +486,6 @@ let check_report root json_dir =
               "%s: %S — only the anchored modes are byte-stable (full drifts \
                by design)"
               (what "replan") replan;
-          let shards =
-            let x = as_num (what "shards") (field row "shards") in
-            if Float.of_int (Float.to_int x) <> x || x < 1. then
-              bad "%s: expected a positive integer, got %g" (what "shards") x;
-            Float.to_int x
-          in
           let wall = as_num (what "wall_s") (field row "wall_s") in
           if wall <= 0. then bad "%s: non-positive wall time" (what "wall_s");
           let digest = as_str (what "body_digest") (field row "body_digest") in
@@ -596,20 +500,18 @@ let check_report root json_dir =
           if violations > 0 then
             bad "%s: %d attribution-conservation violations"
               (what "violations") violations;
-          (variant, replan, shards, digest))
+          (variant, replan, digest))
         (as_arr "report.rows" (field rp "rows"))
     in
     List.iter
       (fun required ->
-        if not (List.exists (fun (_, r, _, _) -> r = required) rows) then
+        if not (List.exists (fun (_, r, _) -> r = required) rows) then
           bad "report.rows: missing the %S variant" required)
       [ "incremental"; "rebuild" ];
-    if not (List.exists (fun (_, _, s, _) -> s > 1) rows) then
-      bad "report.rows: no sharded variant";
     (match rows with
-    | (v0, _, _, d0) :: rest ->
+    | (v0, _, d0) :: rest ->
       List.iter
-        (fun (v, _, _, d) ->
+        (fun (v, _, d) ->
           if d <> d0 then
             bad
               "report.rows[%s]: body digest %S differs from %s's %S — the \
@@ -848,7 +750,6 @@ let check root json_dir =
   check_check root;
   check_replay root fast;
   check_scf_drift root;
-  check_shards root fast;
   check_kernel root;
   check_report root json_dir;
   check_serve root fast;

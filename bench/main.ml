@@ -750,168 +750,16 @@ let kernel_section ppf _s =
         k_minor_words_per_schedule;
       }
 
-(* --- shards: the sharded simulation core ------------------------------
-
-   The PR-7 gate: replay a pod-local storm (16 pods x 8 ports; almost
-   every Coflow a small intra-pod shuffle, 0.5 % single-flow cross-pod
-   stragglers) through the sharded engine at 1, 2, 4, 8 and 16 shards
-   with pod-aligned stripes, single-domain throughout. Each shard
-   count runs [reps] times and keeps the minimum wall; the replan
-   wall-clock (the [sim.plan_s] histogram's sum — the engine time the
-   sharding actually attacks) is recorded alongside the end-to-end
-   wall, with the conflict and rollback counts and a digest of the
-   Sim_result. The checker requires every digest to agree (bit-identity
-   across shard counts at benchmark scale), the cross-shard conflict
-   rate to stay under its ceiling, and the shards=1 run to be at least
-   1.3x slower in replan wall (1.15x end-to-end) than the best sharded
-   run.
-
-   What the floors price: per event the engine's Sunflow.schedule
-   calls (straddler restarts and repair cascades) are identical across
-   shard counts — bit-identity pins the decisions — so sharding wins
-   by confining the splice walk, the stale-finish scan and the
-   min-finish fold to the dirty shards. On this trace that shardable
-   slice is ~40 % of replan time; the measured ratios run 1.35-1.39x
-   replan and 1.29-1.34x end-to-end, and the floors sit under the
-   observed spread, not at the mean. *)
-
-type shard_row = {
-  h_shards : int;
-  h_wall_s : float;  (** min over reps, end-to-end *)
-  h_plan_s : float;  (** min over reps, summed per-event replan wall *)
-  h_events : int;
-  h_steps : int;
-  h_conflicts : int;
-  h_rollbacks : int;
-  h_digest : string;
-}
-
-type shard_summary = {
-  sh_pods : int;
-  sh_pod_size : int;
-  sh_coflows : int;
-  sh_cross_frac : float;
-  sh_reps : int;
-  sh_rows : shard_row list;
-}
-
-let shard_summary : shard_summary option ref = ref None
-
-let shard_section ppf _s =
-  E.Common.section ppf "SHARDS: sharded engine vs the sequential path";
-  let pods = 16 and pod_size = 8 in
-  let coflows = if fast () then 400 else 3_500 in
-  let span = if fast () then 3.2 else 28. in
-  let cross_frac = 0.005 in
-  let p =
-    {
-      Sunflow_trace.Synthetic.default_pod_params with
-      p_pods = pods;
-      p_pod_size = pod_size;
-      p_coflows = coflows;
-      p_span = span;
-      p_cross_frac = cross_frac;
-      p_flow_mb = (4., 1.2);
-    }
-  in
-  let trace = (Sunflow_trace.Synthetic.pods p).Sunflow_trace.Trace.coflows in
-  (* the gates are calibrated at the paper-default fabric speed and
-     reconfiguration delay, independent of the settings under test *)
-  let delta = Units.ms 10. and bandwidth = Units.gbps 1. in
-  let reps = if fast () then 2 else 3 in
-  (* [sim.plan_s] records only while observability is on; measure by
-     histogram-sum deltas so nothing needs a registry reset *)
-  let was_enabled = Obs.Control.enabled () in
-  Obs.Control.set_enabled true;
-  let plan_sum () =
-    (Obs.Registry.histogram_value (Obs.Registry.histogram "sim.plan_s"))
-      .Obs.Registry.h_sum
-  in
-  let run_once shards =
-    Gc.full_major ();
-    let stats =
-      ref
-        {
-          Sunflow_core.Inter.shard_steps = 0;
-          shard_conflicts = 0;
-          shard_rollbacks = 0;
-        }
-    in
-    let p0 = plan_sum () in
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Circuit_sim.replay ~policy:Sunflow_core.Inter.Shortest_first
-        ~replan:`Incremental
-        ~config:
-          (Sunflow_core.Inter.config ~buckets:24 ~bucket_base:2. ~shards
-             ~shard_block:pod_size ())
-        ~shard_stats:stats ~delta ~bandwidth trace
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    (wall, plan_sum () -. p0, r, !stats)
-  in
-  let rows =
-    List.map
-      (fun shards ->
-        let runs = List.init reps (fun _ -> run_once shards) in
-        let wall =
-          List.fold_left (fun a (w, _, _, _) -> Float.min a w) infinity runs
-        in
-        let plan =
-          List.fold_left (fun a (_, p, _, _) -> Float.min a p) infinity runs
-        in
-        let _, _, r, st = List.hd runs in
-        let row =
-          {
-            h_shards = shards;
-            h_wall_s = wall;
-            h_plan_s = plan;
-            h_events = r.Sunflow_sim.Sim_result.n_events;
-            h_steps = st.Sunflow_core.Inter.shard_steps;
-            h_conflicts = st.Sunflow_core.Inter.shard_conflicts;
-            h_rollbacks = st.Sunflow_core.Inter.shard_rollbacks;
-            h_digest = digest_result r;
-          }
-        in
-        Format.fprintf ppf
-          "  shards=%-2d  wall %6.2fs  replan %6.2fs  %d conflicts, %d \
-           rollbacks  digest %s@."
-          shards wall plan row.h_conflicts row.h_rollbacks row.h_digest;
-        row)
-      [ 1; 2; 4; 8; 16 ]
-  in
-  Obs.Tracer.clear ();
-  Obs.Control.set_enabled was_enabled;
-  (match rows with
-  | base :: rest when rest <> [] ->
-    let best f = List.fold_left (fun a r -> Float.min a (f r)) infinity rest in
-    Format.fprintf ppf
-      "  best sharded speedup: %.2fx replan wall, %.2fx end-to-end@."
-      (base.h_plan_s /. best (fun r -> r.h_plan_s))
-      (base.h_wall_s /. best (fun r -> r.h_wall_s))
-  | _ -> ());
-  shard_summary :=
-    Some
-      {
-        sh_pods = pods;
-        sh_pod_size = pod_size;
-        sh_coflows = coflows;
-        sh_cross_frac = cross_frac;
-        sh_reps = reps;
-        sh_rows = rows;
-      }
-
 (* --- report: CCT attribution across engine variants -------------------
 
    The PR-8 gate: replay the settings trace with attribution enabled
-   under the anchored engine variants (incremental, its rebuild
-   oracle, and a sharded incremental run) and build the [sunflow
-   report] JSON from each. The report body — everything derived from
-   the executed schedule — must digest identically across the
-   variants, since the anchored modes are bit-identical by
-   construction ([`Full] is excluded: its drain-then-recompute
-   semantics drift in the last float bits by design, see
-   [Circuit_sim]). Attribution conservation (wait + setup + transfer
+   under the anchored engine variants (incremental and its rebuild
+   oracle) and build the [sunflow report] JSON from each. The report
+   body — everything derived from the executed schedule — must digest
+   identically across the variants, since the anchored modes are
+   bit-identical by construction ([`Full] is excluded: its
+   drain-then-recompute semantics drift in the last float bits by
+   design, see [Circuit_sim]). Attribution conservation (wait + setup + transfer
    + blocked = CCT for every Coflow) must hold with zero violations.
    The first variant's full report is written to BENCH_report.json
    (SUNFLOW_BENCH_REPORT_JSON overrides) for the checker to
@@ -921,7 +769,6 @@ let shard_section ppf _s =
 type report_row = {
   t_variant : string;
   t_replan : string;
-  t_shards : int;
   t_wall_s : float;
   t_body_digest : string;
   t_violations : int;
@@ -951,7 +798,7 @@ let report_section ppf s =
   let n_samples = ref 0 in
   let rows =
     List.map
-      (fun (t_variant, t_replan, replan, shards) ->
+      (fun (t_variant, t_replan, replan) ->
         Obs.Control.set_enabled true;
         Obs.Attrib.clear ();
         Obs.Sampler.clear ();
@@ -959,7 +806,6 @@ let report_section ppf s =
         let t0 = Unix.gettimeofday () in
         let r =
           Circuit_sim.replay ~policy:Sunflow_core.Inter.Shortest_first ~replan
-            ~config:(Sunflow_core.Inter.config ~shards ())
             ~delta ~bandwidth coflows
         in
         let t_wall_s = Unix.gettimeofday () -. t0 in
@@ -969,7 +815,6 @@ let report_section ppf s =
             ("trace", "\"bench-settings\"");
             ("policy", "\"scf\"");
             ("replan", Printf.sprintf "\"%s\"" t_replan);
-            ("shards", string_of_int shards);
             ("bandwidth_gbps", Printf.sprintf "%.9g" (Units.to_gbps bandwidth));
             ("delta_s", Printf.sprintf "%.9g" delta);
             ("samples", string_of_int (List.length (Obs.Sampler.samples ())));
@@ -992,15 +837,13 @@ let report_section ppf s =
         {
           t_variant;
           t_replan;
-          t_shards = shards;
           t_wall_s;
           t_body_digest;
           t_violations = List.length violations;
         })
       [
-        ("incremental", "incremental", `Incremental, 1);
-        ("rebuild", "rebuild", `Rebuild, 1);
-        ("incremental-s4", "incremental", `Incremental, 4);
+        ("incremental", "incremental", `Incremental);
+        ("rebuild", "rebuild", `Rebuild);
       ]
   in
   Obs.Attrib.clear ();
@@ -1315,31 +1158,6 @@ let emit_json path s domains =
       (Json.float d.d_mean_cct_exact_s)
       (Json.float d.d_mean_cct_bucketed_s)
       (Json.float d.d_rel_mean) (Json.float d.d_max_rel));
-  (match !shard_summary with
-  | None -> add "  \"shards\": null,\n"
-  | Some sh ->
-    add
-      "  \"shards\": {\"pods\": %d, \"pod_size\": %d, \"coflows\": %d, \
-       \"cross_frac\": %s, \"reps\": %d, \"rows\": [\n"
-      sh.sh_pods sh.sh_pod_size sh.sh_coflows
-      (Json.float sh.sh_cross_frac)
-      sh.sh_reps;
-    List.iteri
-      (fun i row ->
-        let rate =
-          if row.h_steps = 0 then 0.
-          else float_of_int row.h_conflicts /. float_of_int row.h_steps
-        in
-        add
-          "    {\"shards\": %d, \"wall_s\": %s, \"plan_s\": %s, \"events\": \
-           %d, \"steps\": %d, \"conflicts\": %d, \"rollbacks\": %d, \
-           \"conflict_rate\": %s, \"digest\": \"%s\"}%s\n"
-          row.h_shards (Json.float row.h_wall_s) (Json.float row.h_plan_s)
-          row.h_events row.h_steps row.h_conflicts row.h_rollbacks
-          (Json.float rate) (Json.escape row.h_digest)
-          (if i = List.length sh.sh_rows - 1 then "" else ","))
-      sh.sh_rows;
-    add "  ]},\n");
   (match !kernel_row with
   | None -> add "  \"kernel\": null,\n"
   | Some k ->
@@ -1359,11 +1177,11 @@ let emit_json path s domains =
     List.iteri
       (fun i row ->
         add
-          "    {\"variant\": \"%s\", \"replan\": \"%s\", \"shards\": %d, \
-           \"wall_s\": %s, \"body_digest\": \"%s\", \"violations\": %d}%s\n"
+          "    {\"variant\": \"%s\", \"replan\": \"%s\", \"wall_s\": %s, \
+           \"body_digest\": \"%s\", \"violations\": %d}%s\n"
           (Json.escape row.t_variant)
           (Json.escape row.t_replan)
-          row.t_shards (Json.float row.t_wall_s)
+          (Json.float row.t_wall_s)
           (Json.escape row.t_body_digest)
           row.t_violations
           (if i = List.length rp.rp_rows - 1 then "" else ","))
@@ -1407,7 +1225,6 @@ let () =
   check_section ppf s;
   replay_section ppf s;
   kernel_section ppf s;
-  shard_section ppf s;
   report_section ppf s;
   serve_section ppf s;
   let json_path =

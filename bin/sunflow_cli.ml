@@ -407,15 +407,12 @@ let inter path gbps ms scheduler (replan, config) validate csv_out trace_out
       List.rev_append (Check.Plan_check.inter sp ~coflows plan)
         !plan_violations
   in
-  let shard_stats =
-    ref { Inter.shard_steps = 0; shard_conflicts = 0; shard_rollbacks = 0 }
-  in
   let result =
     match scheduler with
     | `Sunflow ->
       Sunflow_sim.Circuit_sim.replay
         ?on_slice:(if validate then Some on_slice else None)
-        ~replan ~config ~shard_stats ~delta ~bandwidth trace.Trace.coflows
+        ~replan ~config ~delta ~bandwidth trace.Trace.coflows
     | `Varys ->
       Sunflow_sim.Packet_sim.run ~scheduler:Sunflow_packet.Varys.allocate
         ~bandwidth trace.Trace.coflows
@@ -430,15 +427,6 @@ let inter path gbps ms scheduler (replan, config) validate csv_out trace_out
         ~bandwidth trace.Trace.coflows
   in
   Format.printf "%a@." Sunflow_sim.Sim_result.pp result;
-  (if config.Inter.shards > 1 then
-     let s = !shard_stats in
-     Format.printf
-       "shards: %d (stripe %d), %d steps, %d conflicts (rate %.3f), %d \
-        rollbacks@."
-       config.shards config.shard_block s.Inter.shard_steps s.shard_conflicts
-       (if s.shard_steps = 0 then 0.
-        else float_of_int s.shard_conflicts /. float_of_int s.shard_steps)
-       s.shard_rollbacks);
   let vfail =
     validate
     &&
@@ -529,41 +517,17 @@ let engine_config =
         "Growth factor between successive priority classes under \
          $(b,--replan-buckets) (finite, > 1)."
   in
-  let shards =
-    knob Arg.int (fun shards -> Inter.config ~shards ()) d.shards "shards"
-      ~docv:"S"
-      ~doc:
-        "Partition the ports into $(docv) shards, each with its own \
-         reservation table, and reschedule an event's dirty shards \
-         independently (optimistically in parallel when the worker pool \
-         has more than one domain). Cross-shard Coflows trigger a \
-         deterministic rollback-and-merge pass, so the schedule is \
-         bit-identical to $(b,--shards) $(b,1) for every shard count. \
-         Requires $(b,--replan) $(b,rebuild) or $(b,incremental)."
-  in
-  let shard_block =
-    knob Arg.int
-      (fun shard_block -> Inter.config ~shard_block ())
-      d.shard_block "shard-block" ~docv:"W"
-      ~doc:
-        "Stripe width of the shard map: port $(b,p) lands in shard \
-         $(b,p / W mod S). Align with the trace's pod size so pod-local \
-         Coflows stay shard-local."
-  in
-  let make buckets bucket_base shards shard_block =
-    Inter.config ~buckets ~bucket_base ~shards ~shard_block ()
-  in
-  Term.(const make $ buckets $ bucket_base $ shards $ shard_block)
+  let make buckets bucket_base = Inter.config ~buckets ~bucket_base () in
+  Term.(const make $ buckets $ bucket_base)
 
-(* [--replan] with the engine knobs; bucketing and sharding need a
-   persistent engine to act on *)
+(* [--replan] with the engine knobs; bucketing needs a persistent
+   engine to act on *)
 let replan_config =
   let check replan (config : Inter.config) =
     let anchored flag =
       `Error (true, flag ^ " requires --replan rebuild or incremental")
     in
     if replan = `Full && config.buckets <> 0 then anchored "--replan-buckets"
-    else if replan = `Full && config.shards <> 1 then anchored "--shards"
     else `Ok (replan, config)
   in
   Term.(ret (const check $ replan_arg $ engine_config))
@@ -843,9 +807,6 @@ let report path gbps ms (replan, (config : Inter.config)) jobs out samples_out
   Obs.Timeline.clear ();
   Obs.Attrib.clear ();
   Obs.Sampler.clear ();
-  let shard_stats =
-    ref { Inter.shard_steps = 0; shard_conflicts = 0; shard_rollbacks = 0 }
-  in
   (* an interrupt mid-replay still drains the per-slice sample ledger *)
   Option.iter
     (fun path ->
@@ -853,12 +814,11 @@ let report path gbps ms (replan, (config : Inter.config)) jobs out samples_out
       install_sigint_flush ())
     samples_out;
   let result =
-    Sunflow_sim.Circuit_sim.replay ~replan ~config ~shard_stats ~delta
-      ~bandwidth trace.Trace.coflows
+    Sunflow_sim.Circuit_sim.replay ~replan ~config ~delta ~bandwidth
+      trace.Trace.coflows
   in
   sigint_flush := (fun () -> ());
   Obs.Control.set_enabled was;
-  let s = !shard_stats in
   let n_samples = List.length (Obs.Sampler.samples ()) in
   let run =
     [
@@ -872,13 +832,8 @@ let report path gbps ms (replan, (config : Inter.config)) jobs out samples_out
           | `Incremental -> "incremental") );
       ("buckets", string_of_int config.buckets);
       ("bucket_base", Printf.sprintf "%.9g" config.bucket_base);
-      ("shards", string_of_int config.shards);
-      ("shard_block", string_of_int config.shard_block);
       ("bandwidth_gbps", Printf.sprintf "%.9g" gbps);
       ("delta_ms", Printf.sprintf "%.9g" ms);
-      ("shard_steps", string_of_int s.Inter.shard_steps);
-      ("shard_conflicts", string_of_int s.shard_conflicts);
-      ("shard_rollbacks", string_of_int s.shard_rollbacks);
       ("samples", string_of_int n_samples);
     ]
   in
@@ -921,7 +876,7 @@ let report_cmd =
           ~doc:
             "Write the per-slice telemetry samples (active Coflows, circuit \
              transmit/reconfigure seconds, busy ports, dirty-suffix size, \
-             shard conflicts) as JSON Lines to $(docv).")
+             spliced plans) as JSON Lines to $(docv).")
   in
   let top_k =
     Arg.(

@@ -227,16 +227,10 @@ let fuzz ?(policy = Inter.Shortest_first) ?(check_attrib = false) ?tol ~seed
             (Plan_check.replay_equiv ~policy ~config ~delta ~bandwidth trace))
     in
     (* the bucketed order is its own configuration (alternate the class
-       count so both the coarse and fine quantizations fuzz), and the
-       sharded engine must stay pinned to the unsharded oracle for every
-       shard count: cycle the count and a non-trivial stripe width
-       across traces *)
+       count so both the coarse and fine quantizations fuzz) *)
     let buckets = if i mod 2 = 0 then 4 else 16 in
-    let shards = [| 2; 4; 8 |].(i mod 3) in
-    let shard_block = 1 + (i mod 2) in
     let all_stop = Inter.config ~carry_circuits:false () in
     let bucketed = Inter.config ~buckets () in
-    let sharded = Inter.config ~shards ~shard_block () in
     (* the incremental engine replays the same trace through the
        physical oracle too, with its per-slice plan views validated;
        Plan_check.replay_equiv separately pins it to the rebuild mode,
@@ -250,15 +244,10 @@ let fuzz ?(policy = Inter.Shortest_first) ?(check_attrib = false) ?tol ~seed
       [
         ("equiv", Inter.default_config);
         (Printf.sprintf "equiv buckets=%d" buckets, bucketed);
-        (Printf.sprintf "equiv shards=%d" shards, sharded);
-        ( Printf.sprintf "equiv shards=%d buckets=%d" shards buckets,
-          Inter.config ~shards ~shard_block ~buckets () );
       ];
     (* every third trace also runs the all-stop ablation, where no
        circuit survives a rescheduling instant, and drives the bucketed
-       and the sharded incremental schedules through the physical
-       switch — engine_slice's mirror-deduped merge is what actually
-       executes, so it gets its own oracle run *)
+       incremental schedule through the physical switch *)
     if i mod 3 = 2 then
       replays
         [
@@ -267,9 +256,6 @@ let fuzz ?(policy = Inter.Shortest_first) ?(check_attrib = false) ?tol ~seed
           ( Printf.sprintf ", incremental buckets=%d" buckets,
             `Incremental,
             bucketed );
-          ( Printf.sprintf ", incremental shards=%d" shards,
-            `Incremental,
-            sharded );
         ]
   done;
   {

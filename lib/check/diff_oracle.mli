@@ -44,8 +44,8 @@ val replay :
     simulator's replanning engine, so the physical oracle also covers
     the incremental path's executed schedule; [config]
     ({!Sunflow_core.Inter.config}) forwards to [Circuit_sim.replay], so
-    the all-stop ablation's, the bucketed order's and the sharded
-    engine's schedules face the switch too. With [validate_plans]
+    the all-stop ablation's and the bucketed order's schedules face
+    the switch too. With [validate_plans]
     (default [true]) every slice plan also runs through {!Plan_check},
     so a single fuzz pass exercises the validator and the oracle
     together. With [check_attrib] (default [false]) the replay runs
@@ -98,12 +98,11 @@ val fuzz :
     each, ports drawn from [[0, n_ports)]) derived deterministically
     from [seed]. Each trace runs through the physical oracle twice —
     full replan and incremental — plus {!Plan_check.replay_equiv}'s
-    bit-identity check of incremental against rebuild, repeated for a
-    sharded engine (shard count cycling over 2/4/8, stripe width over
-    1/2) in both the exact and bucketed orders. Every third trace
-    additionally repeats both replays with [carry_circuits = false]
-    (the all-stop ablation) and drives the sharded engine's executed
-    schedule through the physical switch. [check_attrib] forwards to
-    every {!replay} leg, so one fuzz pass also proves attribution
-    conservation across replan modes, shard counts, bucketed orders
-    and the all-stop ablation. *)
+    bit-identity check of incremental against rebuild, in both the
+    exact and a bucketed order (4 or 16 classes, alternating). Every
+    third trace additionally repeats both replays with
+    [carry_circuits = false] (the all-stop ablation) and drives the
+    bucketed engine's executed schedule through the physical switch.
+    [check_attrib] forwards to every {!replay} leg, so one fuzz pass
+    also proves attribution conservation across replan modes, bucketed
+    orders and the all-stop ablation. *)

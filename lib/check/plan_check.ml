@@ -378,10 +378,6 @@ let replay_equiv ?policy ?order ?config ~delta ~bandwidth coflows =
     let on_slice ~t ~t_next ~established ~coflows:_ (plan : Inter.result) =
       slices := (t, t_next, established, plan.Inter.per_coflow) :: !slices
     in
-    (* [shards] reaches both runs, but [`Rebuild] coerces it to 1 — so
-       with [shards > 1] this compares the sharded incremental engine
-       against the unsharded from-scratch oracle, the strongest form of
-       the bit-identity requirement *)
     let r =
       Circuit_sim.replay ?policy ?order ~replan ?config ~on_slice ~delta
         ~bandwidth coflows

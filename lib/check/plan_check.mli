@@ -96,7 +96,4 @@ val replay_equiv :
     (retraction, eviction, splicing) corrupted port state. Both runs
     get the same [config] ({!Sunflow_core.Inter.config}), so under a
     bucketed order the splice path must make identical decisions in
-    both modes. Its [shards] shard only the incremental run's engine;
-    the rebuild oracle coerces shards to one, so any sharding bug —
-    optimistic-pass divergence, a missed cross-shard conflict, a bad
-    rollback — surfaces as a report here. *)
+    both modes. *)

@@ -113,86 +113,37 @@ let finish_of result id =
    therefore its own [rebuild] mode — same decisions recomputed from a
    fresh table every event — not [schedule].
 
-   One step serves every incremental engine. Ports are striped over S
-   shards (S = 1 unless [shards] asks for more); each shard owns a
-   [Prt] holding every window with an endpoint in the shard (a
-   cross-shard Coflow's window is mirrored into both endpoint shards,
-   so every shard table is complete for its own ports). A Coflow whose
-   whole footprint maps to one shard lives in that shard's entry
-   vector; per event, each shard with dirty entries runs the lazy
-   repair pass ([run_pass]) over its own vector against its own table
-   — [Sunflow.schedule] reads and writes only the ports of the
-   Coflow's own demand, and those ports all belong to the shard, so
-   the pass sees exactly the state one global walk would show it,
-   regardless of how passes interleave. The passes are independent
-   (disjoint ports, disjoint entries) and run through [g_runner] —
-   sequentially by default, on a domain pool when one is plugged in.
-   At S = 1 there is one table, the shard's vector is the service
-   order itself, and the step is one pass from the first dirty entry.
-
-   Cross-shard Coflows break the independence, so they are handled
-   pessimistically-correct: a pass that would evict a cross-shard
-   owner's window aborts ([Cross_conflict]), every pass of the event is
-   rolled back (stored plans restored; the shard tables are rebuilt
-   from the plans), and the event is re-resolved by one global pass
-   over the closure of affected shards — Time-Warp's optimistic
-   execution with a deterministic arbiter. A dirty cross-shard entry
-   skips the optimistic round entirely. Either way the decisions made
-   are those of a single pass over one table, bit for bit. *)
+   One table serves the whole fabric, and an event runs one lazy
+   repair pass ([run_pass]) over the service order from its first
+   dirty entry. *)
 
 type entry = {
   e_coflow : Coflow.t;  (* original record: fixed priority-key inputs *)
   e_key : float;  (* cached priority key (policy-dependent) *)
   e_bucket : int;  (* quantized priority class; 0 when buckets are off *)
-  e_shards : int array;
-      (* sorted distinct shards of the original demand footprint *)
   mutable e_plan : Sunflow.result;
   mutable e_mark : int;  (* dirty in the step with this stamp *)
 }
 
-(* a sorted vector of entries: the service order, and one per shard
-   plus one for cross-shard Coflows, so a shard pass walks only its own
-   entries *)
+(* the service order: a sorted vector of entries *)
 type evec = { mutable v_arr : entry array; mutable v_n : int }
 
-type pass_runner = { run_passes : 'a. (unit -> 'a) array -> 'a array }
+type config = { carry_circuits : bool; buckets : int; bucket_base : float }
 
-let sequential_runner = { run_passes = (fun fs -> Array.map (fun f -> f ()) fs) }
+let default_config = { carry_circuits = true; buckets = 0; bucket_base = 4. }
 
-type config = {
-  carry_circuits : bool;
-  buckets : int;
-  bucket_base : float;
-  shards : int;
-  shard_block : int;
-}
-
-let default_config =
-  {
-    carry_circuits = true;
-    buckets = 0;
-    bucket_base = 4.;
-    shards = 1;
-    shard_block = 1;
-  }
-
-let config ?carry_circuits ?buckets ?bucket_base ?shards ?shard_block () =
+let config ?carry_circuits ?buckets ?bucket_base () =
   let d = default_config in
   let c =
     {
       carry_circuits = Option.value carry_circuits ~default:d.carry_circuits;
       buckets = Option.value buckets ~default:d.buckets;
       bucket_base = Option.value bucket_base ~default:d.bucket_base;
-      shards = Option.value shards ~default:d.shards;
-      shard_block = Option.value shard_block ~default:d.shard_block;
     }
   in
   if c.buckets < 0 then invalid_arg "Inter.config: negative bucket count";
   if not (Float.is_finite c.bucket_base && c.bucket_base > 1.) then
     invalid_arg "Inter.config: bucket_base must be finite and > 1";
-  if c.shards < 1 then invalid_arg "Inter.config: shards must be >= 1";
-  if c.shard_block < 1 then
-    invalid_arg "Inter.config: shard_block must be >= 1";
   c
 
 type engine = {
@@ -201,23 +152,16 @@ type engine = {
   g_delta : float;
   g_bandwidth : float;
   g_rebuild : bool;
-  g_config : config;  (* shards coerced to 1 for the rebuild oracle *)
+  g_config : config;
   g_cmp : entry -> entry -> int;
   g_all : evec;  (* active Coflows in service order *)
+  mutable g_prt : Prt.t;  (* the reservation table *)
   mutable g_established : (int * int) list;
   g_index : (int, entry) Hashtbl.t;
   mutable g_rescheduled : int;  (* suffix entries re-run through Sunflow *)
   mutable g_spliced : int;  (* suffix entries whose stored plan was kept *)
-  g_runner : pass_runner;  (* executes independent shard passes *)
-  g_prts : Prt.t array;  (* one reservation table per shard *)
-  g_local : evec array;
-      (* per-shard single-shard entries; at S = 1 the one slot is [g_all] *)
-  g_cross : evec;  (* entries whose footprint spans shards *)
-  g_smin : float array;  (* cached min finish per vec; slot [shards] = cross *)
-  g_smin_stale : bool array;
-  mutable g_ssteps : int;  (* scheduling events taken with S > 1 *)
-  mutable g_sconflicts : int;  (* events resolved by the cross-shard pass *)
-  mutable g_srollbacks : int;  (* optimistic shard passes rolled back *)
+  mutable g_min : float;  (* cached min stored finish over [g_all] *)
+  mutable g_min_stale : bool;
   mutable g_stamp : int;  (* steps taken; stamps the step's dirty marks *)
 }
 
@@ -278,17 +222,8 @@ let entry_cmp ~buckets policy =
       | 0 -> Coflow.compare_arrival a.e_coflow b.e_coflow
       | c -> c)
 
-let evec_make () = { v_arr = [||]; v_n = 0 }
-
 let engine ?(order = Order.Ordered_port) ?(rebuild = false)
-    ?(runner = sequential_runner) ?(config = default_config) ~policy ~delta
-    ~bandwidth () =
-  (* rebuild is the inherently global from-scratch oracle: coerce it to
-     one shard so [replay_equiv] always compares a sharded incremental
-     run against one table's decision procedure *)
-  let config = if rebuild then { config with shards = 1 } else config in
-  let shards = config.shards in
-  let all = evec_make () in
+    ?(config = default_config) ~policy ~delta ~bandwidth () =
   {
     g_policy = policy;
     g_order = order;
@@ -297,22 +232,14 @@ let engine ?(order = Order.Ordered_port) ?(rebuild = false)
     g_rebuild = rebuild;
     g_config = config;
     g_cmp = entry_cmp ~buckets:config.buckets policy;
-    g_all = all;
+    g_all = { v_arr = [||]; v_n = 0 };
+    g_prt = Prt.create ();
     g_established = [];
     g_index = Hashtbl.create 64;
     g_rescheduled = 0;
     g_spliced = 0;
-    g_runner = runner;
-    g_prts = Array.init shards (fun _ -> Prt.create ());
-    g_local =
-      (if shards = 1 then [| all |]
-       else Array.init shards (fun _ -> evec_make ()));
-    g_cross = evec_make ();
-    g_smin = Array.make (shards + 1) infinity;
-    g_smin_stale = Array.make (shards + 1) true;
-    g_ssteps = 0;
-    g_sconflicts = 0;
-    g_srollbacks = 0;
+    g_min = infinity;
+    g_min_stale = true;
     g_stamp = 0;
   }
 
@@ -325,7 +252,6 @@ let dummy_entry =
       e_coflow = Coflow.make ~id:min_int ~arrival:0. (Demand.create ());
       e_key = neg_infinity;
       e_bucket = 0;
-      e_shards = [||];
       e_plan = { Sunflow.reservations = []; finish = neg_infinity; setups = 0 };
       e_mark = 0;
     }
@@ -366,58 +292,15 @@ let evec_remove cmp v e =
   (* clear the vacated slot — same GC-pinning concern as growth *)
   v.v_arr.(v.v_n) <- Lazy.force dummy_entry
 
-(* contiguous [shard_block]-wide port stripes, round-robin over shards —
-   pod-aligned when [shard_block] matches the pod size *)
-let shard_of g p = p / g.g_config.shard_block mod g.g_config.shards
-
-let shard0 = [| 0 |]
-
-(* distinct shards of a Coflow's original demand footprint, sorted.
-   Fixed at admission like the priority key: remaining demand only ever
-   shrinks, so every window the Coflow will ever reserve stays inside
-   this set. An empty demand pins the (instantly complete) Coflow to
-   shard 0, and so does a one-shard engine. *)
-let coflow_shards g c =
-  if g.g_config.shards = 1 then shard0
-  else
-    let d = c.Coflow.demand in
-    let ss =
-      List.rev_append
-        (List.map (shard_of g) (Demand.senders d))
-        (List.map (shard_of g) (Demand.receivers d))
-      |> List.sort_uniq compare
-    in
-    match ss with [] -> shard0 | l -> Array.of_list l
-
-(* vec slot [shards] is the cross vector *)
-let vec g i = if i = g.g_config.shards then g.g_cross else g.g_local.(i)
-
-let entry_slot g e =
-  if Array.length e.e_shards > 1 then g.g_config.shards else e.e_shards.(0)
-
-(* insert into / remove from the service order and the entry's shard
-   vector — one vector when S = 1, where the two are the same *)
-let add_entry g e =
-  evec_insert g.g_cmp g.g_all e;
-  let i = entry_slot g e in
-  if vec g i != g.g_all then evec_insert g.g_cmp (vec g i) e;
-  g.g_smin_stale.(i) <- true
-
-let drop_entry g e =
-  evec_remove g.g_cmp g.g_all e;
-  let i = entry_slot g e in
-  if vec g i != g.g_all then evec_remove g.g_cmp (vec g i) e;
-  g.g_smin_stale.(i) <- true
-
-let refresh_smin g i =
-  if g.g_smin_stale.(i) then begin
-    let v = vec g i in
+let refresh_min g =
+  if g.g_min_stale then begin
+    let v = g.g_all in
     let m = ref infinity in
     for k = 0 to v.v_n - 1 do
       m := Float.min !m v.v_arr.(k).e_plan.Sunflow.finish
     done;
-    g.g_smin.(i) <- !m;
-    g.g_smin_stale.(i) <- false
+    g.g_min <- !m;
+    g.g_min_stale <- false
   end
 
 let engine_size g = g.g_all.v_n
@@ -428,17 +311,11 @@ let engine_finish g id =
   | Some e -> Some e.e_plan.Sunflow.finish
   | None -> None
 
-(* fold the cached per-vec minima instead of walking every entry;
-   [Float.min] is exact, so the value does not depend on S *)
 let engine_min_finish g =
   if g.g_all.v_n = 0 then None
   else begin
-    let m = ref infinity in
-    for i = 0 to g.g_config.shards do
-      refresh_smin g i;
-      m := Float.min !m g.g_smin.(i)
-    done;
-    Some !m
+    refresh_min g;
+    Some g.g_min
   end
 
 let engine_rescheduled g = g.g_rescheduled
@@ -450,32 +327,19 @@ type shard_stats = {
   shard_rollbacks : int;
 }
 
-let engine_shard_stats g =
-  {
-    shard_steps = g.g_ssteps;
-    shard_conflicts = g.g_sconflicts;
-    shard_rollbacks = g.g_srollbacks;
-  }
-
 let m_steps = Obs.Registry.counter "inter.incremental_steps"
 let m_straddlers = Obs.Registry.counter "inter.dirty_straddlers"
 let m_cascades = Obs.Registry.counter "inter.repair_cascades"
-let m_sh_conflicts = Obs.Registry.counter "sim.shard.conflicts"
-let m_sh_rollbacks = Obs.Registry.counter "sim.shard.rollbacks"
-let m_sh_dirty = Obs.Registry.counter "inter.shard.dirty_shards"
-let h_sh_rollback = Obs.Registry.histogram "sim.shard.rollback_s"
 
 (* --- one event: the dirty set ---------------------------------------- *)
 
-(* an event's dirty set — the entries whose [e_mark] is [stamp] — with
-   the per-shard view the passes need: each shard's least dirty entry
-   (entries, not positions — positions shift under admission) *)
+(* an event's dirty set — the entries whose [e_mark] is [stamp] — and
+   its least entry (an entry, not a position — positions shift under
+   admission) *)
 type marks = {
   stamp : int;
   mutable n_dirty : int;
-  first : entry option array;  (* per shard; [None] = shard clean *)
-  mutable cross_dirty : bool;  (* some dirty entry spans shards *)
-  mutable min_dirty : entry option;  (* least dirty entry overall *)
+  mutable min_dirty : entry option;
 }
 
 let is_dirty m e = e.e_mark = m.stamp
@@ -484,18 +348,9 @@ let mark g m e =
   if not (is_dirty m e) then begin
     e.e_mark <- m.stamp;
     m.n_dirty <- m.n_dirty + 1;
-    let least = function Some l -> g.g_cmp l e > 0 | None -> true in
-    let new_min = least m.min_dirty in
-    if new_min then m.min_dirty <- Some e;
-    if Array.length e.e_shards > 1 then m.cross_dirty <- true
-    else begin
-      (* the overall least is its shard's least, and a shard whose
-         least is the overall one (always, at S = 1) keeps it *)
-      let s = e.e_shards.(0) in
-      if new_min then m.first.(s) <- m.min_dirty
-      else if m.first.(s) != m.min_dirty && least m.first.(s) then
-        m.first.(s) <- Some e
-    end
+    match m.min_dirty with
+    | Some l when g.g_cmp l e <= 0 -> ()
+    | _ -> m.min_dirty <- Some e
   end
 
 (* The engine's semantics: retire [finished], admit [arrivals] and
@@ -506,30 +361,19 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
      stops at or before its recorded finish <= now, and every table
      query made on behalf of the remaining Coflows is a strict-greater
      successor search at an instant >= now, so the removal is invisible
-     to them: no rescheduling. [e_shards] covers every window's
-     endpoints, so retracting on those tables removes the windows and
-     their mirrors. *)
+     to them: no rescheduling. *)
   List.iter
     (fun id ->
       match Hashtbl.find_opt g.g_index id with
       | None -> invalid_arg "Inter.schedule_incremental: unknown finished id"
       | Some e ->
-        drop_entry g e;
+        evec_remove g.g_cmp g.g_all e;
+        g.g_min_stale <- true;
         Hashtbl.remove g.g_index id;
-        Array.iter
-          (fun s -> ignore (Prt.retract_coflow g.g_prts.(s) id : int))
-          e.e_shards)
+        ignore (Prt.retract_coflow g.g_prt id : int))
     finished;
   (* 2. admit arrivals at their priority positions *)
-  let m =
-    {
-      stamp = g.g_stamp;
-      n_dirty = 0;
-      first = Array.make g.g_config.shards None;
-      cross_dirty = false;
-      min_dirty = None;
-    }
-  in
+  let m = { stamp = g.g_stamp; n_dirty = 0; min_dirty = None } in
   List.iter
     (fun c ->
       if Hashtbl.mem g.g_index c.Coflow.id then
@@ -542,12 +386,12 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
           e_bucket =
             bucket_of ~policy:g.g_policy ~buckets:g.g_config.buckets
               ~bucket_base:g.g_config.bucket_base ~delta:g.g_delta key;
-          e_shards = coflow_shards g c;
           e_plan = { Sunflow.reservations = []; finish = now; setups = 0 };
           e_mark = 0;
         }
       in
-      add_entry g e;
+      evec_insert g.g_cmp g.g_all e;
+      g.g_min_stale <- true;
       Hashtbl.replace g.g_index c.Coflow.id e;
       mark g m e)
     arrivals;
@@ -562,16 +406,11 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
      rescheduled Coflow's transmitting circuit is still up, and its
      replacement plan may carry it delta-free). Windows of retired
      Coflows are filtered out: the rebuild oracle's table is the stale
-     one of the previous event. Mirrors surface twice; [sort_uniq]
-     collapses them, and double-marking a straddler is idempotent. *)
+     one of the previous event. *)
   let covering =
-    Array.fold_left
-      (fun acc prt ->
-        List.fold_left
-          (fun acc r ->
-            if Hashtbl.mem g.g_index r.Prt.coflow then r :: acc else acc)
-          acc (Prt.covering_at prt now))
-      [] g.g_prts
+    List.filter
+      (fun r -> Hashtbl.mem g.g_index r.Prt.coflow)
+      (Prt.covering_at g.g_prt now)
   in
   g.g_established <-
     (if g.g_config.carry_circuits then
@@ -595,22 +434,18 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
       end)
     covering;
   (* defensive: a stored finish at or before [now] with demand left
-     would stall the event loop; re-anchor such plans. A vec whose
-     cached minimum finish is past [now] cannot hold one. *)
-  for i = 0 to g.g_config.shards do
-    refresh_smin g i;
-    if g.g_smin.(i) <= now then begin
-      let v = vec g i in
-      for k = 0 to v.v_n - 1 do
-        let e = v.v_arr.(k) in
-        if
-          e.e_plan.Sunflow.finish <= now
-          && (not (is_dirty m e))
-          && not (Demand.is_empty (remaining e.e_coflow.Coflow.id))
-        then mark g m e
-      done
-    end
-  done;
+     would stall the event loop; re-anchor such plans. Nothing can
+     hold one while the cached minimum finish is past [now]. *)
+  refresh_min g;
+  if g.g_min <= now then
+    for k = 0 to all.v_n - 1 do
+      let e = all.v_arr.(k) in
+      if
+        e.e_plan.Sunflow.finish <= now
+        && (not (is_dirty m e))
+        && not (Demand.is_empty (remaining e.e_coflow.Coflow.id))
+      then mark g m e
+    done;
   (* an arrival poisons the rest of its own bucket: within a bucket the
      order is FIFO, so a retained entry sorting after a new arrival in
      the same class means an equal-arrival tiebreak (or a [Custom]
@@ -680,11 +515,11 @@ let replan g ~prt ~now ~remaining ~is_established e =
    neighbour can land within rounding dust of a stored boundary, and
    re-admitting that would break the validator's strict per-port
    disjointness — [Prt.splice_exact] is exactly that
-   check-all-then-reserve-all primitive. No eviction, no shard pass:
-   this is what [run_pass] is checked against. *)
+   check-all-then-reserve-all primitive. No eviction: this is what
+   [run_pass] is checked against. *)
 let rebuild_repair g ~obs ~now ~remaining m =
   let prt = Prt.create () in
-  g.g_prts.(0) <- prt;
+  g.g_prt <- prt;
   let all = g.g_all in
   let first =
     match m.min_dirty with
@@ -709,22 +544,12 @@ let rebuild_repair g ~obs ~now ~remaining m =
       reschedule e
     end
   done;
-  g.g_smin_stale.(0) <- true
+  g.g_min_stale <- true
 
 (* --- the incremental repair ------------------------------------------- *)
 
-exception Cross_conflict
-
-type pass_out =
-  | Pass_ok of (entry * Sunflow.result) list * int * int * int
-      (* replaced plans (for rollback), rescheduled, spliced, cascades *)
-  | Pass_conflict of (entry * Sunflow.result) list
-
-(* One lazy-repair pass over the entries of [v] from position [first]
-   that satisfy [keep], in priority order, against [prt]. [guard] is
-   consulted before any eviction (shard passes raise [Cross_conflict]
-   on a cross-shard owner, which aborts the pass), and every replaced
-   plan is recorded for rollback.
+(* One lazy-repair pass over the service order from its first dirty
+   entry [d], in priority order, against the one table.
 
    No rollback: a dirty entry, at its turn in priority order, clears
    every later-priority window from the ports its planner can touch
@@ -744,257 +569,92 @@ type pass_out =
    are tested against table content identical on their ports. The
    fit-failure sets therefore coincide, and so do the plans.
 
-   [tail] is the first entry of the service order's trailing run of
-   dirty entries: nothing clean sorts after it. The run's windows are
-   retracted before the pass starts, and its entries then evict
-   nothing — every later window is the run's own (a cross-shard
-   Coflow in the run is dirty, which sends the event straight to the
-   cross-shard pass, whose table holds the whole run). That is the
+   The pass starts by finding the service order's trailing run of
+   dirty entries: nothing clean sorts after its first entry. The run's
+   windows are retracted before the pass starts, and its entries then
+   evict nothing — every later window is the run's own. That is the
    same table content on every port an earlier entry reschedules on
    (its eviction would have removed them), and windows that were
    disjoint from a clean entry's in the previous table cannot fail its
    fit test. Under the exact order the run is the whole suffix from
    the first dirty entry: retract it, reschedule it in order. *)
-let run_pass g ~prt ~now ~remaining ~is_established ~m ~tail ~guard ~keep v
-    first =
-  let old_plans = ref [] in
-  let resched = ref 0 and spliced = ref 0 and cascades = ref 0 in
-  let reschedule e =
-    old_plans := (e, e.e_plan) :: !old_plans;
-    replan g ~prt ~now ~remaining ~is_established e;
-    incr resched
-  in
-  let tail_pos =
-    match tail with
-    | Some t -> max first (evec_lower g.g_cmp v t)
-    | None -> v.v_n
-  in
-  for i = tail_pos to v.v_n - 1 do
-    let e = v.v_arr.(i) in
-    if keep e then ignore (Prt.retract_coflow prt e.e_coflow.Coflow.id : int)
-  done;
-  try
-    if first < tail_pos then begin
-      let touched : (int, Prt.reservation list ref) Hashtbl.t =
-        Hashtbl.create 16
-      in
-      let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
-      let clear_port e p =
-        if not (Hashtbl.mem ports_cleared p) then begin
-          Hashtbl.replace ports_cleared p ();
-          List.iter
-            (fun r ->
-              match Hashtbl.find_opt g.g_index r.Prt.coflow with
-              | Some o when g.g_cmp e o < 0 ->
-                guard o;
-                (* [remove] is false when the window was already evicted
-                   through its other port — record once *)
-                if Prt.remove prt r then begin
-                  let l =
-                    match Hashtbl.find_opt touched r.Prt.coflow with
-                    | Some l -> l
-                    | None ->
-                      let l = ref [] in
-                      Hashtbl.replace touched r.Prt.coflow l;
-                      l
-                  in
-                  l := r :: !l
-                end
-              | _ -> ())
-            (Prt.port_reservations prt p)
-        end
-      in
-      let repair e =
-        let id = e.e_coflow.Coflow.id in
-        Hashtbl.remove touched id;
-        ignore (Prt.retract_coflow prt id : int);
-        let d = remaining id in
-        List.iter (fun p -> clear_port e (Prt.In p)) (Demand.senders d);
-        List.iter (fun p -> clear_port e (Prt.Out p)) (Demand.receivers d);
-        reschedule e
-      in
-      for i = first to tail_pos - 1 do
-        let e = v.v_arr.(i) in
-        if keep e then
-          if is_dirty m e then repair e
-          else
-            match Hashtbl.find_opt touched e.e_coflow.Coflow.id with
-            | None -> incr spliced
-            | Some l ->
-              if Prt.splice_exact prt !l then begin
-                Hashtbl.remove touched e.e_coflow.Coflow.id;
-                incr spliced
-              end
-              else begin
-                incr cascades;
-                repair e
-              end
-      done
-    end;
-    for i = tail_pos to v.v_n - 1 do
-      let e = v.v_arr.(i) in
-      if keep e then reschedule e
-    done;
-    Pass_ok (!old_plans, !resched, !spliced, !cascades)
-  with Cross_conflict -> Pass_conflict !old_plans
-
-(* deterministic cross-shard resolution: compute the closure of shards
-   reachable from the dirty set through cross-shard footprints, merge
-   the closure's stored plans into one table, run one repair pass over
-   the closure's entries in global priority order, then rebuild the
-   affected shard tables from the resulting plans (mirroring cross
-   windows into both endpoint shards). Every dirty entry is inside the
-   closure; entries wholly outside it share no port with anything the
-   repair may move — a pass over one global table would have spliced
-   them untouched — so skipping them changes nothing. *)
-let resolve_cross g ~obs ~now ~remaining ~is_established ~tail m =
-  g.g_sconflicts <- g.g_sconflicts + 1;
-  if obs then Obs.Registry.incr m_sh_conflicts;
-  let t0 = if obs then Obs.Control.now_ns () else 0L in
-  let c = Array.map Option.is_some m.first in
-  let cross = g.g_cross in
-  (* seed: shards of dirty cross entries *)
-  for i = 0 to cross.v_n - 1 do
-    let e = cross.v_arr.(i) in
-    if is_dirty m e then Array.iter (fun s -> c.(s) <- true) e.e_shards
-  done;
-  (* fixpoint: any cross entry touching the closure pulls all its
-     shards in — its windows sit on ports the repair may reuse *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to cross.v_n - 1 do
-      let e = cross.v_arr.(i) in
-      if
-        Array.exists (fun s -> c.(s)) e.e_shards
-        && not (Array.for_all (fun s -> c.(s)) e.e_shards)
-      then begin
-        Array.iter (fun s -> c.(s) <- true) e.e_shards;
-        changed := true
-      end
-    done
-  done;
-  let in_c e = Array.for_all (fun s -> c.(s)) e.e_shards in
-  (* merged mirror-free table of every in-closure stored plan — the
-     single table's content restricted to the closure's ports *)
-  let all = g.g_all in
-  let merged = Prt.create () in
-  for i = 0 to all.v_n - 1 do
-    let e = all.v_arr.(i) in
-    if in_c e then
-      List.iter (Prt.reserve merged) e.e_plan.Sunflow.reservations
-  done;
-  (match m.min_dirty with
-  | None -> ()
-  | Some d -> (
-    match
-      run_pass g ~prt:merged ~now ~remaining ~is_established ~m ~tail ~guard:ignore ~keep:in_c all (evec_lower g.g_cmp all d)
-    with
-    | Pass_ok (_, resched, spliced, cascades) ->
-      g.g_rescheduled <- g.g_rescheduled + resched;
-      g.g_spliced <- g.g_spliced + spliced;
-      if obs && cascades > 0 then Obs.Registry.add m_cascades cascades
-    | Pass_conflict _ -> assert false));
-  (* rebuild the affected shard tables from the now-current plans *)
-  for s = 0 to g.g_config.shards - 1 do
-    if c.(s) then g.g_prts.(s) <- Prt.create ()
-  done;
-  for i = 0 to all.v_n - 1 do
-    let e = all.v_arr.(i) in
-    if in_c e then
-      List.iter
-        (fun r ->
-          let ss = shard_of g r.Prt.src and sd = shard_of g r.Prt.dst in
-          Prt.reserve g.g_prts.(ss) r;
-          if sd <> ss then Prt.reserve g.g_prts.(sd) r)
-        e.e_plan.Sunflow.reservations
-  done;
-  for s = 0 to g.g_config.shards - 1 do
-    if c.(s) then g.g_smin_stale.(s) <- true
-  done;
-  g.g_smin_stale.(g.g_config.shards) <- true;
-  if obs then
-    Obs.Registry.observe h_sh_rollback
-      (Int64.to_float (Int64.sub (Obs.Control.now_ns ()) t0) /. 1e9)
-
-(* optimistic per-shard passes, falling back to the deterministic
-   cross-shard pass on any conflict. At S = 1 this is one pass over the
-   service order from its first dirty entry; nothing can conflict. *)
-let repair g ~obs ~now ~remaining m =
+let run_pass g ~obs ~now ~remaining m d =
+  let prt = g.g_prt and v = g.g_all in
   let is_established = established_pred g in
-  (* first entry of the service order's trailing run of dirty entries
-     (see [run_pass]); the whole suffix under the exact order *)
-  let tail =
-    let all = g.g_all in
-    let i = ref all.v_n in
-    while !i > 0 && is_dirty m all.v_arr.(!i - 1) do
+  let reschedule e =
+    replan g ~prt ~now ~remaining ~is_established e;
+    g.g_rescheduled <- g.g_rescheduled + 1
+  in
+  let first = evec_lower g.g_cmp v d in
+  let tail_pos =
+    let i = ref v.v_n in
+    while !i > first && is_dirty m v.v_arr.(!i - 1) do
       decr i
     done;
-    if !i < all.v_n then Some all.v_arr.(!i) else None
+    !i
   in
-  if obs && g.g_config.shards > 1 then begin
-    let nd = ref (if m.cross_dirty then 1 else 0) in
-    Array.iter (fun f -> if Option.is_some f then incr nd) m.first;
-    Obs.Registry.add m_sh_dirty !nd
-  end;
-  if m.cross_dirty then
-    (* a dirty cross-shard Coflow makes the conflict certain — skip the
-       optimistic round (nothing to roll back) *)
-    resolve_cross g ~obs ~now ~remaining ~is_established ~tail m
-  else begin
-    (* one optimistic pass per dirty shard, over its own entries from
-       its first dirty one. A pass reads shared engine state only
-       (g_index, the service order, the dirty set, the established set
-       — all frozen for the event) and mutates only its shard's table
-       and entries' plans, so passes are safe to run on separate
-       domains. *)
-    let guard o = if Array.length o.e_shards > 1 then raise Cross_conflict in
-    let keep _ = true in
-    let thunks = ref [] in
-    for s = g.g_config.shards - 1 downto 0 do
-      match m.first.(s) with
-      | Some d ->
-        let v = g.g_local.(s) in
-        thunks :=
-          (fun () ->
-            run_pass g ~prt:g.g_prts.(s) ~now ~remaining ~is_established
-              ~m ~tail ~guard ~keep v (evec_lower g.g_cmp v d))
-          :: !thunks
-      | None -> ()
-    done;
-    let outs =
-      match !thunks with
-      | [ f ] -> [| f () |]
-      | fs -> g.g_runner.run_passes (Array.of_list fs)
+  for i = tail_pos to v.v_n - 1 do
+    ignore (Prt.retract_coflow prt v.v_arr.(i).e_coflow.Coflow.id : int)
+  done;
+  if first < tail_pos then begin
+    let touched : (int, Prt.reservation list ref) Hashtbl.t =
+      Hashtbl.create 16
     in
-    if Array.exists (function Pass_conflict _ -> true | _ -> false) outs
-    then begin
-      (* roll back every pass: restore the replaced plans (the shard
-         tables are rebuilt from plans during resolution, so the
-         plan-level undo subsumes any table-level one) *)
-      Array.iter
-        (function
-          | Pass_ok (old, _, _, _) | Pass_conflict old ->
-            List.iter (fun (e, p) -> e.e_plan <- p) old)
-        outs;
-      g.g_srollbacks <- g.g_srollbacks + Array.length outs;
-      if obs then Obs.Registry.add m_sh_rollbacks (Array.length outs);
-      resolve_cross g ~obs ~now ~remaining ~is_established ~tail m
-    end
-    else begin
-      Array.iter
-        (function
-          | Pass_ok (_, r, sp, ca) ->
-            g.g_rescheduled <- g.g_rescheduled + r;
-            g.g_spliced <- g.g_spliced + sp;
-            if obs && ca > 0 then Obs.Registry.add m_cascades ca
-          | Pass_conflict _ -> ())
-        outs;
-      Array.iteri
-        (fun s f -> if Option.is_some f then g.g_smin_stale.(s) <- true)
-        m.first
-    end
-  end
+    let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
+    let clear_port e p =
+      if not (Hashtbl.mem ports_cleared p) then begin
+        Hashtbl.replace ports_cleared p ();
+        List.iter
+          (fun r ->
+            match Hashtbl.find_opt g.g_index r.Prt.coflow with
+            | Some o when g.g_cmp e o < 0 ->
+              (* [remove] is false when the window was already evicted
+                 through its other port — record once *)
+              if Prt.remove prt r then begin
+                let l =
+                  match Hashtbl.find_opt touched r.Prt.coflow with
+                  | Some l -> l
+                  | None ->
+                    let l = ref [] in
+                    Hashtbl.replace touched r.Prt.coflow l;
+                    l
+                in
+                l := r :: !l
+              end
+            | _ -> ())
+          (Prt.port_reservations prt p)
+      end
+    in
+    let repair e =
+      let id = e.e_coflow.Coflow.id in
+      Hashtbl.remove touched id;
+      ignore (Prt.retract_coflow prt id : int);
+      let d = remaining id in
+      List.iter (fun p -> clear_port e (Prt.In p)) (Demand.senders d);
+      List.iter (fun p -> clear_port e (Prt.Out p)) (Demand.receivers d);
+      reschedule e
+    in
+    for i = first to tail_pos - 1 do
+      let e = v.v_arr.(i) in
+      if is_dirty m e then repair e
+      else
+        match Hashtbl.find_opt touched e.e_coflow.Coflow.id with
+        | None -> g.g_spliced <- g.g_spliced + 1
+        | Some l ->
+          if Prt.splice_exact prt !l then begin
+            Hashtbl.remove touched e.e_coflow.Coflow.id;
+            g.g_spliced <- g.g_spliced + 1
+          end
+          else begin
+            if obs then Obs.Registry.incr m_cascades;
+            repair e
+          end
+    done
+  end;
+  for i = tail_pos to v.v_n - 1 do
+    reschedule v.v_arr.(i)
+  done;
+  g.g_min_stale <- true
 
 let schedule_incremental g ~now ~arrivals ~finished ~remaining =
   let obs = Obs.Control.enabled () in
@@ -1003,11 +663,10 @@ let schedule_incremental g ~now ~arrivals ~finished ~remaining =
     Obs.Registry.incr m_steps;
     Obs.Tracer.begin_span ~cat:"core" "inter.step"
   end;
-  if g.g_config.shards > 1 then g.g_ssteps <- g.g_ssteps + 1;
   g.g_stamp <- g.g_stamp + 1;
   let m = mark_event g ~obs ~now ~arrivals ~finished ~remaining in
   if g.g_rebuild then rebuild_repair g ~obs ~now ~remaining m
-  else if m.n_dirty > 0 then repair g ~obs ~now ~remaining m;
+  else Option.iter (run_pass g ~obs ~now ~remaining m) m.min_dirty;
   if obs then begin
     Obs.Registry.observe h_batch (float_of_int m.n_dirty);
     Obs.Tracer.end_span ~cat:"core" "inter.step"
@@ -1028,16 +687,7 @@ let clip_from t0 r =
   else r
 
 let engine_slice g ~t0 ~t1 =
-  match g.g_prts with
-  | [| prt |] -> List.map (clip_from t0) (Prt.reservations_in prt t0 t1)
-  | prts ->
-    (* union over shard tables, in the order one table would emit the
-       slice; a cross-shard window appears in both endpoint shards and
-       [sort_uniq] keeps one copy *)
-    Array.to_list prts
-    |> List.concat_map (fun prt -> Prt.reservations_in prt t0 t1)
-    |> List.sort_uniq Prt.physical_order
-    |> List.map (clip_from t0)
+  List.map (clip_from t0) (Prt.reservations_in g.g_prt t0 t1)
 
 (* materialise the persistent plan as a [result] equivalent to what a
    from-scratch replan at [now] would describe, for the validation

@@ -89,30 +89,20 @@ val finish_of : result -> int -> float option
 
 type engine
 
-type pass_runner = { run_passes : 'a. (unit -> 'a) array -> 'a array }
-(** Executor for the sharded engine's independent per-shard passes.
-    Each thunk mutates only its own shard's table and entries, so a
-    runner may execute them concurrently (one domain per pass); the
-    default {!sequential_runner} runs them in order. Results must be
-    returned positionally. *)
-
-val sequential_runner : pass_runner
-
 type shard_stats = {
-  shard_steps : int;  (** scheduling events taken by the sharded path *)
+  shard_steps : int;
   shard_conflicts : int;
-      (** events resolved by the deterministic cross-shard pass (a
-          dirty cross-shard Coflow, or an optimistic pass aborted) *)
   shard_rollbacks : int;
-      (** optimistic shard passes whose work was rolled back *)
 }
+(** Nothing produces this record any more: the engine has one table.
+    The repository benchmark's frozen harness ([perfbench/]) still
+    builds one for [Circuit_sim.run]'s [shard_stats] label, so it waits
+    for the next change to the benchmark. *)
 
 type config = private {
   carry_circuits : bool;
   buckets : int;
   bucket_base : float;
-  shards : int;
-  shard_block : int;
 }
 (** The engine's knobs beyond the priority ordering. Built only by
     {!config}, so a value of this type has passed its range checks.
@@ -137,31 +127,13 @@ type config = private {
     and re-derived only on conflict — see {!schedule_incremental}.
     Bucketing trades fidelity to the exact shortest-first order for
     replan locality; CCT drift against the exact order is measured
-    (and gated) in the bench harness.
-
-    [shards] (default [1]: one reservation table, one repair pass per
-    event) stripes the fabric's ports over that many shards in
-    contiguous [shard_block]-wide blocks (default [1]; set it to the
-    pod size to align shards with pods). Each shard owns its own
-    reservation table and entry vector; an event replans each dirty
-    shard independently — through the engine's [runner], so a domain
-    pool can execute the passes concurrently — and falls back to one
-    deterministic global pass whenever a cross-shard Coflow is
-    involved, after rolling the optimistic passes back. [shards = 1]
-    is the one-shard case of the same step, and decisions are
-    bit-identical to it for every shard count. *)
+    (and gated) in the bench harness. *)
 
 val config :
-  ?carry_circuits:bool ->
-  ?buckets:int ->
-  ?bucket_base:float ->
-  ?shards:int ->
-  ?shard_block:int ->
-  unit ->
-  config
+  ?carry_circuits:bool -> ?buckets:int -> ?bucket_base:float -> unit -> config
 (** The one place the knobs' defaults live and are checked. Raises
-    [Invalid_argument] if [buckets < 0], [bucket_base] is not finite
-    or [<= 1.], [shards < 1] or [shard_block < 1]. *)
+    [Invalid_argument] if [buckets < 0], or [bucket_base] is not finite
+    or [<= 1.]. *)
 
 val default_config : config
 (** [config ()]. *)
@@ -169,7 +141,6 @@ val default_config : config
 val engine :
   ?order:Order.t ->
   ?rebuild:bool ->
-  ?runner:pass_runner ->
   ?config:config ->
   policy:policy ->
   delta:float ->
@@ -177,12 +148,10 @@ val engine :
   unit ->
   engine
 (** A fresh engine with no admitted Coflows, configured by [config]
-    (default {!default_config}). [rebuild] selects the from-scratch
-    oracle mode, which coerces [shards] to [1] (the from-scratch
-    oracle is inherently global). [runner] executes a sharded engine's
-    independent per-shard passes. [Custom] comparators get an
-    [(arrival, id)] tiebreak appended, so they need not be total
-    themselves. *)
+    (default {!default_config}). It keeps one reservation table for
+    the whole fabric. [rebuild] selects the from-scratch oracle mode.
+    [Custom] comparators get an [(arrival, id)] tiebreak appended, so
+    they need not be total themselves. *)
 
 val schedule_incremental :
   engine ->
@@ -239,15 +208,7 @@ val engine_spliced : engine -> int
 (** Cumulative count of suffix entries whose retained plan survived a
     step without rescheduling (bucketed orders only) — untouched by
     any eviction, or evicted windows re-admitted verbatim. No
-    scheduling work either way. Under [shards > 1] entries ahead of a
-    shard's first dirty position are skipped outright rather than
-    counted as spliced, so the tally is not comparable across shard
-    counts (the plans are). *)
-
-val engine_shard_stats : engine -> shard_stats
-(** Cumulative sharded-path statistics; all zero when [shards = 1]
-    (one table, nothing to conflict or roll back, and no step counted
-    as sharded). *)
+    scheduling work either way. *)
 
 val engine_slice : engine -> t0:float -> t1:float -> Prt.reservation list
 (** The persistent plan's windows overlapping [[t0, t1)], straddlers

@@ -26,8 +26,7 @@
 
     Memory: the slot arrays reach the highest port id ever reserved, so
     a table costs O(highest port id) words per namespace on top of its
-    windows, whatever the number of ports in use. The sharded engine
-    keeps one table per shard, each indexed by global port id. *)
+    windows, whatever the number of ports in use. *)
 
 type port = In of int | Out of int
 

@@ -4,17 +4,15 @@
 
     The report splits into two parts:
 
-    - {b run}: how the run was produced — trace, replan mode, shard
-      and bucket knobs, shard/conflict stats, sampler totals. These
-      legitimately differ between modes.
+    - {b run}: how the run was produced — trace, replan mode, bucket
+      knobs, sampler totals. These legitimately differ between modes.
     - {b body}: what the run did. Every body field derives from the
       executed schedule, so for the same trace the body is
-      byte-identical across [`Incremental]/[`Rebuild] and every
-      [--shards] count (the engine modes are bit-identical by
-      construction — [`Full] re-keys [Shortest_first] on remaining
-      demand and re-rounds plans, so it differs, see
-      [Circuit_sim.replan]). {!body_json} renders the body alone so bench
-      can digest-gate exactly that invariant.
+      byte-identical across [`Incremental] and [`Rebuild] (the engine
+      modes are bit-identical by construction — [`Full] re-keys
+      [Shortest_first] on remaining demand and re-rounds plans, so it
+      differs, see [Circuit_sim.replan]). {!body_json} renders the body
+      alone so bench can digest-gate exactly that invariant.
 
     This module only renders; the caller (CLI, bench — via
     [Check.Attrib_report], which can see [Coflow.t]) assembles the

@@ -8,8 +8,6 @@ type sample = {
   m_busy_ports : int;
   m_rescheduled : int;
   m_spliced : int;
-  m_conflicts : int;
-  m_rollbacks : int;
 }
 
 let mu = Mutex.create ()
@@ -67,10 +65,8 @@ let to_jsonl () =
       add
         "{\"t\": %s, \"t_next\": %s, \"active\": %d, \"circuits\": %d, \
          \"transmit_s\": %s, \"setup_s\": %s, \"busy_ports\": %d, \
-         \"rescheduled\": %d, \"spliced\": %d, \"conflicts\": %d, \
-         \"rollbacks\": %d}\n"
+         \"rescheduled\": %d, \"spliced\": %d}\n"
         (fl s.m_t) (fl s.m_t_next) s.m_active s.m_circuits (fl s.m_transmit_s)
-        (fl s.m_setup_s) s.m_busy_ports s.m_rescheduled s.m_spliced
-        s.m_conflicts s.m_rollbacks)
+        (fl s.m_setup_s) s.m_busy_ports s.m_rescheduled s.m_spliced)
     (samples ());
   Buffer.contents buf

@@ -6,8 +6,8 @@
 
     - a {e time series} of per-slice samples — active Coflows, circuit
       seconds spent transmitting vs reconfiguring, busy ports, the
-      incremental engine's dirty-suffix size for the event, and shard
-      conflict/rollback deltas — exported as JSON Lines
+      incremental engine's dirty-suffix size and splice count for the
+      event — exported as JSON Lines
       ({!to_jsonl}, one object per slice);
     - a {e per-port ledger} of cumulative transmit/reconfigure
       seconds ({!port_busy}/{!port_totals}), the source for per-port
@@ -32,8 +32,6 @@ type sample = {
       (** engine suffix entries re-run for this event (dirty-suffix
           size); 0 under [`Full] replanning *)
   m_spliced : int;  (** windows re-admitted verbatim for this event *)
-  m_conflicts : int;  (** shard conflicts detected for this event *)
-  m_rollbacks : int;  (** shard rollbacks taken for this event *)
 }
 
 val record : sample -> unit

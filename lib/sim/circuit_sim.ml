@@ -32,8 +32,7 @@ let no_release _ _ = []
    the anchored modes only the slice-overlapping ones; windows outside
    the slice record nothing, so the series is bit-identical wherever
    the executed schedules are. *)
-let sample_slice ~t ~t_next ~n_active ~rescheduled ~spliced ~conflicts
-    ~rollbacks reservations =
+let sample_slice ~t ~t_next ~n_active ~rescheduled ~spliced reservations =
   let circuits = ref 0 and tx_total = ref 0. and su_total = ref 0. in
   let busy : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter
@@ -66,20 +65,9 @@ let sample_slice ~t ~t_next ~n_active ~rescheduled ~spliced ~conflicts
       m_busy_ports = Hashtbl.length busy;
       m_rescheduled = rescheduled;
       m_spliced = spliced;
-      m_conflicts = conflicts;
-      m_rollbacks = rollbacks;
     }
 
 type replan = [ `Full | `Rebuild | `Incremental ]
-
-(* shard passes run on the domain pool when it actually has domains;
-   a 1-domain pool would only add submission overhead to a loop that
-   is already sequential. An unsharded engine has one pass per event
-   and never consults the runner. *)
-let shard_runner () =
-  if Sunflow_parallel.Pool.default_jobs () > 1 then
-    { Inter.run_passes = (fun fs -> Sunflow_parallel.Pool.run (fun f -> f ()) fs) }
-  else Inter.sequential_runner
 
 (* What a replan mode contributes to the event loop: how the plan
    advances at an event (given the event's arrivals, the Coflows
@@ -87,8 +75,8 @@ let shard_runner () =
    planned finish ([infinity] if none), the windows the slice
    executes, and the carried-in circuits and plan the [on_slice] hook
    sees. [idle] is told that an idle gap passed. [work] returns the
-   engine's (rescheduled, spliced, conflicts, rollbacks) since its
-   last call, for the sampler; [engine] is the anchored modes'
+   engine's (rescheduled, spliced) since its last call, for the
+   sampler; [engine] is the anchored modes'
    persistent engine. *)
 type planner = {
   advance :
@@ -97,7 +85,7 @@ type planner = {
   slice : t:float -> t_next:float -> Prt.reservation list;
   view : t:float -> (int * int) list * Inter.result;
   idle : unit -> unit;
-  work : unit -> int * int * int * int;
+  work : unit -> int * int;
   engine : Inter.engine option;
 }
 
@@ -133,7 +121,7 @@ let full_planner ~policy ~order ~carry_circuits ~delta ~bandwidth =
     slice = (fun ~t:_ ~t_next:_ -> Prt.all_reservations (current ()).Inter.prt);
     view = (fun ~t:_ -> (!established, current ()));
     idle = (fun () -> plan := None);
-    work = (fun () -> (0, 0, 0, 0));
+    work = (fun () -> (0, 0));
     engine = None;
   }
 
@@ -147,18 +135,8 @@ let full_planner ~policy ~order ~carry_circuits ~delta ~bandwidth =
    persistent plan materialised as a from-scratch result. *)
 let anchored_planner ~rebuild ~policy ~order ~config ~delta ~bandwidth
     ~remaining_of =
-  let eng =
-    Inter.engine ~order ~rebuild ~runner:(shard_runner ()) ~config ~policy
-      ~delta ~bandwidth ()
-  in
-  let counts () =
-    let ss = Inter.engine_shard_stats eng in
-    ( Inter.engine_rescheduled eng,
-      Inter.engine_spliced eng,
-      ss.Inter.shard_conflicts,
-      ss.Inter.shard_rollbacks )
-  in
-  let prev = ref (0, 0, 0, 0) in
+  let eng = Inter.engine ~order ~rebuild ~config ~policy ~delta ~bandwidth () in
+  let prev = ref (0, 0) in
   {
     advance =
       (fun ~t ~arrivals ~finished _ ->
@@ -174,9 +152,11 @@ let anchored_planner ~rebuild ~policy ~order ~config ~delta ~bandwidth
     idle = ignore;
     work =
       (fun () ->
-        let ((r1, s1, c1, b1) as now) = counts () and r0, s0, c0, b0 = !prev in
-        prev := now;
-        (r1 - r0, s1 - s0, c1 - c0, b1 - b0));
+        let r0, s0 = !prev in
+        let r1 = Inter.engine_rescheduled eng in
+        let s1 = Inter.engine_spliced eng in
+        prev := (r1, s1);
+        (r1 - r0, s1 - s0));
     engine = Some eng;
   }
 
@@ -350,14 +330,12 @@ let drive lp d =
   { events = !events; setups = Slice.setups lp.ex; stopped = !stopped }
 
 let replay ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
-    ?(replan = `Full) ?(config = Inter.default_config) ?shard_stats
+    ?(replan = `Full) ?(config = Inter.default_config)
     ?(on_complete = no_release) ?on_slice ~delta ~bandwidth coflows =
   if bandwidth <= 0. then invalid_arg "Circuit_sim.replay: bandwidth <= 0";
   if delta < 0. then invalid_arg "Circuit_sim.replay: negative delta";
   if replan = `Full && config.Inter.buckets <> 0 then
     invalid_arg "Circuit_sim.replay: buckets need an anchored replan mode";
-  if replan = `Full && config.shards <> 1 then
-    invalid_arg "Circuit_sim.replay: shards need an anchored replan mode";
   check_unique_ids coflows;
   let lp =
     create ~timeline:true ~replan ~policy ~order ~config ~delta ~bandwidth
@@ -393,9 +371,9 @@ let replay ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
       f ~t ~t_next ~established ~coflows:(List.map scheduled lp.actives) plan
     | None -> ());
     if obs then begin
-      let rescheduled, spliced, conflicts, rollbacks = lp.p.work () in
+      let rescheduled, spliced = lp.p.work () in
       sample_slice ~t ~t_next ~n_active:(List.length lp.actives) ~rescheduled
-        ~spliced ~conflicts ~rollbacks reservations
+        ~spliced reservations
     end
   in
   let finished t_next (c : Coflow.t) =
@@ -426,9 +404,6 @@ let replay ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
         event_timer = None;
       }
   in
-  (match (shard_stats, lp.p.engine) with
-  | Some r, Some eng -> r := Inter.engine_shard_stats eng
-  | _ -> ());
   let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l in
   {
     Sim_result.ccts = sorted !ccts;
@@ -438,13 +413,17 @@ let replay ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
     total_setups = o.setups;
   }
 
-let run ?policy ?order ?carry_circuits ?replan ?buckets ?bucket_base ?shards
-    ?shard_block ?shard_stats ?on_complete ?on_slice ~delta ~bandwidth coflows =
+(* the shard labels are checked and otherwise ignored: the engine has one
+   table, and the frozen benchmark harness still passes them *)
+let run ?policy ?order ?carry_circuits ?replan ?buckets ?bucket_base
+    ?(shards = 1) ?(shard_block = 1) ?shard_stats:_ ?on_complete ?on_slice
+    ~delta ~bandwidth coflows =
+  if shards < 1 then invalid_arg "Circuit_sim.run: shards must be >= 1";
+  if shard_block < 1 then
+    invalid_arg "Circuit_sim.run: shard_block must be >= 1";
   replay ?policy ?order ?replan
-    ~config:
-      (Inter.config ?carry_circuits ?buckets ?bucket_base ?shards ?shard_block
-         ())
-    ?shard_stats ?on_complete ?on_slice ~delta ~bandwidth coflows
+    ~config:(Inter.config ?carry_circuits ?buckets ?bucket_base ())
+    ?on_complete ?on_slice ~delta ~bandwidth coflows
 
 let intra_cct ?(order = Order.Ordered_port) ~delta ~bandwidth coflow =
   Sunflow.schedule ~order ~delta ~bandwidth

@@ -46,7 +46,6 @@ val replay :
   ?order:Sunflow_core.Order.t ->
   ?replan:replan ->
   ?config:Sunflow_core.Inter.config ->
-  ?shard_stats:Sunflow_core.Inter.shard_stats ref ->
   ?on_complete:(int -> float -> Sunflow_core.Coflow.t list) ->
   ?on_slice:
     (t:float ->
@@ -67,14 +66,8 @@ val replay :
     raise [Invalid_argument].
 
     [config.carry_circuits] applies to every [replan] mode. Bucketing
-    and sharding need a persistent engine: non-zero [buckets] or
-    [shards <> 1] under [`Full] raise [Invalid_argument]. [`Rebuild]
-    coerces to one shard (it is the inherently global oracle). A
-    sharded engine's independent shard passes run on the
-    {!Sunflow_parallel.Pool} domain pool when it has more than one
-    domain. [shard_stats], when given, receives the engine's
-    cumulative event/conflict/rollback counts after an anchored
-    replay.
+    needs a persistent engine: non-zero [buckets] under [`Full] raise
+    [Invalid_argument].
 
     [on_complete id t] is called once per completed Coflow and may
     release new Coflows into the fabric (their arrivals must be
@@ -119,7 +112,11 @@ val run :
     {!Sunflow_core.Inter.config}. It exists only because the
     repository benchmark's frozen driver ([perfbench/]) calls it;
     everything else calls {!replay}. It goes with the next change to
-    the benchmark. *)
+    the benchmark. The engine has one reservation table, so [shards],
+    [shard_block] and [shard_stats] are left over from the sharded
+    engine the benchmark was written for: a [shards] or [shard_block]
+    below [1] raises [Invalid_argument], and otherwise the three are
+    ignored ([shard_stats] is never written). *)
 
 (** {1 The event loop}
 

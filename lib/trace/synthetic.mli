@@ -48,15 +48,12 @@ val generate : params -> Trace.t
 
 (** {1 Pod-local storm}
 
-    The shard-locality workload: the fabric is [p_pods] pods of
+    The port-locality workload: the fabric is [p_pods] pods of
     [p_pod_size] consecutive ports each (pod [i] owns ports
     [[i*p_pod_size, (i+1)*p_pod_size)]), almost every Coflow is a
     small shuffle confined to one pod, and a [p_cross_frac] fraction
-    are single-flow cross-pod stragglers. With the sharded engine's
-    stripes aligned to the pods ([shard_block = p_pod_size],
-    [shards = p_pods] or a divisor), an arrival dirties exactly one
-    shard and the rare cross-pod Coflow exercises the
-    conflict/rollback path. *)
+    are single-flow cross-pod stragglers: an arrival's repair stays on
+    its own pod's ports, and a straggler couples two pods. *)
 
 type pod_params = {
   p_seed : int;

@@ -1,10 +1,11 @@
 (* The incremental replanning engine (persistent PRT + suffix-only
    rescheduling) against its from-scratch rebuild oracle: bit-identical
    results over a policy x carry x delta grid of randomized arrival
-   traces, balanced setup/teardown accounting, and the physical switch
-   oracle over the incremental path. *)
+   traces and a pod-local one, balanced setup/teardown accounting, and
+   the physical switch oracle over the incremental path. *)
 
 module Coflow = Sunflow_core.Coflow
+module Demand = Sunflow_core.Demand
 module Inter = Sunflow_core.Inter
 module Units = Sunflow_core.Units
 module Circuit_sim = Sunflow_sim.Circuit_sim
@@ -13,6 +14,8 @@ module Diff_oracle = Sunflow_check.Diff_oracle
 module Plan_check = Sunflow_check.Plan_check
 module Violation = Sunflow_check.Violation
 module Rng = Sunflow_stats.Rng
+module Synthetic = Sunflow_trace.Synthetic
+module Trace = Sunflow_trace.Trace
 module Obs = Sunflow_obs
 
 let bandwidth = Units.gbps 100.
@@ -39,10 +42,41 @@ let policies =
         (fun a b -> compare (a.Coflow.id mod 3) (b.Coflow.id mod 3)) );
   ]
 
+(* a pod-local trace: almost every Coflow stays on its own pod's ports,
+   and the rare cross-pod straggler couples two pods *)
+let pod_trace () =
+  let pod_size = 4 in
+  let trace =
+    (Synthetic.pods
+       {
+         Synthetic.default_pod_params with
+         p_pods = 4;
+         p_pod_size = pod_size;
+         p_width_max = 2;
+         p_coflows = 80;
+         p_span = 2.;
+       })
+      .Trace.coflows
+  in
+  let crosses_pods c =
+    let d = c.Coflow.demand in
+    List.map (fun p -> p / pod_size) (Demand.senders d @ Demand.receivers d)
+    |> List.sort_uniq compare |> List.length > 1
+  in
+  Alcotest.(check bool)
+    "the pod trace has a cross-pod straggler" true
+    (List.exists crosses_pods trace);
+  trace
+
 (* buckets = 4 puts every policy's bucketed repair in front of the
    oracle: Priority_classes clamping, and the one-class poisoning of
    Fifo and the non-total Custom comparator *)
 let test_equiv_grid () =
+  let traces =
+    List.init 3 (fun i ->
+        (string_of_int i, trace_of_seed (1000 + (17 * i))))
+    @ [ ("pods", pod_trace ()) ]
+  in
   List.iter
     (fun (pname, policy) ->
       List.iter
@@ -51,22 +85,38 @@ let test_equiv_grid () =
             (fun carry ->
               List.iter
                 (fun delta ->
-                  for i = 0 to 2 do
-                    let trace = trace_of_seed (1000 + (17 * i)) in
-                    let vs =
-                      Plan_check.replay_equiv ~policy
-                        ~config:(Inter.config ~buckets ~carry_circuits:carry ())
-                        ~delta ~bandwidth trace
-                    in
-                    Alcotest.(check string)
-                      (Printf.sprintf "%s buckets=%d carry=%b delta=%g trace=%d"
-                         pname buckets carry delta i)
-                      "" (pp_violations vs)
-                  done)
+                  List.iter
+                    (fun (tname, trace) ->
+                      let vs =
+                        Plan_check.replay_equiv ~policy
+                          ~config:
+                            (Inter.config ~buckets ~carry_circuits:carry ())
+                          ~delta ~bandwidth trace
+                      in
+                      Alcotest.(check string)
+                        (Printf.sprintf
+                           "%s buckets=%d carry=%b delta=%g trace=%s" pname
+                           buckets carry delta tname)
+                        "" (pp_violations vs))
+                    traces)
                 [ 0.; Units.ms 10. ])
             [ true; false ])
         [ 0; 4 ])
     policies
+
+(* the pod-local storm at buckets = 8: the incremental engine's whole
+   Sim_result matches the rebuild oracle's, not just the plan checks *)
+let test_pod_trace_identity () =
+  let trace = pod_trace () in
+  let run replan =
+    Circuit_sim.replay ~replan ~config:(Inter.config ~buckets:8 ())
+      ~delta:(Units.ms 10.) ~bandwidth trace
+  in
+  let ri = run `Incremental and rr = run `Rebuild in
+  Alcotest.(check bool) "pods bit-identical" true (ri = rr);
+  Alcotest.(check int)
+    "all finish" (List.length trace)
+    (List.length ri.Sim_result.finishes)
 
 let test_result_fields_equal () =
   let trace = trace_of_seed ~max_coflows:12 42 in
@@ -140,8 +190,6 @@ let test_physical_oracle_incremental () =
   done
 
 (* --- bucketed priority orders (PR 6) --- *)
-
-module Demand = Sunflow_core.Demand
 
 (* The SCF-adversarial shape: every arrival is shorter than everything
    already admitted, so the exact order head-inserts each one and
@@ -223,60 +271,53 @@ let test_dirty_suffix_smaller () =
 
 let test_no_gc_pinning () =
   let n = 10 in
-  List.iter
-    (fun shards ->
-      let label what i = Printf.sprintf "shards %d: %s %d" shards what i in
-      let eng =
-        Inter.engine
-          ~config:(Inter.config ~shards ())
-          ~policy:Inter.Shortest_first ~delta:(Units.ms 10.) ~bandwidth ()
-      in
-      let weak = Weak.create n in
-      let windows = ref (Weak.create 0) in
-      (* admit and retire inside a closure so no local below keeps the
-         Coflows or their windows reachable *)
-      let () =
-        let coflows =
-          List.init n (fun i ->
-              let d = Demand.create () in
-              Demand.set d (i mod 4) ((i + 1) mod 4) (Units.mb 5.);
-              let c = Coflow.make ~id:i ~arrival:0. d in
-              Weak.set weak i (Some c);
-              c)
-        in
-        let remaining id =
-          (List.nth coflows id).Coflow.demand
-        in
-        Inter.schedule_incremental eng ~now:0. ~arrivals:coflows ~finished:[]
-          ~remaining;
-        (* nothing straddles [t0 = 0.], so no window is clipped into a
-           fresh record: these are the reservation tables' own *)
-        let ws = Inter.engine_slice eng ~t0:0. ~t1:infinity in
-        windows := Weak.create (List.length ws);
-        List.iteri (fun i w -> Weak.set !windows i (Some w)) ws;
-        Inter.schedule_incremental eng ~now:10. ~arrivals:[]
-          ~finished:(List.init n Fun.id)
-          ~remaining:(fun _ -> Demand.create ())
-      in
-      Alcotest.(check int) "engine drained" 0 (Inter.engine_size eng);
-      Alcotest.(check bool) "windows tracked" true (Weak.length !windows >= n);
-      Gc.full_major ();
-      Gc.full_major ();
-      for i = 0 to n - 1 do
-        Alcotest.(check bool)
-          (label "retired Coflow collected" i)
-          false (Weak.check weak i)
-      done;
-      for i = 0 to Weak.length !windows - 1 do
-        Alcotest.(check bool)
-          (label "retired window collected" i)
-          false
-          (Weak.check !windows i)
-      done;
-      (* keep [eng] live past the major collections: the point is that
-         a *live* engine does not pin retired entries or windows *)
-      ignore (Sys.opaque_identity eng))
-    [ 1; 2 ]
+  let eng =
+    Inter.engine ~policy:Inter.Shortest_first ~delta:(Units.ms 10.) ~bandwidth
+      ()
+  in
+  let weak = Weak.create n in
+  let windows = ref (Weak.create 0) in
+  (* admit and retire inside a closure so no local below keeps the
+     Coflows or their windows reachable *)
+  let () =
+    let coflows =
+      List.init n (fun i ->
+          let d = Demand.create () in
+          Demand.set d (i mod 4) ((i + 1) mod 4) (Units.mb 5.);
+          let c = Coflow.make ~id:i ~arrival:0. d in
+          Weak.set weak i (Some c);
+          c)
+    in
+    let remaining id = (List.nth coflows id).Coflow.demand in
+    Inter.schedule_incremental eng ~now:0. ~arrivals:coflows ~finished:[]
+      ~remaining;
+    (* nothing straddles [t0 = 0.], so no window is clipped into a
+       fresh record: these are the reservation table's own *)
+    let ws = Inter.engine_slice eng ~t0:0. ~t1:infinity in
+    windows := Weak.create (List.length ws);
+    List.iteri (fun i w -> Weak.set !windows i (Some w)) ws;
+    Inter.schedule_incremental eng ~now:10. ~arrivals:[]
+      ~finished:(List.init n Fun.id)
+      ~remaining:(fun _ -> Demand.create ())
+  in
+  Alcotest.(check int) "engine drained" 0 (Inter.engine_size eng);
+  Alcotest.(check bool) "windows tracked" true (Weak.length !windows >= n);
+  Gc.full_major ();
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "retired Coflow collected %d" i)
+      false (Weak.check weak i)
+  done;
+  for i = 0 to Weak.length !windows - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "retired window collected %d" i)
+      false
+      (Weak.check !windows i)
+  done;
+  (* keep [eng] live past the major collections: the point is that
+     a *live* engine does not pin retired entries or windows *)
+  ignore (Sys.opaque_identity eng)
 
 let test_inconsistent_comparator_detected () =
   let flip = ref false in
@@ -387,6 +428,8 @@ let prop_equiv_bucketed =
 let suite =
   [
     Alcotest.test_case "equivalence grid" `Quick test_equiv_grid;
+    Alcotest.test_case "pod trace incremental == rebuild" `Quick
+      test_pod_trace_identity;
     Alcotest.test_case "SCF storm grid (buckets 0/4/16)" `Quick
       test_scf_storm_grid;
     Alcotest.test_case "bucketed Sim_result bit-identical" `Quick

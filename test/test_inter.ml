@@ -5,6 +5,7 @@ module Units = Sunflow_core.Units
 module Prt = Sunflow_core.Prt
 module Schedule = Sunflow_core.Schedule
 module Sunflow = Sunflow_core.Sunflow
+module Circuit_sim = Sunflow_sim.Circuit_sim
 
 let b = Units.gbps 1.
 let delta = Units.ms 10.
@@ -146,6 +147,37 @@ let test_config_non_finite_base () =
     "a finite base > 1 is kept" 1.5
     (Inter.config ~bucket_base:1.5 ()).Inter.bucket_base
 
+let test_validation () =
+  let trace = [ big; small ] in
+  Alcotest.check_raises "Full mode rejects buckets"
+    (Invalid_argument
+       "Circuit_sim.replay: buckets need an anchored replan mode")
+    (fun () ->
+      ignore
+        (Circuit_sim.replay ~replan:`Full ~config:(Inter.config ~buckets:4 ())
+           ~delta ~bandwidth:b trace
+          : Sunflow_sim.Sim_result.t));
+  let invalid name f =
+    match f () with
+    | (_ : Inter.config) -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  invalid "buckets = -1" (fun () -> Inter.config ~buckets:(-1) ());
+  invalid "bucket_base = 1" (fun () -> Inter.config ~bucket_base:1. ());
+  (* the labelled adapter still range-checks the shard labels it
+     otherwise ignores *)
+  List.iter
+    (fun (name, run) ->
+      match run () with
+      | (_ : Sunflow_sim.Sim_result.t) -> Alcotest.failf "%s accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ( "run ~shards:0",
+        fun () -> Circuit_sim.run ~shards:0 ~delta ~bandwidth:b trace );
+      ( "run ~shard_block:0",
+        fun () -> Circuit_sim.run ~shard_block:0 ~delta ~bandwidth:b trace );
+    ]
+
 let suite =
   [
     Alcotest.test_case "sort policies" `Quick test_sort_policies;
@@ -161,4 +193,5 @@ let suite =
     Alcotest.test_case "policy names" `Quick test_policy_names;
     Alcotest.test_case "config rejects a non-finite bucket base" `Quick
       test_config_non_finite_base;
+    Alcotest.test_case "argument validation" `Quick test_validation;
   ]

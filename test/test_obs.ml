@@ -369,8 +369,6 @@ let test_sampler_ledger_and_jsonl () =
           m_busy_ports = 3;
           m_rescheduled = 1;
           m_spliced = 0;
-          m_conflicts = 0;
-          m_rollbacks = 0;
         };
       (* input port 0 accumulated both segments; outputs sort after *)
       (match Obs.Sampler.port_totals () with

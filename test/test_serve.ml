@@ -58,8 +58,8 @@ let test_matches_incremental_replay () =
       { Synthetic.default_params with seed = 11; n_coflows = 120; span = 400. }
   in
   List.iter
-    (fun (buckets, shards) ->
-      let config = Sunflow_core.Inter.config ~buckets ~shards () in
+    (fun buckets ->
+      let config = Sunflow_core.Inter.config ~buckets () in
       let batch, batch_setups, batch_teardowns =
         with_obs_counts (fun () ->
             Circuit_sim.replay ~replan:`Incremental ~config ~delta ~bandwidth:b
@@ -76,7 +76,7 @@ let test_matches_incremental_replay () =
       in
       let label fmt =
         Printf.ksprintf
-          (fun s -> Printf.sprintf "buckets=%d shards=%d: %s" buckets shards s)
+          (fun s -> Printf.sprintf "buckets=%d: %s" buckets s)
           fmt
       in
       Alcotest.(check bool)
@@ -102,7 +102,7 @@ let test_matches_incremental_replay () =
       Alcotest.(check int)
         (label "teardowns balance setups")
         serve_setups serve_teardowns)
-    [ (0, 1); (4, 1); (0, 4) ]
+    [ 0; 4 ]
 
 (* --- soak: 100k synthetic arrivals at the generator's default load.
    Live engine entries track the active set (orders of magnitude below
