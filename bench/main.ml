@@ -712,8 +712,8 @@ let kernel_section ppf _s =
   in
   let prt = Prt.create () in
   let one () =
-    ignore (Sunflow.schedule ~prt ~delta ~bandwidth c : Sunflow.result);
-    ignore (Prt.retract_coflow prt 0 : int)
+    let plan = Sunflow.schedule ~prt ~delta ~bandwidth c in
+    ignore (Prt.retract prt plan.Sunflow.reservations : int)
   in
   for _ = 1 to 1_000 do
     one ()

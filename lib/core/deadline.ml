@@ -20,17 +20,14 @@ let admit ?(now = 0.) ?(order = Order.Ordered_port) ~deadline_of ~delta
   let admitted = ref [] and rejected = ref [] in
   List.iter
     (fun (c : Coflow.t) ->
-      (* plan once, on the real table; rejection removes exactly the
-         windows this plan made, so it leaves no trace. Not
-         [retract_coflow]: ids are not checked for uniqueness, and an
-         admitted Coflow sharing this id must keep its windows. *)
+      (* plan once, on the real table; rejection retracts exactly the
+         windows this plan made, so it leaves no trace, even when an
+         admitted Coflow shares the id *)
       let plan = Sunflow.schedule ~prt ~now ~order ~delta ~bandwidth c in
       if plan.finish <= deadline_of c then
         admitted := (c.id, plan.finish) :: !admitted
       else begin
-        List.iter
-          (fun r -> ignore (Prt.remove prt r : bool))
-          plan.reservations;
+        ignore (Prt.retract prt plan.reservations : int);
         rejected := (c.id, plan.finish) :: !rejected
       end)
     ordered;

@@ -33,13 +33,23 @@ let policy_name = function
 type result = {
   prt : Prt.t;
   per_coflow : (int * Sunflow.result) list;
-  by_id : (int, Sunflow.result) Hashtbl.t;
+  by_id : Sunflow.result Id_table.t;
 }
 
 let make_result prt per_coflow =
-  let by_id = Hashtbl.create (max 16 (List.length per_coflow)) in
-  List.iter (fun (id, r) -> Hashtbl.replace by_id id r) per_coflow;
+  let by_id = Id_table.create (List.length per_coflow) in
+  List.iter (fun (id, r) -> Id_table.replace by_id id r) per_coflow;
   { prt; per_coflow; by_id }
+
+(* The circuits carried into a replan, as a membership test. A
+   [(src, dst)] pair packs into one int key (ports are non-negative and
+   below 2^31), so a lookup hashes no tuple. *)
+let circuit_key (s, d) = (s lsl 31) lor d
+
+let circuit_set circuits =
+  let set = Id_table.create (List.length circuits) in
+  List.iter (fun c -> Id_table.replace set (circuit_key c) ()) circuits;
+  fun c -> Id_table.mem set (circuit_key c)
 
 module Obs = Sunflow_obs
 
@@ -64,9 +74,7 @@ let schedule ?(now = 0.) ?(order = Order.Ordered_port) ?(established = [])
     Obs.Tracer.begin_span ~cat:"core" "inter.schedule"
   end;
   let prt = Prt.create () in
-  let established_set = Hashtbl.create 16 in
-  List.iter (fun c -> Hashtbl.replace established_set c ()) established;
-  let is_established c = Hashtbl.mem established_set c in
+  let is_established = circuit_set established in
   let ordered =
     if obs then
       Obs.Tracer.with_span ~cat:"core" "inter.sort" (fun () ->
@@ -87,7 +95,7 @@ let schedule ?(now = 0.) ?(order = Order.Ordered_port) ?(established = [])
   make_result prt per_coflow
 
 let finish_of result id =
-  Hashtbl.find_opt result.by_id id
+  Id_table.find_opt result.by_id id
   |> Option.map (fun (r : Sunflow.result) -> r.finish)
 
 (* --- incremental replanning engine ------------------------------------
@@ -123,6 +131,8 @@ type entry = {
   e_bucket : int;  (* quantized priority class; 0 when buckets are off *)
   mutable e_plan : Sunflow.result;
   mutable e_mark : int;  (* dirty in the step with this stamp *)
+  mutable e_evicted : Prt.reservation list;
+      (* its windows the running repair pass evicted; [] between passes *)
 }
 
 (* the service order: a sorted vector of entries *)
@@ -157,7 +167,10 @@ type engine = {
   g_all : evec;  (* active Coflows in service order *)
   mutable g_prt : Prt.t;  (* the reservation table *)
   mutable g_established : (int * int) list;
-  g_index : (int, entry) Hashtbl.t;
+  g_index : entry Id_table.t;
+  (* the step that last cleared each In / Out port *)
+  mutable g_in_cleared : int array;
+  mutable g_out_cleared : int array;
   mutable g_rescheduled : int;  (* suffix entries re-run through Sunflow *)
   mutable g_spliced : int;  (* suffix entries whose stored plan was kept *)
   mutable g_min : float;  (* cached min stored finish over [g_all] *)
@@ -235,7 +248,9 @@ let engine ?(order = Order.Ordered_port) ?(rebuild = false)
     g_all = { v_arr = [||]; v_n = 0 };
     g_prt = Prt.create ();
     g_established = [];
-    g_index = Hashtbl.create 64;
+    g_index = Id_table.create 64;
+    g_in_cleared = [||];
+    g_out_cleared = [||];
     g_rescheduled = 0;
     g_spliced = 0;
     g_min = infinity;
@@ -254,6 +269,7 @@ let dummy_entry =
       e_bucket = 0;
       e_plan = { Sunflow.reservations = []; finish = neg_infinity; setups = 0 };
       e_mark = 0;
+      e_evicted = [];
     }
 
 (* first index whose entry sorts at or after [e] *)
@@ -307,7 +323,7 @@ let engine_size g = g.g_all.v_n
 let engine_established g = g.g_established
 
 let engine_finish g id =
-  match Hashtbl.find_opt g.g_index id with
+  match Id_table.find_opt g.g_index id with
   | Some e -> Some e.e_plan.Sunflow.finish
   | None -> None
 
@@ -361,22 +377,23 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
      stops at or before its recorded finish <= now, and every table
      query made on behalf of the remaining Coflows is a strict-greater
      successor search at an instant >= now, so the removal is invisible
-     to them: no rescheduling. *)
+     to them: no rescheduling. Between events the table holds exactly
+     each live entry's stored plan, so the plan names what to retract. *)
   List.iter
     (fun id ->
-      match Hashtbl.find_opt g.g_index id with
+      match Id_table.find_opt g.g_index id with
       | None -> invalid_arg "Inter.schedule_incremental: unknown finished id"
       | Some e ->
         evec_remove g.g_cmp g.g_all e;
         g.g_min_stale <- true;
-        Hashtbl.remove g.g_index id;
-        ignore (Prt.retract_coflow g.g_prt id : int))
+        Id_table.remove g.g_index id;
+        ignore (Prt.retract g.g_prt e.e_plan.Sunflow.reservations : int))
     finished;
   (* 2. admit arrivals at their priority positions *)
   let m = { stamp = g.g_stamp; n_dirty = 0; min_dirty = None } in
   List.iter
     (fun c ->
-      if Hashtbl.mem g.g_index c.Coflow.id then
+      if Id_table.mem g.g_index c.Coflow.id then
         invalid_arg "Inter.schedule_incremental: duplicate Coflow id";
       let key = entry_key g.g_policy ~bandwidth:g.g_bandwidth c in
       let e =
@@ -388,11 +405,12 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
               ~bucket_base:g.g_config.bucket_base ~delta:g.g_delta key;
           e_plan = { Sunflow.reservations = []; finish = now; setups = 0 };
           e_mark = 0;
+          e_evicted = [];
         }
       in
       evec_insert g.g_cmp g.g_all e;
       g.g_min_stale <- true;
-      Hashtbl.replace g.g_index c.Coflow.id e;
+      Id_table.replace g.g_index c.Coflow.id e;
       mark g m e)
     arrivals;
   (* 3. further dirty sources. Without carry-over every event restarts
@@ -404,14 +422,9 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
     done;
   (* circuits physically up at [now], read before any repair (a
      rescheduled Coflow's transmitting circuit is still up, and its
-     replacement plan may carry it delta-free). Windows of retired
-     Coflows are filtered out: the rebuild oracle's table is the stale
-     one of the previous event. *)
-  let covering =
-    List.filter
-      (fun r -> Hashtbl.mem g.g_index r.Prt.coflow)
-      (Prt.covering_at g.g_prt now)
-  in
+     replacement plan may carry it delta-free). Retired Coflows' plans
+     are retracted above, so every window met has a live owner. *)
+  let covering = Prt.covering_at g.g_prt now in
   g.g_established <-
     (if g.g_config.carry_circuits then
        covering
@@ -428,7 +441,7 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
   List.iter
     (fun r ->
       if r.Prt.start +. r.Prt.setup > now then begin
-        let e = Hashtbl.find g.g_index r.Prt.coflow in
+        let e = Id_table.find g.g_index r.Prt.coflow in
         if obs && not (is_dirty m e) then Obs.Registry.incr m_straddlers;
         mark g m e
       end)
@@ -461,18 +474,18 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
     g.g_config.buckets > 0
     && List.exists
          (fun c ->
-           let e = Hashtbl.find g.g_index c.Coflow.id in
+           let e = Id_table.find g.g_index c.Coflow.id in
            let k = evec_lower g.g_cmp all e in
            k + 1 < all.v_n && all.v_arr.(k + 1).e_bucket = e.e_bucket)
          arrivals
   then begin
-    let arrived = Hashtbl.create 8 in
-    List.iter (fun c -> Hashtbl.replace arrived c.Coflow.id ()) arrivals;
+    let arrived = Id_table.create 8 in
+    List.iter (fun c -> Id_table.replace arrived c.Coflow.id ()) arrivals;
     let poisoned = Array.make g.g_config.buckets false in
     for i = 0 to all.v_n - 1 do
       let e = all.v_arr.(i) in
       if poisoned.(e.e_bucket) then mark g m e
-      else if Hashtbl.mem arrived e.e_coflow.Coflow.id then
+      else if Id_table.mem arrived e.e_coflow.Coflow.id then
         poisoned.(e.e_bucket) <- true
     done
   end;
@@ -488,11 +501,6 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
          mark g m all.v_arr.(i)
        done);
   m
-
-let established_pred g =
-  let est_set = Hashtbl.create 16 in
-  List.iter (fun cc -> Hashtbl.replace est_set cc ()) g.g_established;
-  fun cc -> Hashtbl.mem est_set cc
 
 let replan g ~prt ~now ~remaining ~is_established e =
   let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
@@ -529,7 +537,7 @@ let rebuild_repair g ~obs ~now ~remaining m =
   for i = 0 to first - 1 do
     List.iter (Prt.reserve prt) all.v_arr.(i).e_plan.Sunflow.reservations
   done;
-  let is_established = established_pred g in
+  let is_established = circuit_set g.g_established in
   let reschedule e =
     replan g ~prt ~now ~remaining ~is_established e;
     g.g_rescheduled <- g.g_rescheduled + 1
@@ -547,6 +555,16 @@ let rebuild_repair g ~obs ~now ~remaining m =
   g.g_min_stale <- true
 
 (* --- the incremental repair ------------------------------------------- *)
+
+(* [a] grown (doubling, zero-filled) to cover index [i] *)
+let cover a i =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let a' = Array.make (max (2 * n) (i + 1)) 0 in
+    Array.blit a 0 a' 0 n;
+    a'
+  end
 
 (* One lazy-repair pass over the service order from its first dirty
    entry [d], in priority order, against the one table.
@@ -580,7 +598,7 @@ let rebuild_repair g ~obs ~now ~remaining m =
    the first dirty entry: retract it, reschedule it in order. *)
 let run_pass g ~obs ~now ~remaining m d =
   let prt = g.g_prt and v = g.g_all in
-  let is_established = established_pred g in
+  let is_established = circuit_set g.g_established in
   let reschedule e =
     replan g ~prt ~now ~remaining ~is_established e;
     g.g_rescheduled <- g.g_rescheduled + 1
@@ -594,61 +612,57 @@ let run_pass g ~obs ~now ~remaining m d =
     !i
   in
   for i = tail_pos to v.v_n - 1 do
-    ignore (Prt.retract_coflow prt v.v_arr.(i).e_coflow.Coflow.id : int)
+    ignore (Prt.retract prt v.v_arr.(i).e_plan.Sunflow.reservations : int)
   done;
   if first < tail_pos then begin
-    let touched : (int, Prt.reservation list ref) Hashtbl.t =
-      Hashtbl.create 16
+    let stamp = g.g_stamp in
+    (* [r], met on a port [e] clears, is evicted when its owner sorts
+       after [e], and joins the owner's list. The owner sorts before
+       the trailing run, so the pass reaches it later and empties the
+       list again. *)
+    let evicts e r =
+      let o = Id_table.find g.g_index r.Prt.coflow in
+      g.g_cmp e o < 0
+      && begin
+           o.e_evicted <- r :: o.e_evicted;
+           true
+         end
     in
-    let ports_cleared : (Prt.port, unit) Hashtbl.t = Hashtbl.create 16 in
-    let clear_port e p =
-      if not (Hashtbl.mem ports_cleared p) then begin
-        Hashtbl.replace ports_cleared p ();
-        List.iter
-          (fun r ->
-            match Hashtbl.find_opt g.g_index r.Prt.coflow with
-            | Some o when g.g_cmp e o < 0 ->
-              (* [remove] is false when the window was already evicted
-                 through its other port — record once *)
-              if Prt.remove prt r then begin
-                let l =
-                  match Hashtbl.find_opt touched r.Prt.coflow with
-                  | Some l -> l
-                  | None ->
-                    let l = ref [] in
-                    Hashtbl.replace touched r.Prt.coflow l;
-                    l
-                in
-                l := r :: !l
-              end
-            | _ -> ())
-          (Prt.port_reservations prt p)
-      end
+    (* [e] clears each of [ports] unless this step already did;
+       [cleared] is the namespace's stamp array, returned grown *)
+    let clear e cleared port ports =
+      List.fold_left
+        (fun cleared p ->
+          let cleared = cover cleared p in
+          if cleared.(p) <> stamp then begin
+            cleared.(p) <- stamp;
+            Prt.evict prt (port p) (evicts e)
+          end;
+          cleared)
+        cleared ports
     in
     let repair e =
-      let id = e.e_coflow.Coflow.id in
-      Hashtbl.remove touched id;
-      ignore (Prt.retract_coflow prt id : int);
-      let d = remaining id in
-      List.iter (fun p -> clear_port e (Prt.In p)) (Demand.senders d);
-      List.iter (fun p -> clear_port e (Prt.Out p)) (Demand.receivers d);
+      e.e_evicted <- [];
+      ignore (Prt.retract prt e.e_plan.Sunflow.reservations : int);
+      let d = remaining e.e_coflow.Coflow.id in
+      g.g_in_cleared <-
+        clear e g.g_in_cleared (fun p -> Prt.In p) (Demand.senders d);
+      g.g_out_cleared <-
+        clear e g.g_out_cleared (fun p -> Prt.Out p) (Demand.receivers d);
       reschedule e
     in
     for i = first to tail_pos - 1 do
       let e = v.v_arr.(i) in
       if is_dirty m e then repair e
       else
-        match Hashtbl.find_opt touched e.e_coflow.Coflow.id with
-        | None -> g.g_spliced <- g.g_spliced + 1
-        | Some l ->
-          if Prt.splice_exact prt !l then begin
-            Hashtbl.remove touched e.e_coflow.Coflow.id;
-            g.g_spliced <- g.g_spliced + 1
-          end
-          else begin
-            if obs then Obs.Registry.incr m_cascades;
-            repair e
-          end
+        match e.e_evicted with
+        | [] -> g.g_spliced <- g.g_spliced + 1
+        | ws when Prt.splice_exact prt ws ->
+          e.e_evicted <- [];
+          g.g_spliced <- g.g_spliced + 1
+        | _ ->
+          if obs then Obs.Registry.incr m_cascades;
+          repair e
     done
   end;
   for i = tail_pos to v.v_n - 1 do

@@ -37,7 +37,7 @@ type result = {
   prt : Prt.t;  (** the combined reservation table *)
   per_coflow : (int * Sunflow.result) list;
       (** intra-Coflow result for every input Coflow, in service order *)
-  by_id : (int, Sunflow.result) Hashtbl.t;
+  by_id : Sunflow.result Id_table.t;
       (** the same results keyed by Coflow id — O(1) {!finish_of} *)
 }
 

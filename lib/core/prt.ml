@@ -21,22 +21,12 @@ type stats = {
   rollbacks : int;
 }
 
-(* The counters live on the Sunflow_obs metrics registry (which
-   generalises the per-domain DLS-record + registry-mutex pattern
-   these counters pioneered): each domain mutates its own cells with
-   plain stores — no synchronisation on the hot path — and the
-   registry folds the cells on snapshot. This type and the functions
-   below are a façade kept for the bench harness and the tests;
-   totals are bit-identical to the pre-registry implementation. A
-   [stats] snapshot taken while other domains are mid-flight may lag
-   their latest increments by a few, but totals read after the
-   domains are joined are exact — [Domain.join] orders their writes
-   before the read — which is what both the bench harness and the
-   tests do.
-
-   The counters are always on (they bypass [Sunflow_obs.Control]):
-   the seed measured this cost on every hot path already, and the
-   bench gates regressions against it. *)
+(* The counters live on the Sunflow_obs metrics registry: each domain
+   mutates its own cells with plain stores, no synchronisation on the
+   hot path, and the registry folds the cells on snapshot. Totals read
+   after the domains are joined are exact ([Domain.join] orders their
+   writes before the read). The counters are always on: they bypass
+   [Sunflow_obs.Control]. *)
 
 module Registry = Sunflow_obs.Registry
 
@@ -45,9 +35,9 @@ let m_scans = Registry.counter "prt.scans"
 let m_reservations = Registry.counter "prt.reservations"
 let m_rollbacks = Registry.counter "prt.rollbacks"
 
-(* The calling domain's four cells, fetched through one DLS read per
-   public operation (as the seed fetched its one record) and then
-   updated with plain stores. *)
+(* One domain's four cells, updated with plain stores. A table fetches
+   its creating domain's record once, at [create], so no operation pays
+   a DLS read. *)
 type counters = {
   c_queries : Registry.counter_cell;
   c_scans : Registry.counter_cell;
@@ -63,8 +53,6 @@ let counters_key =
         c_reservations = Registry.cell m_reservations;
         c_rollbacks = Registry.cell m_rollbacks;
       })
-
-let counters () = Domain.DLS.get counters_key
 
 let stats () =
   {
@@ -102,17 +90,12 @@ type slot = {
 
 (* Port slots are dense arrays indexed by port number, one per
    namespace, grown (doubling) by [reserve] on first use of a port.
-   Cells of ports that never held a window share [empty_slot]. *)
-type t = {
-  mutable ins : slot array;
-  mutable outs : slot array;
-  (* ownership index: Coflow id -> the windows it currently holds, so a
-     finished Coflow's reservations can be retired in O(own windows)
-     without scanning the table *)
-  owners : (int, reservation list ref) Hashtbl.t;
-}
+   Cells of ports that never held a window share [empty_slot]. [c] is
+   the creating domain's counter record. *)
+type t = { mutable ins : slot array; mutable outs : slot array; c : counters }
 
-let create () = { ins = [||]; outs = [||]; owners = Hashtbl.create 64 }
+let create () =
+  { ins = [||]; outs = [||]; c = Domain.DLS.get counters_key }
 
 let dummy_res =
   (* filler for vacated port-slot cells; [length = 0.] can never enter
@@ -235,7 +218,7 @@ let walk c (si : slot) (so : slot) ~gap (cell : float array) =
   end
 
 let step t ~src ~dst ~gap (cell : float array) =
-  let c = counters () in
+  let c = t.c in
   c.c_queries.v <- c.c_queries.v + 1;
   walk c (slot_of t.ins src) (slot_of t.outs dst) ~gap cell
 
@@ -244,7 +227,7 @@ let step t ~src ~dst ~gap (cell : float array) =
    on a window stop strictly later, so the walk ends. One query,
    whatever the steps. *)
 let chance t ~src ~dst ~gap (cell : float array) =
-  let c = counters () in
+  let c = t.c in
   c.c_queries.v <- c.c_queries.v + 1;
   let si = slot_of t.ins src and so = slot_of t.outs dst in
   while walk c si so ~gap cell != Free do
@@ -278,7 +261,7 @@ let slot_clean c (s : slot) r =
    few ulps inside it, and while [reserve] would wave that through as
    dust, the validator's exact per-port disjointness would not. *)
 let fits_exact t r =
-  let c = counters () in
+  let c = t.c in
   c.c_queries.v <- c.c_queries.v + 1;
   slot_clean c (slot_of t.ins r.src) r && slot_clean c (slot_of t.outs r.dst) r
 
@@ -394,7 +377,7 @@ let reserve t r =
   if r.setup < 0. || r.setup > r.length then
     invalid_arg "Prt.reserve: setup outside [0, length]";
   if r.src < 0 || r.dst < 0 then invalid_arg "Prt.reserve: negative port";
-  let c = counters () in
+  let c = t.c in
   t.ins <- cover t.ins r.src;
   t.outs <- cover t.outs r.dst;
   let s_in = own_slot t.ins r.src in
@@ -406,9 +389,6 @@ let reserve t r =
      c.c_rollbacks.v <- c.c_rollbacks.v + 1;
      slot_remove s_in k_in;
      raise e);
-  (match Hashtbl.find_opt t.owners r.coflow with
-   | Some l -> l := r :: !l
-   | None -> Hashtbl.add t.owners r.coflow (ref [ r ]));
   c.c_reservations.v <- c.c_reservations.v + 1
 
 (* Re-admit a stored plan verbatim: all-or-nothing, and checked with
@@ -441,45 +421,44 @@ let slot_find c (s : slot) r =
   done;
   !found
 
-let owner_remove t r =
-  match Hashtbl.find_opt t.owners r.coflow with
-  | None -> ()
-  | Some l ->
-    let rec drop = function
-      | [] -> []
-      | x :: tl -> if same_window x r then tl else x :: drop tl
-    in
-    (match drop !l with
-     | [] -> Hashtbl.remove t.owners r.coflow
-     | l' -> l := l')
+(* remove window [k] of [s] and its twin in the slot [other] of its
+   other port *)
+let drop c (s : slot) k (other : slot) r =
+  slot_remove s k;
+  let k' = slot_find c other r in
+  assert (k' >= 0);
+  slot_remove other k';
+  c.c_rollbacks.v <- c.c_rollbacks.v + 1
 
 let remove t r =
-  let c = counters () in
+  let c = t.c in
   c.c_queries.v <- c.c_queries.v + 1;
   let s_in = slot_of t.ins r.src in
   let k = slot_find c s_in r in
-  if k < 0 then false
-  else begin
-    slot_remove s_in k;
-    let s_out = slot_of t.outs r.dst in
-    let k_out = slot_find c s_out r in
-    assert (k_out >= 0);
-    slot_remove s_out k_out;
-    owner_remove t r;
-    c.c_rollbacks.v <- c.c_rollbacks.v + 1;
-    true
-  end
+  k >= 0
+  && begin
+       drop c s_in k (slot_of t.outs r.dst) r;
+       true
+     end
 
-let retract_coflow t id =
-  match Hashtbl.find_opt t.owners id with
-  | None -> 0
-  | Some l ->
-    let windows = !l in
-    (* drop the bucket first so [remove]'s per-window owner upkeep is a
-       no-op instead of O(|windows|) list surgery per window *)
-    Hashtbl.remove t.owners id;
-    List.iter (fun r -> ignore (remove t r : bool)) windows;
-    List.length windows
+let retract t rs =
+  List.fold_left (fun n r -> if remove t r then n + 1 else n) 0 rs
+
+(* The slot is walked forward in place: a removal shifts the windows
+   after it down, so the index stays put. *)
+let evict t p f =
+  let c = t.c in
+  c.c_queries.v <- c.c_queries.v + 1;
+  let s = find_slot t p in
+  let k = ref 0 in
+  while !k < s.len do
+    let r = s.res.(!k) in
+    if f r then
+      match p with
+      | In _ -> drop c s !k (slot_of t.outs r.dst) r
+      | Out _ -> drop c s !k (slot_of t.ins r.src) r
+    else incr k
+  done
 
 (* --- traversal -------------------------------------------------------- *)
 
@@ -547,7 +526,7 @@ let rec cover_left c (s : slot) x j acc =
   end
 
 let covering_at t instant =
-  let c = counters () in
+  let c = t.c in
   c.c_queries.v <- c.c_queries.v + 1;
   let acc = ref [] in
   for p = 0 to Array.length t.ins - 1 do
@@ -564,7 +543,7 @@ let established_at t instant =
   |> List.sort_uniq compare_circuits
 
 let reservations_in t t0 t1 =
-  let c = counters () in
+  let c = t.c in
   c.c_queries.v <- c.c_queries.v + 1;
   let acc = ref [] in
   for p = 0 to Array.length t.ins - 1 do

@@ -50,7 +50,8 @@ type t
 type stats = {
   queries : int;
       (** public lookups answered: one per {!chance} call, whatever
-          its steps, one per {!step}, {!fits_exact}, {!remove},
+          its steps, one per {!step}, {!fits_exact}, {!remove}
+          (so one per window {!retract} is given), {!evict},
           {!covering_at} and {!reservations_in} *)
   scans : int;
       (** port-slot probes: binary-search steps plus the windows a
@@ -64,7 +65,8 @@ type stats = {
   rollbacks : int;
       (** windows removed again after having been reserved: reserves
           undone after an Out-port conflict, plus every successful
-          {!remove}, whoever calls it ({!retract_coflow}, the engine's
+          {!remove} and every window {!retract} and {!evict} take
+          out, whoever calls them (the engine's retraction and
           eviction, [Deadline.admit] dropping a rejected plan). It
           is not tied to [reservations]: undone reserves were never
           counted there, and windows still held when a run ends are
@@ -78,7 +80,10 @@ type stats = {
 
     The counters are domain-safe: each domain accumulates into its own
     cells (plain stores, no hot-path synchronisation) and {!stats}
-    merges all of them. They live on the [Sunflow_obs.Registry] under
+    merges all of them. A table counts into the cells of the domain
+    that {!create}d it, fetched once there, so a table must be used
+    only by the domain that created it (each parallel task builds its
+    own tables). They live on the [Sunflow_obs.Registry] under
     the names [prt.queries], [prt.scans], [prt.reservations] and
     [prt.rollbacks] — a metrics export therefore reports totals
     bit-identical to {!stats} — and they are always on, regardless of
@@ -95,6 +100,7 @@ val reset_stats : unit -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
 val create : unit -> t
+(** An empty table, counting into the calling domain's cells. *)
 
 val chance :
   t -> src:int -> dst:int -> gap:float -> float array -> unit
@@ -155,17 +161,21 @@ val splice_exact : t -> reservation list -> bool
 
 val remove : t -> reservation -> bool
 (** Remove the window field-for-field equal to the argument (not
-    necessarily the same physical record) from both of its ports and
-    the ownership index. Returns [false]
-    (leaving the table untouched) when no such window exists. Sub-dust
-    twins — identical windows within {e time_tolerance} — are
-    interchangeable; one of them goes. *)
+    necessarily the same physical record) from both of its ports.
+    Returns [false] (leaving the table untouched) when no such window
+    exists. Sub-dust twins — identical windows within
+    {e time_tolerance} — are interchangeable; one of them goes. *)
 
-val retract_coflow : t -> int -> int
-(** Remove every window owned by the Coflow id; returns how many were
-    removed. O(own windows × log n). Ownership is by id alone: when
-    two Coflows share an id, this removes the windows of both — remove a
-    known plan window by window with {!remove} instead. *)
+val retract : t -> reservation list -> int
+(** {!remove} each window of the list; returns how many were present
+    and removed. The table keeps no owner index: a caller retracts a
+    plan through the windows it stored. *)
+
+val evict : t -> port -> (reservation -> bool) -> unit
+(** [evict t p f] walks port [p]'s windows in start order, calls [f]
+    once on each, and removes from both of its ports every window for
+    which [f] answered [true], in place, without copying the slot.
+    Counts one query. [f] must not touch the table. *)
 
 val port_reservations : t -> port -> reservation list
 (** Reservations on one port, sorted by start time. *)

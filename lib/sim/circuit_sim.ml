@@ -1,12 +1,13 @@
 module Coflow = Sunflow_core.Coflow
 module Demand = Sunflow_core.Demand
+module Id_table = Sunflow_core.Id_table
 module Inter = Sunflow_core.Inter
 module Order = Sunflow_core.Order
 module Prt = Sunflow_core.Prt
 module Schedule = Sunflow_core.Schedule
 module Sunflow = Sunflow_core.Sunflow
 
-type active = Slice.active = { orig : Coflow.t; remaining : Demand.t }
+type active = Slice.active
 
 (* Gated observability: wall-time spans around each scheduling event
    and each replan, the event counter, and the per-Coflow
@@ -89,7 +90,7 @@ type planner = {
   engine : Inter.engine option;
 }
 
-let scheduled a = Coflow.with_demand a.orig a.remaining
+let scheduled a = Coflow.with_demand a.Slice.orig a.Slice.remaining
 
 (* [`Full]: a fresh [Inter.schedule] over every active Coflow's
    remaining demand at every event, carrying in the circuits the
@@ -113,7 +114,7 @@ let full_planner ~policy ~order ~carry_circuits ~delta ~bandwidth =
       (fun acts ->
         List.fold_left
           (fun acc a ->
-            match Inter.finish_of (current ()) a.orig.Coflow.id with
+            match Inter.finish_of (current ()) a.Slice.orig.Coflow.id with
             | Some f -> Float.min acc f
             | None ->
               invalid_arg "Circuit_sim.replay: Coflow missing from plan")
@@ -162,14 +163,15 @@ let anchored_planner ~rebuild ~policy ~order ~config ~delta ~bandwidth
 
 (* The loop's state: the planner, the slice executor, the active set
    by id and in admission order (newest first; this order reaches the
-   policy's ties), and the arrivals and finishes the next step hands
-   the planner. *)
+   policy's ties), those entered since the last slice, and the
+   arrivals and finishes the next step hands the planner. *)
 type loop = {
   p : planner;
   ex : Slice.t;
   obs : bool;
-  by_id : (int, active) Hashtbl.t;
+  by_id : active Id_table.t;
   mutable actives : active list;
+  mutable entered : active list;
   mutable newly : Coflow.t list;
   mutable retired : int list;
 }
@@ -177,10 +179,10 @@ type loop = {
 (* [timeline]: the executor records per-Coflow setups and flow
    finishes, a store that grows with the run *)
 let create ~timeline ~replan ~policy ~order ~config ~delta ~bandwidth =
-  let by_id = Hashtbl.create 64 in
+  let by_id = Id_table.create 64 in
   let remaining_of id =
-    match Hashtbl.find_opt by_id id with
-    | Some a -> a.remaining
+    match Id_table.find_opt by_id id with
+    | Some a -> a.Slice.remaining
     | None -> invalid_arg "Circuit_sim: unknown Coflow in engine"
   in
   let p =
@@ -198,6 +200,7 @@ let create ~timeline ~replan ~policy ~order ~config ~delta ~bandwidth =
     obs = Obs.Control.enabled ();
     by_id;
     actives = [];
+    entered = [];
     newly = [];
     retired = [];
   }
@@ -210,9 +213,10 @@ let serving ~policy ~order ~config ~delta ~bandwidth =
   (lp, Option.get lp.p.engine)
 
 let enter lp (c : Coflow.t) =
-  let a = { orig = c; remaining = Demand.copy c.demand } in
-  Hashtbl.replace lp.by_id c.id a;
+  let a = Slice.active c in
+  Id_table.replace lp.by_id c.id a;
   lp.actives <- a :: lp.actives;
+  lp.entered <- a :: lp.entered;
   lp.newly <- c :: lp.newly
 
 (* hand the planner the pending arrivals and finishes at [t] *)
@@ -264,9 +268,10 @@ let pull lp d t =
         advance lp ~t;
         if not (keep c) then begin
           lp.actives <- List.tl lp.actives;
+          lp.entered <- List.tl lp.entered;
           lp.retired <- [ c.id ];
           advance lp ~t;
-          Hashtbl.remove lp.by_id c.id
+          Id_table.remove lp.by_id c.id
         end)
       arrivals
 
@@ -303,11 +308,13 @@ let drive lp d =
         let reservations = lp.p.slice ~t ~t_next in
         d.planned ~t ~t_next arrivals reservations;
         let finished, still =
-          Slice.execute lp.ex ~t ~t_next lp.by_id reservations acts
+          Slice.execute lp.ex ~t ~t_next lp.by_id ~entered:lp.entered
+            reservations acts
         in
+        lp.entered <- [];
         List.iter
           (fun (a : active) ->
-            Hashtbl.remove lp.by_id a.orig.Coflow.id;
+            Id_table.remove lp.by_id a.Slice.orig.Coflow.id;
             lp.retired <- a.orig.Coflow.id :: lp.retired;
             d.finished t_next a.orig)
           finished;

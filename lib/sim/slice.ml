@@ -1,10 +1,17 @@
 module Coflow = Sunflow_core.Coflow
 module Demand = Sunflow_core.Demand
+module Id_table = Sunflow_core.Id_table
 module Prt = Sunflow_core.Prt
 module Schedule = Sunflow_core.Schedule
 module Obs = Sunflow_obs
 
-type active = { orig : Coflow.t; remaining : Demand.t }
+type active = {
+  orig : Coflow.t;
+  remaining : Demand.t;
+  mutable drained : int;  (* the last slice that drained it *)
+}
+
+let active c = { orig = c; remaining = Demand.copy c.Coflow.demand; drained = 0 }
 
 let m_setups = Obs.Registry.counter "sim.setups"
 let m_teardowns = Obs.Registry.counter "sim.teardowns"
@@ -23,6 +30,7 @@ type t = {
   obs : bool;
   timeline : bool;
   mutable setups : int;
+  mutable slices : int;  (* stamps [drained] *)
   (* Circuits physically established (their window paid a setup) and
      not yet torn down. A teardown is counted only when one of these
      actually closes — when its window stops inside a slice, or when a
@@ -43,6 +51,7 @@ let create ~timeline ~bandwidth =
     obs;
     timeline = obs && timeline;
     setups = 0;
+    slices = 0;
     live = Hashtbl.create 16;
     reused = Hashtbl.create 8;
   }
@@ -67,7 +76,21 @@ let tear_down_stale ex ~t reservations =
       end)
     ex.live
 
-let execute ex ~t ~t_next by_id reservations acts =
+(* Only a Coflow that drained in this slice, or entered since the last
+   one, can have emptied: every other active was snapped at its last
+   drain or entry and found non-empty, and has not changed since. So
+   only those are snapped and tested, and [acts] is partitioned only
+   when one of them emptied. *)
+let execute ex ~t ~t_next by_id ~entered reservations acts =
+  ex.slices <- ex.slices + 1;
+  let stamp = ex.slices and drained = ref [] in
+  let touch a =
+    if a.drained <> stamp then begin
+      a.drained <- stamp;
+      drained := a :: !drained
+    end
+  in
+  List.iter touch entered;
   if ex.obs then tear_down_stale ex ~t reservations;
   List.iter
     (fun (r : Prt.reservation) ->
@@ -106,8 +129,9 @@ let execute ex ~t ~t_next by_id reservations acts =
     (fun (r : Prt.reservation) ->
       let seconds = Schedule.transmission_overlap r ~t0:t ~t1:t_next in
       if seconds > 0. then
-        match Hashtbl.find_opt by_id r.coflow with
-        | Some a ->
+        match Id_table.find by_id r.coflow with
+        | a ->
+          touch a;
           Demand.drain a.remaining r.src r.dst (seconds *. bandwidth);
           if
             ex.timeline
@@ -121,10 +145,18 @@ let execute ex ~t ~t_next by_id reservations acts =
                    dst = r.dst;
                    t = Float.min (Prt.stop r) t_next;
                  })
-        | None -> invalid_arg "Slice.execute: reservation for unknown Coflow")
+        | exception Not_found ->
+          invalid_arg "Slice.execute: reservation for unknown Coflow")
     reservations;
-  List.iter (fun a -> snap_demand ~bandwidth a.remaining) acts;
-  List.partition (fun a -> Demand.is_empty a.remaining) acts
+  let emptied =
+    List.fold_left
+      (fun emptied a ->
+        snap_demand ~bandwidth a.remaining;
+        Demand.is_empty a.remaining || emptied)
+      false !drained
+  in
+  if emptied then List.partition (fun a -> Demand.is_empty a.remaining) acts
+  else ([], acts)
 
 (* the fabric goes dark when the loop ends: whatever is still
    established is torn down *)

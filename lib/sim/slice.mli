@@ -12,10 +12,15 @@
     a live circuit, and for each circuit still up at {!close}, so the
     two counters balance. Untraced, none of that bookkeeping runs. *)
 
-type active = {
+type active = private {
   orig : Sunflow_core.Coflow.t;
   remaining : Sunflow_core.Demand.t;  (** drained in place *)
+  mutable drained : int;  (** the executor's stamp of its last drain *)
 }
+
+val active : Sunflow_core.Coflow.t -> active
+(** A Coflow entering the fabric, its remaining demand a copy of its
+    demand. *)
 
 val snap_demand : bandwidth:float -> Sunflow_core.Demand.t -> unit
 (** Zero every entry that is rounding residue: at most one
@@ -33,15 +38,20 @@ val execute :
   t ->
   t:float ->
   t_next:float ->
-  (int, active) Hashtbl.t ->
+  active Sunflow_core.Id_table.t ->
+  entered:active list ->
   Sunflow_core.Prt.reservation list ->
   active list ->
   active list * active list
-(** [execute ex ~t ~t_next by_id reservations acts] runs the slice
-    over [reservations] (windows outside it are inert) and returns
-    the {!List.partition} of [acts] into (finished, still). [by_id]
-    maps a reservation's Coflow id to its entry in [acts];
-    [Invalid_argument] if one is missing. *)
+(** [execute ex ~t ~t_next by_id ~entered reservations acts] runs the
+    slice over [reservations] (windows outside it are inert) and
+    returns the {!List.partition} of [acts] into (finished, still).
+    [by_id] maps a reservation's Coflow id to its entry in [acts];
+    [Invalid_argument] if one is missing. [entered] holds the Coflows
+    of [acts] that entered since the last slice: only they and the
+    Coflows this slice drains are snapped and can finish, which is
+    the whole partition as long as every earlier slice was executed
+    here. *)
 
 val setups : t -> int
 (** Circuit establishments executed so far. *)

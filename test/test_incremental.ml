@@ -68,6 +68,63 @@ let pod_trace () =
     (List.exists crosses_pods trace);
   trace
 
+let m_table_events = Obs.Registry.counter "test.table_check_events"
+
+(* Between events the engine's table holds exactly each live entry's
+   stored plan — what lets the engine retract a Coflow through its
+   plan. [engine_slice] over all time reads the table; [engine_view] at
+   [neg_infinity] against the original demands reads the stored plans
+   unfiltered. The trace runs through the serving loop, checked after
+   every step and at the end; with [keep], admission rejects some
+   Coflows, whose tentative plans are retracted again. *)
+let table_is_plans ?keep ~policy ~config ~delta trace =
+  let lp, eng =
+    Circuit_sim.serving ~policy ~order:Sunflow_core.Order.Ordered_port ~config
+      ~delta ~bandwidth
+  in
+  let demand_of = Hashtbl.create 16 in
+  List.iter (fun c -> Hashtbl.replace demand_of c.Coflow.id c.Coflow.demand) trace;
+  let ok = ref true in
+  let check () =
+    let table = Inter.engine_slice eng ~t0:neg_infinity ~t1:infinity in
+    let plans =
+      (Inter.engine_view eng ~now:neg_infinity ~remaining:(Hashtbl.find demand_of))
+        .Inter.per_coflow
+      |> List.concat_map (fun (_, (r : Sunflow_core.Sunflow.result)) ->
+             r.reservations)
+      |> List.sort Sunflow_core.Prt.physical_order
+    in
+    if table <> plans then ok := false
+  in
+  let pending =
+    ref
+      (List.filter
+         (fun c -> not (Demand.is_empty c.Coflow.demand))
+         (List.sort Coflow.compare_arrival trace))
+  in
+  ignore
+    (Circuit_sim.drive lp
+       {
+         Circuit_sim.stop = (fun () -> false);
+         next_arrival =
+           (fun () -> match !pending with c :: _ -> Some c | [] -> None);
+         pull =
+           (fun t ->
+             let due, later =
+               List.partition (fun c -> c.Coflow.arrival <= t) !pending
+             in
+             pending := later;
+             due);
+         keep;
+         planned = (fun ~t:_ ~t_next:_ _ _ -> check ());
+         finished = (fun _ _ -> ());
+         event_counter = m_table_events;
+         event_timer = None;
+       }
+      : Circuit_sim.outcome);
+  check ();
+  !ok
+
 (* buckets = 4 puts every policy's bucketed repair in front of the
    oracle: Priority_classes clamping, and the one-class poisoning of
    Fifo and the non-total Custom comparator *)
@@ -87,17 +144,27 @@ let test_equiv_grid () =
                 (fun delta ->
                   List.iter
                     (fun (tname, trace) ->
-                      let vs =
-                        Plan_check.replay_equiv ~policy
-                          ~config:
-                            (Inter.config ~buckets ~carry_circuits:carry ())
-                          ~delta ~bandwidth trace
+                      let config =
+                        Inter.config ~buckets ~carry_circuits:carry ()
                       in
-                      Alcotest.(check string)
-                        (Printf.sprintf
-                           "%s buckets=%d carry=%b delta=%g trace=%s" pname
-                           buckets carry delta tname)
-                        "" (pp_violations vs))
+                      let vs =
+                        Plan_check.replay_equiv ~policy ~config ~delta
+                          ~bandwidth trace
+                      in
+                      let label =
+                        Printf.sprintf "%s buckets=%d carry=%b delta=%g trace=%s"
+                          pname buckets carry delta tname
+                      in
+                      Alcotest.(check string) label "" (pp_violations vs);
+                      Alcotest.(check bool)
+                        (label ^ ": table = stored plans") true
+                        (table_is_plans ~policy ~config ~delta trace);
+                      Alcotest.(check bool)
+                        (label ^ ": table = stored plans, with rejections")
+                        true
+                        (table_is_plans
+                           ~keep:(fun c -> c.Coflow.id mod 3 <> 0)
+                           ~policy ~config ~delta trace))
                     traces)
                 [ 0.; Units.ms 10. ])
             [ true; false ])

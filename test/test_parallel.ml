@@ -138,6 +138,42 @@ let test_sequential_fallback () =
     "shutdown pool still maps (sequentially)" [ 2; 4 ]
     (Pool.map_list pool (fun x -> 2 * x) [ 1; 2 ])
 
+(* A reservation table counts into the cells of the domain that created
+   it, so two replays run as tasks on 2 domains (each building its own
+   tables) count the same reservations and rollbacks as the two run one
+   after the other. *)
+let test_prt_counters_across_domains () =
+  let module Prt = Sunflow_core.Prt in
+  let traces =
+    List.map
+      (fun seed ->
+        Sunflow_check.Diff_oracle.random_trace
+          (Sunflow_stats.Rng.create seed)
+          ~n_ports:6 ~max_coflows:30 ~span:2. ~max_mb:50.)
+      [ 41; 42 ]
+  in
+  let replay trace =
+    ignore
+      (Sunflow_sim.Circuit_sim.replay ~replan:`Incremental
+         ~config:(Sunflow_core.Inter.config ~buckets:4 ())
+         ~delta:(Units.ms 10.) ~bandwidth:(Units.gbps 100.) trace
+        : Sunflow_sim.Sim_result.t)
+  in
+  let counted f =
+    let s0 = Prt.stats () in
+    f ();
+    let s1 = Prt.stats () in
+    (s1.Prt.reservations - s0.Prt.reservations, s1.Prt.rollbacks - s0.Prt.rollbacks)
+  in
+  let sequential = counted (fun () -> List.iter replay traces) in
+  let parallel =
+    with_jobs 2 (fun () ->
+        counted (fun () -> ignore (Pool.run_list ~chunk:1 replay traces : unit list)))
+  in
+  Alcotest.(check bool) "the replays roll windows back" true (snd sequential > 0);
+  Alcotest.(check (pair int int))
+    "parallel (reservations, rollbacks) = sequential" sequential parallel
+
 let suite =
   [
     Alcotest.test_case "map oracle vs Array.map" `Quick
@@ -146,6 +182,8 @@ let suite =
     Alcotest.test_case "chunk must be positive" `Quick
       test_chunk_must_be_positive;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
+    Alcotest.test_case "PRT counters across domains" `Quick
+      test_prt_counters_across_domains;
     prop_order_preserved;
     Alcotest.test_case "intra_points determinism" `Slow
       test_intra_points_deterministic;

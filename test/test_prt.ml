@@ -458,8 +458,13 @@ let table_fingerprint t =
    that stay. *)
 let test_remove_restores () =
   let t = Prt.create () in
-  Prt.reserve t (r ~coflow:1 ~src:0 ~dst:1 ~start:0. ~setup:0.01 ~length:1. ());
-  Prt.reserve t (r ~coflow:1 ~src:1 ~dst:0 ~start:0.5 ~setup:0.01 ~length:1. ());
+  let own =
+    [
+      r ~coflow:1 ~src:0 ~dst:1 ~start:0. ~setup:0.01 ~length:1. ();
+      r ~coflow:1 ~src:1 ~dst:0 ~start:0.5 ~setup:0.01 ~length:1. ();
+    ]
+  in
+  List.iter (Prt.reserve t) own;
   let snap = table_fingerprint t in
   let reserve_all ws = List.iter (Prt.reserve t) ws in
   let remove_all ws =
@@ -496,8 +501,9 @@ let test_remove_restores () =
     (table_fingerprint t = snap);
   (* coflow 1's original windows survived its removed sibling *)
   Alcotest.(check int) "shared id keeps its other windows" 2
-    (Prt.retract_coflow t 1);
-  Alcotest.(check int) "retract unknown id" 0 (Prt.retract_coflow t 7);
+    (Prt.retract t own);
+  Alcotest.(check int) "retract windows no longer held" 0
+    (Prt.retract t (own @ suffix));
   Alcotest.(check int) "table empty" 0 (List.length (Prt.all_reservations t))
 
 let test_remove_consistency () =
@@ -610,7 +616,30 @@ let test_hot_queries_allocate_only_result () =
     [ 0.; 0.5 ];
   Array.iteri
     (fun k n -> Alcotest.(check bool) (Printf.sprintf "step answer %d seen" k) true (n > 0))
-    seen
+    seen;
+  (* [remove] allocates nothing, and neither does [reserve] into slots
+     that have already grown: cycle half the windows out and back in *)
+  let ws = List.filter (fun w -> w.Prt.coflow mod 2 = 0) (Prt.all_reservations t) in
+  let remove w = ignore (Prt.remove t w : bool) and reserve = Prt.reserve t in
+  let rounds = 500 in
+  let removed = ref 0. and reserved = ref 0. in
+  for _ = 1 to rounds do
+    let w0 = Gc.minor_words () in
+    List.iter remove ws;
+    let w1 = Gc.minor_words () in
+    List.iter reserve ws;
+    let w2 = Gc.minor_words () in
+    removed := !removed +. (w1 -. w0);
+    reserved := !reserved +. (w2 -. w1)
+  done;
+  let per_call x = x /. float_of_int (rounds * List.length ws) in
+  Alcotest.(check bool)
+    (Printf.sprintf "remove: %.2f words/call = 0" (per_call !removed))
+    true (!removed = 0.);
+  Alcotest.(check bool)
+    (Printf.sprintf "reserve into grown slots: %.2f words/call = 0"
+       (per_call !reserved))
+    true (!reserved = 0.)
 
 (* [remove] matches windows field for field, not by physical identity:
    a freshly built copy of a reserved window removes it from both
@@ -643,9 +672,14 @@ let test_remove_field_copy () =
   Alcotest.(check bool) "gone from the slot queries" true
     (List.for_all (fun x -> x.Prt.src <> 2) (Prt.covering_at t 0.75));
   Alcotest.(check bool) "second copy finds nothing" false (Prt.remove t twin);
-  (* the owner's list lost it too: only [other] is left to retract *)
-  Alcotest.(check int) "retract removes the rest" 1 (Prt.retract_coflow t 7);
-  Alcotest.(check int) "owner emptied" 0 (Prt.retract_coflow t 7);
+  (* a plan retracted after part of it went: only [other] is left, and
+     only it is removed and counted *)
+  let rb0 = (Prt.stats ()).Prt.rollbacks in
+  Alcotest.(check int) "retract removes the rest" 1
+    (Prt.retract t [ w; other ]);
+  Alcotest.(check int) "one rollback counted" 1
+    ((Prt.stats ()).Prt.rollbacks - rb0);
+  Alcotest.(check int) "plan emptied" 0 (Prt.retract t [ w; other ]);
   Alcotest.(check int) "table empty" 0 (List.length (Prt.all_reservations t))
 
 let test_covering_and_range () =
@@ -824,9 +858,13 @@ let test_slot_queries_oracle () =
   Alcotest.(check bool) "batch removal restores the table" true
     (table_fingerprint t = snap);
   agree "after batch removal";
-  (* retraction drains by owner id *)
+  (* retracting a list removes exactly the windows still held: here
+     the victim's, not the batch's, which are already gone *)
   let victim = (pick !mirror).Prt.coflow in
-  let gone = Prt.retract_coflow t victim in
+  let gone =
+    Prt.retract t
+      (batch @ List.filter (fun w -> w.Prt.coflow = victim) !mirror)
+  in
   Alcotest.(check int) "retract count matches mirror" gone
     (List.length (List.filter (fun w -> w.Prt.coflow = victim) !mirror));
   mirror := List.filter (fun w -> w.Prt.coflow <> victim) !mirror;

@@ -184,6 +184,103 @@ let prop_packet_completes_everything =
          in
          List.length r.R.ccts = List.length trace))
 
+(* [Slice.execute] snaps and tests only the Coflows a slice drains or
+   that entered since the last slice. Against the rule it replaced —
+   snap every active Coflow, partition them all — on twin demands:
+   the (finished, still) lists, their order and every remaining value
+   must be bit-identical, slice after slice. *)
+let test_slice_snaps_touched_only () =
+  let module Slice = Sunflow_sim.Slice in
+  let module Id_table = Sunflow_core.Id_table in
+  let module Prt = Sunflow_core.Prt in
+  let module Schedule = Sunflow_core.Schedule in
+  let ex = Slice.create ~timeline:false ~bandwidth:b in
+  let by_id = Id_table.create 8 in
+  let twins = Hashtbl.create 8 in
+  let acts = ref [] and entered = ref [] in
+  let id (a : Slice.active) = a.Slice.orig.Coflow.id in
+  let twin a = Hashtbl.find twins (id a) in
+  let enter c =
+    let a = Slice.active c in
+    Id_table.replace by_id c.Coflow.id a;
+    Hashtbl.replace twins c.Coflow.id (Demand.copy c.Coflow.demand);
+    acts := a :: !acts;
+    entered := a :: !entered
+  in
+  (* a deadline rejection: entered, then retracted before the slice *)
+  let reject () =
+    let a = List.hd !acts in
+    Id_table.remove by_id (id a);
+    Hashtbl.remove twins (id a);
+    acts := List.tl !acts;
+    entered := List.tl !entered
+  in
+  (* a window on [(src, dst)] of Coflow [coflow] moving [bytes] from
+     [start], after a setup *)
+  let w coflow src dst start bytes =
+    { Prt.coflow; src; dst; start; setup = delta; length = delta +. (bytes /. b) }
+  in
+  let bits d =
+    List.map (fun (k, v) -> (k, Int64.bits_of_float v)) (Demand.entries d)
+  in
+  let n_finished = ref 0 in
+  let slice ~t ~t_next windows =
+    List.iter
+      (fun (r : Prt.reservation) ->
+        let s = Schedule.transmission_overlap r ~t0:t ~t1:t_next in
+        if s > 0. then
+          Demand.drain (Hashtbl.find twins r.coflow) r.src r.dst (s *. b))
+      windows;
+    List.iter (fun a -> Slice.snap_demand ~bandwidth:b (twin a)) !acts;
+    let ref_fin, ref_still =
+      List.partition (fun a -> Demand.is_empty (twin a)) !acts
+    in
+    let fin, still =
+      Slice.execute ex ~t ~t_next by_id ~entered:!entered windows !acts
+    in
+    entered := [];
+    let label what = Printf.sprintf "slice [%g, %g): %s" t t_next what in
+    let same l l' = List.length l = List.length l' && List.for_all2 ( == ) l l' in
+    Alcotest.(check bool) (label "finished") true (same fin ref_fin);
+    Alcotest.(check bool) (label "still") true (same still ref_still);
+    List.iter
+      (fun a ->
+        Alcotest.(check bool)
+          (label (Printf.sprintf "Coflow %d remaining" (id a)))
+          true
+          (bits a.Slice.remaining = bits (twin a)))
+      !acts;
+    List.iter
+      (fun a ->
+        Id_table.remove by_id (id a);
+        Hashtbl.remove twins (id a))
+      fin;
+    n_finished := !n_finished + List.length fin;
+    acts := still
+  in
+  let dust = 1e-4 in
+  (* slice 0: B's only flow is dust and no window drains it; C idles *)
+  enter (mk 0 [ ((0, 1), Units.mb 1.); ((2, 3), Units.mb 1.) ]);
+  enter (mk 1 [ ((4, 5), dust) ]);
+  enter (mk 2 [ ((1, 2), Units.mb 1. +. dust) ]);
+  slice ~t:0. ~t_next:1.
+    [ w 0 0 1 0. (Units.mb 1.); w 0 2 3 0.995 (Units.mb 1.) ];
+  Alcotest.(check int) "the dust-only Coflow finished" 1 !n_finished;
+  (* slice 1: D (dust only) is entered and rejected; A drains out *)
+  enter (mk 3 [ ((6, 7), dust) ]);
+  reject ();
+  slice ~t:1. ~t_next:2. [ w 0 2 3 0.995 (Units.mb 1.) ];
+  Alcotest.(check int) "A finished" 2 !n_finished;
+  (* slices 2-4: C idles, E enters and is partly drained *)
+  enter (mk 4 [ ((0, 1), Units.mb 2.); ((3, 4), Units.mb 1.) ]);
+  slice ~t:2. ~t_next:3. [];
+  slice ~t:3. ~t_next:4. [ w 4 0 1 3. (Units.mb 1.) ];
+  slice ~t:4. ~t_next:5. [];
+  (* slice 5: C drains to a dust residue, snapped to nothing *)
+  slice ~t:5. ~t_next:6. [ w 2 1 2 5. (Units.mb 1.) ];
+  Alcotest.(check int) "C finished on its residue" 3 !n_finished;
+  Alcotest.(check (list int)) "E still active" [ 4 ] (List.map id !acts)
+
 let suite =
   [
     Alcotest.test_case "packet: all complete" `Quick test_packet_all_complete;
@@ -204,6 +301,8 @@ let suite =
       test_circuit_policy_fifo_vs_scf;
     Alcotest.test_case "sim result helpers" `Quick test_sim_result_helpers;
     Alcotest.test_case "empty trace" `Quick test_empty_trace;
+    Alcotest.test_case "slice snaps only drained and entered Coflows" `Quick
+      test_slice_snaps_touched_only;
     prop_circuit_completes_everything;
     prop_packet_completes_everything;
   ]
