@@ -1,9 +1,5 @@
 let edf ~deadline_of =
-  Inter.Custom
-    (fun a b ->
-      match compare (deadline_of a) (deadline_of b) with
-      | 0 -> Coflow.compare_arrival a b
-      | c -> c)
+  Inter.Custom (fun a b -> compare (deadline_of a) (deadline_of b))
 
 type admission = {
   admitted : (int * float) list;
@@ -13,9 +9,7 @@ type admission = {
 
 let admit ?(now = 0.) ?(order = Order.Ordered_port) ~deadline_of ~delta
     ~bandwidth coflows =
-  let ordered =
-    Inter.sort (edf ~deadline_of) ~bandwidth coflows
-  in
+  let ordered = Service_order.sort (edf ~deadline_of) ~bandwidth coflows in
   let prt = Prt.create () in
   let admitted = ref [] and rejected = ref [] in
   List.iter

@@ -14,7 +14,8 @@
       mode). *)
 
 val edf : deadline_of:(Coflow.t -> float) -> Inter.policy
-(** Earliest absolute deadline first; ties by arrival then id. *)
+(** Earliest absolute deadline first; the service order breaks ties
+    by arrival, then id. *)
 
 type admission = {
   admitted : (int * float) list;

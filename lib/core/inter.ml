@@ -1,34 +1,8 @@
-type policy =
+type policy = Service_order.policy =
   | Fifo
   | Shortest_first
   | Priority_classes of (Coflow.t -> int)
   | Custom of (Coflow.t -> Coflow.t -> int)
-
-let sort policy ~bandwidth coflows =
-  match policy with
-  | Fifo -> List.stable_sort Coflow.compare_arrival coflows
-  | Shortest_first ->
-    (* decorate-sort-undecorate: the packet lower bound walks the whole
-       demand matrix, so compute it once per Coflow rather than twice
-       per comparison *)
-    coflows
-    |> List.map (fun c -> (Bounds.packet_lower ~bandwidth c.Coflow.demand, c))
-    |> List.stable_sort (fun ((ta : float), a) (tb, b) ->
-           match compare ta tb with 0 -> Coflow.compare_arrival a b | c -> c)
-    |> List.map snd
-  | Priority_classes class_of ->
-    coflows
-    |> List.map (fun c -> (class_of c, c))
-    |> List.stable_sort (fun ((ka : int), a) (kb, b) ->
-           match compare ka kb with 0 -> Coflow.compare_arrival a b | c -> c)
-    |> List.map snd
-  | Custom cmp -> List.stable_sort cmp coflows
-
-let policy_name = function
-  | Fifo -> "fifo"
-  | Shortest_first -> "shortest-coflow-first"
-  | Priority_classes _ -> "priority-classes"
-  | Custom _ -> "custom"
 
 type result = {
   prt : Prt.t;
@@ -55,8 +29,7 @@ module Obs = Sunflow_obs
 
 let m_rounds = Obs.Registry.counter "inter.rounds"
 (* Coflows per round: all of them for a [schedule] call, the dirty ones
-   (arrivals, straddlers, stale finishes, poisoned bucket-mates and,
-   under the exact order, the whole suffix from the first of those)
+   (arrivals, straddlers, stale finishes and those the order pulls in)
    for an incremental step — the rebuild oracle included *)
 let h_batch = Obs.Registry.histogram "inter.coflows_per_round"
 
@@ -78,8 +51,8 @@ let schedule ?(now = 0.) ?(order = Order.Ordered_port) ?(established = [])
   let ordered =
     if obs then
       Obs.Tracer.with_span ~cat:"core" "inter.sort" (fun () ->
-          sort policy ~bandwidth coflows)
-    else sort policy ~bandwidth coflows
+          Service_order.sort policy ~bandwidth coflows)
+    else Service_order.sort policy ~bandwidth coflows
   in
   let per_coflow =
     List.map
@@ -100,43 +73,26 @@ let finish_of result id =
 
 (* --- incremental replanning engine ------------------------------------
 
-   Keeps a persistent plan across replay events instead of re-running
-   every active Coflow through [Sunflow.schedule] at each one.
-   Soundness rests on non-preemption: a Coflow's reservations depend
-   only on the table contents written by Coflows sorting before it, so
-   an arrival invalidates exactly the suffix of the priority order at
-   or after its insertion point, and a finish invalidates nothing (its
-   windows all stop at or before the finish instant, and every table
-   query the suffix makes is a strict-greater successor search at or
-   after it — removal is invisible).
+   A persistent plan across replay events (semantics in inter.mli).
+   [Service_order] ranks each Coflow once, at admission, keeps the
+   entries in that order and says which entries an event's dirty ones
+   pull in. One table serves the whole fabric, and an event runs one
+   lazy repair pass ([run_pass]) over the order from its first dirty
+   entry. *)
 
-   Priority keys are fixed at admission (the Coflow's original demand),
-   whereas [schedule] re-keys [Shortest_first] on remaining demand at
-   every event. That is a different policy, not a rounding difference:
-   a Coflow that has drained below a later arrival's size keeps its
-   lead under [schedule] and yields to the arrival here. The engine's
-   plans are also anchored at each Coflow's last (re)scheduling instant
-   rather than recomputed from the current remaining demand, which
-   rounds window boundaries differently. The engine's oracle is
-   therefore its own [rebuild] mode — same decisions recomputed from a
-   fresh table every event — not [schedule].
-
-   One table serves the whole fabric, and an event runs one lazy
-   repair pass ([run_pass]) over the service order from its first
-   dirty entry. *)
-
-type entry = {
-  e_coflow : Coflow.t;  (* original record: fixed priority-key inputs *)
-  e_key : float;  (* cached priority key (policy-dependent) *)
-  e_bucket : int;  (* quantized priority class; 0 when buckets are off *)
+type state = {
   mutable e_plan : Sunflow.result;
   mutable e_mark : int;  (* dirty in the step with this stamp *)
   mutable e_evicted : Prt.reservation list;
       (* its windows the running repair pass evicted; [] between passes *)
 }
 
-(* the service order: a sorted vector of entries *)
-type evec = { mutable v_arr : entry array; mutable v_n : int }
+(* an admitted Coflow: its service-order rank, carrying its state *)
+type entry = state Service_order.rank
+
+let fresh ~finish =
+  let e_plan = { Sunflow.reservations = []; finish; setups = 0 } in
+  { e_plan; e_mark = 0; e_evicted = [] }
 
 type config = { carry_circuits : bool; buckets : int; bucket_base : float }
 
@@ -157,14 +113,13 @@ let config ?carry_circuits ?buckets ?bucket_base () =
   c
 
 type engine = {
-  g_policy : policy;
   g_order : Order.t;
   g_delta : float;
   g_bandwidth : float;
   g_rebuild : bool;
   g_config : config;
   g_cmp : entry -> entry -> int;
-  g_all : evec;  (* active Coflows in service order *)
+  g_all : state Service_order.t;  (* active Coflows in service order *)
   mutable g_prt : Prt.t;  (* the reservation table *)
   mutable g_established : (int * int) list;
   g_index : entry Id_table.t;
@@ -178,74 +133,21 @@ type engine = {
   mutable g_stamp : int;  (* steps taken; stamps the step's dirty marks *)
 }
 
-let entry_key policy ~bandwidth c =
-  match policy with
-  | Fifo | Custom _ -> 0.
-  | Shortest_first -> Bounds.packet_lower ~bandwidth c.Coflow.demand
-  | Priority_classes class_of -> float_of_int (class_of c)
-
-(* quantize a priority key into one of [buckets] classes. For
-   [Shortest_first] the classes are exponentially spaced in units of
-   the reconfiguration delay: coflows that finish within one delta are
-   all "short" (class 0) and a coflow [base] times longer moves one
-   class down — the D-CLAS-style coarsening that keeps an arrival from
-   outranking everything with a marginally larger key. For
-   [Priority_classes] the operator's class is clamped into range.
-   [Fifo]/[Custom] have no numeric key to quantize: one class. *)
-let bucket_of ~policy ~buckets ~bucket_base ~delta key =
-  if buckets <= 0 then 0
-  else
-    match policy with
-    | Fifo | Custom _ -> 0
-    | Priority_classes _ ->
-      let k = int_of_float key in
-      if k < 0 then 0 else if k >= buckets then buckets - 1 else k
-    | Shortest_first ->
-      let unit = if delta > 0. then delta else 1e-3 in
-      if key <= unit then 0
-      else
-        let b =
-          1 + int_of_float (Float.log (key /. unit) /. Float.log bucket_base)
-        in
-        if b >= buckets then buckets - 1 else b
-
-(* total order: every policy comparator falls back to (arrival, id), so
-   distinct Coflows never compare equal and binary search finds exact
-   positions. [Custom] comparators get the same tiebreak appended.
-   With buckets on, key-ordered policies compare the quantized class
-   first and are FIFO within it — a new arrival then sorts at the END
-   of its class (its arrival is the latest), so it cannot dirty
-   retained same-class plans. *)
-let entry_cmp ~buckets policy =
-  match policy with
-  | Fifo -> fun a b -> Coflow.compare_arrival a.e_coflow b.e_coflow
-  | (Shortest_first | Priority_classes _) when buckets > 0 ->
-    fun a b ->
-      (match compare a.e_bucket b.e_bucket with
-      | 0 -> Coflow.compare_arrival a.e_coflow b.e_coflow
-      | c -> c)
-  | Shortest_first | Priority_classes _ ->
-    fun a b ->
-      (match compare a.e_key b.e_key with
-      | 0 -> Coflow.compare_arrival a.e_coflow b.e_coflow
-      | c -> c)
-  | Custom cmp ->
-    fun a b ->
-      (match cmp a.e_coflow b.e_coflow with
-      | 0 -> Coflow.compare_arrival a.e_coflow b.e_coflow
-      | c -> c)
-
 let engine ?(order = Order.Ordered_port) ?(rebuild = false)
     ?(config = default_config) ~policy ~delta ~bandwidth () =
+  let all =
+    Service_order.create ~buckets:config.buckets
+      ~bucket_base:config.bucket_base ~delta ~bandwidth
+      ~dummy:(fresh ~finish:neg_infinity) policy
+  in
   {
-    g_policy = policy;
     g_order = order;
     g_delta = delta;
     g_bandwidth = bandwidth;
     g_rebuild = rebuild;
     g_config = config;
-    g_cmp = entry_cmp ~buckets:config.buckets policy;
-    g_all = { v_arr = [||]; v_n = 0 };
+    g_cmp = Service_order.compare all;
+    g_all = all;
     g_prt = Prt.create ();
     g_established = [];
     g_index = Id_table.create 64;
@@ -258,77 +160,25 @@ let engine ?(order = Order.Ordered_port) ?(rebuild = false)
     g_stamp = 0;
   }
 
-(* filler for unused vector slots, so spare capacity and vacated
-   positions never pin a retired Coflow (and its demand matrix) against
-   the GC. Lazy because building it needs a Coflow. *)
-let dummy_entry =
-  lazy
-    {
-      e_coflow = Coflow.make ~id:min_int ~arrival:0. (Demand.create ());
-      e_key = neg_infinity;
-      e_bucket = 0;
-      e_plan = { Sunflow.reservations = []; finish = neg_infinity; setups = 0 };
-      e_mark = 0;
-      e_evicted = [];
-    }
-
-(* first index whose entry sorts at or after [e] *)
-let evec_lower cmp v e =
-  let lo = ref 0 and hi = ref v.v_n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cmp v.v_arr.(mid) e < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let evec_insert cmp v e =
-  let k = evec_lower cmp v e in
-  let cap = Array.length v.v_arr in
-  if v.v_n = cap then begin
-    let arr = Array.make (max 8 (2 * cap)) (Lazy.force dummy_entry) in
-    Array.blit v.v_arr 0 arr 0 v.v_n;
-    v.v_arr <- arr
-  end;
-  Array.blit v.v_arr k v.v_arr (k + 1) (v.v_n - k);
-  v.v_arr.(k) <- e;
-  v.v_n <- v.v_n + 1
-
-let evec_remove cmp v e =
-  let k = evec_lower cmp v e in
-  (* unconditional (must survive [-noassert]): an inconsistent [Custom]
-     comparator — one whose answers changed since this entry was
-     inserted — sends the binary search to the wrong position, and a
-     blind blit from there would silently corrupt the service order *)
-  if not (k < v.v_n && v.v_arr.(k) == e) then
-    invalid_arg
-      "Inter.remove_entry: entry not found at its ordered position \
-       (inconsistent comparator?)";
-  Array.blit v.v_arr (k + 1) v.v_arr k (v.v_n - k - 1);
-  v.v_n <- v.v_n - 1;
-  (* clear the vacated slot — same GC-pinning concern as growth *)
-  v.v_arr.(v.v_n) <- Lazy.force dummy_entry
-
 let refresh_min g =
   if g.g_min_stale then begin
-    let v = g.g_all in
     let m = ref infinity in
-    for k = 0 to v.v_n - 1 do
-      m := Float.min !m v.v_arr.(k).e_plan.Sunflow.finish
+    for k = 0 to Service_order.length g.g_all - 1 do
+      m := Float.min !m (Service_order.get g.g_all k).data.e_plan.Sunflow.finish
     done;
     g.g_min <- !m;
     g.g_min_stale <- false
   end
 
-let engine_size g = g.g_all.v_n
+let engine_size g = Service_order.length g.g_all
 let engine_established g = g.g_established
 
 let engine_finish g id =
-  match Id_table.find_opt g.g_index id with
-  | Some e -> Some e.e_plan.Sunflow.finish
-  | None -> None
+  Id_table.find_opt g.g_index id
+  |> Option.map (fun (e : entry) -> e.data.e_plan.Sunflow.finish)
 
 let engine_min_finish g =
-  if g.g_all.v_n = 0 then None
+  if Service_order.length g.g_all = 0 then None
   else begin
     refresh_min g;
     Some g.g_min
@@ -358,11 +208,11 @@ type marks = {
   mutable min_dirty : entry option;
 }
 
-let is_dirty m e = e.e_mark = m.stamp
+let is_dirty m (e : entry) = e.data.e_mark = m.stamp
 
 let mark g m e =
   if not (is_dirty m e) then begin
-    e.e_mark <- m.stamp;
+    e.data.e_mark <- m.stamp;
     m.n_dirty <- m.n_dirty + 1;
     match m.min_dirty with
     | Some l when g.g_cmp l e <= 0 -> ()
@@ -384,41 +234,32 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
       match Id_table.find_opt g.g_index id with
       | None -> invalid_arg "Inter.schedule_incremental: unknown finished id"
       | Some e ->
-        evec_remove g.g_cmp g.g_all e;
+        Service_order.remove g.g_all e;
         g.g_min_stale <- true;
         Id_table.remove g.g_index id;
-        ignore (Prt.retract g.g_prt e.e_plan.Sunflow.reservations : int))
+        ignore (Prt.retract g.g_prt e.data.e_plan.Sunflow.reservations : int))
     finished;
   (* 2. admit arrivals at their priority positions *)
   let m = { stamp = g.g_stamp; n_dirty = 0; min_dirty = None } in
-  List.iter
-    (fun c ->
-      if Id_table.mem g.g_index c.Coflow.id then
-        invalid_arg "Inter.schedule_incremental: duplicate Coflow id";
-      let key = entry_key g.g_policy ~bandwidth:g.g_bandwidth c in
-      let e =
-        {
-          e_coflow = c;
-          e_key = key;
-          e_bucket =
-            bucket_of ~policy:g.g_policy ~buckets:g.g_config.buckets
-              ~bucket_base:g.g_config.bucket_base ~delta:g.g_delta key;
-          e_plan = { Sunflow.reservations = []; finish = now; setups = 0 };
-          e_mark = 0;
-          e_evicted = [];
-        }
-      in
-      evec_insert g.g_cmp g.g_all e;
-      g.g_min_stale <- true;
-      Id_table.replace g.g_index c.Coflow.id e;
-      mark g m e)
-    arrivals;
+  let all = g.g_all in
+  let arrived =
+    List.map
+      (fun c ->
+        if Id_table.mem g.g_index c.Coflow.id then
+          invalid_arg "Inter.schedule_incremental: duplicate Coflow id";
+        let e = Service_order.rank all c (fresh ~finish:now) in
+        Service_order.insert all e;
+        g.g_min_stale <- true;
+        Id_table.replace g.g_index c.Coflow.id e;
+        mark g m e;
+        e)
+      arrivals
+  in
   (* 3. further dirty sources. Without carry-over every event restarts
      every circuit (all-stop), so everything is dirty. *)
-  let all = g.g_all in
   if not g.g_config.carry_circuits then
-    for i = 0 to all.v_n - 1 do
-      mark g m all.v_arr.(i)
+    for i = 0 to Service_order.length all - 1 do
+      mark g m (Service_order.get all i)
     done;
   (* circuits physically up at [now], read before any repair (a
      rescheduled Coflow's transmitting circuit is still up, and its
@@ -451,60 +292,23 @@ let mark_event g ~obs ~now ~arrivals ~finished ~remaining =
      hold one while the cached minimum finish is past [now]. *)
   refresh_min g;
   if g.g_min <= now then
-    for k = 0 to all.v_n - 1 do
-      let e = all.v_arr.(k) in
+    for k = 0 to Service_order.length all - 1 do
+      let e = Service_order.get all k in
       if
-        e.e_plan.Sunflow.finish <= now
+        e.data.e_plan.Sunflow.finish <= now
         && (not (is_dirty m e))
-        && not (Demand.is_empty (remaining e.e_coflow.Coflow.id))
+        && not (Demand.is_empty (remaining e.coflow.Coflow.id))
       then mark g m e
     done;
-  (* an arrival poisons the rest of its own bucket: within a bucket the
-     order is FIFO, so a retained entry sorting after a new arrival in
-     the same class means an equal-arrival tiebreak (or a [Custom]
-     policy, where every Coflow shares class 0) — in either case the
-     within-class order shifted under the retained plan, so it must be
-     re-derived rather than spliced. Entries in strictly later buckets
-     are left clean and handled by splice-or-reschedule. Buckets are
-     contiguous runs of the service order, so "some retained entry
-     sorts after an arrival in its class" is "some arrival's immediate
-     successor shares its class" — checked in O(arrivals log n) before
-     the scan. *)
-  if
-    g.g_config.buckets > 0
-    && List.exists
-         (fun c ->
-           let e = Id_table.find g.g_index c.Coflow.id in
-           let k = evec_lower g.g_cmp all e in
-           k + 1 < all.v_n && all.v_arr.(k + 1).e_bucket = e.e_bucket)
-         arrivals
-  then begin
-    let arrived = Id_table.create 8 in
-    List.iter (fun c -> Id_table.replace arrived c.Coflow.id ()) arrivals;
-    let poisoned = Array.make g.g_config.buckets false in
-    for i = 0 to all.v_n - 1 do
-      let e = all.v_arr.(i) in
-      if poisoned.(e.e_bucket) then mark g m e
-      else if Id_table.mem arrived e.e_coflow.Coflow.id then
-        poisoned.(e.e_bucket) <- true
-    done
-  end;
-  (* exact order: the whole suffix from the first dirty entry is
-     re-derived (anchored plans re-round at the ulp scale if re-derived
-     at a different [now], so clean suffix entries cannot be kept
-     without diverging from the oracle) *)
-  (if g.g_config.buckets = 0 then
-     match m.min_dirty with
-     | None -> ()
-     | Some d ->
-       for i = evec_lower g.g_cmp all d to all.v_n - 1 do
-         mark g m all.v_arr.(i)
-       done);
+  (* an arrival's retained class-mates after it (every later entry
+     under the exact order) must be re-derived; later classes are left
+     to splice-or-reschedule *)
+  Service_order.pull_in all ~arrivals:arrived ~first:m.min_dirty (mark g m);
   m
 
-let replan g ~prt ~now ~remaining ~is_established e =
-  let c = Coflow.with_demand e.e_coflow (remaining e.e_coflow.Coflow.id) in
-  e.e_plan <-
+let replan g ~prt ~now ~remaining ~is_established (e : entry) =
+  let c = Coflow.with_demand e.coflow (remaining e.coflow.Coflow.id) in
+  e.data.e_plan <-
     Sunflow.schedule ~prt ~now ~order:g.g_order ~established:is_established
       ~delta:g.g_delta ~bandwidth:g.g_bandwidth c
 
@@ -512,40 +316,38 @@ let replan g ~prt ~now ~remaining ~is_established e =
 
 (* identical decisions recomputed from scratch: a fresh table holding
    the clean prefix's stored windows, then the suffix in priority order
-   — dirty entries rescheduled (under the exact order that is all of
-   them), a clean entry spliced back verbatim when every window still
-   fits with zero overlap and rescheduled otherwise. The whole plan is
-   re-derived rather than patched around the surviving windows: a
-   merged plan would break non-preemption (a kept split-window whose
-   blocking neighbour moved ends with demand left and nothing occupying
-   its port) and double-count circuit setups. The fit test must be
-   exact, not [reserve]'s dust-tolerant one: a rescheduled upstream
-   neighbour can land within rounding dust of a stored boundary, and
-   re-admitting that would break the validator's strict per-port
-   disjointness — [Prt.splice_exact] is exactly that
-   check-all-then-reserve-all primitive. No eviction: this is what
+   — dirty entries rescheduled, a clean entry spliced back verbatim
+   when every window still fits with zero overlap and rescheduled
+   otherwise. The whole plan is re-derived, not patched around the
+   surviving windows: a merged plan would break non-preemption and
+   double-count setups. The fit test must be exact ([Prt.splice_exact]),
+   not [reserve]'s dust-tolerant one: an upstream neighbour can land
+   within rounding dust of a stored boundary, and re-admitting that
+   would break strict per-port disjointness. No eviction: this is what
    [run_pass] is checked against. *)
 let rebuild_repair g ~obs ~now ~remaining m =
   let prt = Prt.create () in
   g.g_prt <- prt;
   let all = g.g_all in
+  let n = Service_order.length all in
   let first =
     match m.min_dirty with
-    | None -> all.v_n
-    | Some d -> evec_lower g.g_cmp all d
+    | None -> n
+    | Some d -> Service_order.position all d
   in
   for i = 0 to first - 1 do
-    List.iter (Prt.reserve prt) all.v_arr.(i).e_plan.Sunflow.reservations
+    let e = Service_order.get all i in
+    List.iter (Prt.reserve prt) e.data.e_plan.Sunflow.reservations
   done;
   let is_established = circuit_set g.g_established in
   let reschedule e =
     replan g ~prt ~now ~remaining ~is_established e;
     g.g_rescheduled <- g.g_rescheduled + 1
   in
-  for i = first to all.v_n - 1 do
-    let e = all.v_arr.(i) in
+  for i = first to n - 1 do
+    let e = Service_order.get all i in
     if is_dirty m e then reschedule e
-    else if Prt.splice_exact prt e.e_plan.Sunflow.reservations then
+    else if Prt.splice_exact prt e.data.e_plan.Sunflow.reservations then
       g.g_spliced <- g.g_spliced + 1
     else begin
       if obs then Obs.Registry.incr m_cascades;
@@ -567,25 +369,21 @@ let cover a i =
   end
 
 (* One lazy-repair pass over the service order from its first dirty
-   entry [d], in priority order, against the one table.
+   entry [d], against the one table.
 
-   No rollback: a dirty entry, at its turn in priority order, clears
-   every later-priority window from the ports its planner can touch
-   (the senders/receivers of its remaining demand), recording the
-   evicted windows per owner, then reschedules. An evicted ("touched")
-   clean entry re-admits its evicted windows verbatim at its own turn
-   when they all still fit exactly, and partially re-plans otherwise;
-   a clean entry nobody touched keeps its plan at zero cost. This
-   matches the rebuild oracle's decisions bit-for-bit:
+   No rollback: a dirty entry, at its turn, clears every later-priority
+   window from the ports its planner can touch (the senders/receivers
+   of its remaining demand), recording the evicted windows per owner,
+   then reschedules. An evicted clean entry re-admits its evicted
+   windows verbatim at its own turn when they all still fit exactly,
+   and re-plans otherwise; a clean entry nobody touched keeps its plan
+   at zero cost. This matches the rebuild oracle bit for bit:
    [Sunflow.schedule] reads and writes only the ports of the Coflow's
-   own demand ([Prt.chance] takes explicit ports),
-   so each rescheduled entry sees, on every port it queries, exactly
-   the prefix plus already-processed suffix — the rebuild table's
-   content at the same turn. Windows never evicted sit on ports no new
-   window lands on, and the old windows were mutually disjoint, so
-   they'd pass the oracle's fit test unconditionally; evicted windows
-   are tested against table content identical on their ports. The
-   fit-failure sets therefore coincide, and so do the plans.
+   own demand, so each rescheduled entry sees, on every port it
+   queries, the rebuild table's content at the same turn. Windows never
+   evicted sit on ports no new window lands on and were disjoint, so
+   they pass the oracle's fit test; evicted windows are tested against
+   identical content on their ports. So the plans coincide.
 
    The pass starts by finding the service order's trailing run of
    dirty entries: nothing clean sorts after its first entry. The run's
@@ -603,16 +401,18 @@ let run_pass g ~obs ~now ~remaining m d =
     replan g ~prt ~now ~remaining ~is_established e;
     g.g_rescheduled <- g.g_rescheduled + 1
   in
-  let first = evec_lower g.g_cmp v d in
+  let n = Service_order.length v in
+  let first = Service_order.position v d in
   let tail_pos =
-    let i = ref v.v_n in
-    while !i > first && is_dirty m v.v_arr.(!i - 1) do
+    let i = ref n in
+    while !i > first && is_dirty m (Service_order.get v (!i - 1)) do
       decr i
     done;
     !i
   in
-  for i = tail_pos to v.v_n - 1 do
-    ignore (Prt.retract prt v.v_arr.(i).e_plan.Sunflow.reservations : int)
+  for i = tail_pos to n - 1 do
+    let e = Service_order.get v i in
+    ignore (Prt.retract prt e.data.e_plan.Sunflow.reservations : int)
   done;
   if first < tail_pos then begin
     let stamp = g.g_stamp in
@@ -624,7 +424,7 @@ let run_pass g ~obs ~now ~remaining m d =
       let o = Id_table.find g.g_index r.Prt.coflow in
       g.g_cmp e o < 0
       && begin
-           o.e_evicted <- r :: o.e_evicted;
+           o.data.e_evicted <- r :: o.data.e_evicted;
            true
          end
     in
@@ -641,10 +441,21 @@ let run_pass g ~obs ~now ~remaining m d =
           cleared)
         cleared ports
     in
-    let repair e =
-      e.e_evicted <- [];
-      ignore (Prt.retract prt e.e_plan.Sunflow.reservations : int);
-      let d = remaining e.e_coflow.Coflow.id in
+    (* a window of [e] on a port this pass already cleared is in
+       [e_evicted] (the clearing entry sorted before [e]), so only the
+       rest is still in the table to retract *)
+    let cleared_now a p = p < Array.length a && a.(p) = stamp in
+    let repair (e : entry) =
+      e.data.e_evicted <- [];
+      List.iter
+        (fun r ->
+          if
+            not
+              (cleared_now g.g_in_cleared r.Prt.src
+              || cleared_now g.g_out_cleared r.Prt.dst)
+          then ignore (Prt.remove prt r : bool))
+        e.data.e_plan.Sunflow.reservations;
+      let d = remaining e.coflow.Coflow.id in
       g.g_in_cleared <-
         clear e g.g_in_cleared (fun p -> Prt.In p) (Demand.senders d);
       g.g_out_cleared <-
@@ -652,21 +463,21 @@ let run_pass g ~obs ~now ~remaining m d =
       reschedule e
     in
     for i = first to tail_pos - 1 do
-      let e = v.v_arr.(i) in
+      let e = Service_order.get v i in
       if is_dirty m e then repair e
       else
-        match e.e_evicted with
+        match e.data.e_evicted with
         | [] -> g.g_spliced <- g.g_spliced + 1
         | ws when Prt.splice_exact prt ws ->
-          e.e_evicted <- [];
+          e.data.e_evicted <- [];
           g.g_spliced <- g.g_spliced + 1
         | _ ->
           if obs then Obs.Registry.incr m_cascades;
           repair e
     done
   end;
-  for i = tail_pos to v.v_n - 1 do
-    reschedule v.v_arr.(i)
+  for i = tail_pos to n - 1 do
+    reschedule (Service_order.get v i)
   done;
   g.g_min_stale <- true
 
@@ -703,18 +514,15 @@ let clip_from t0 r =
 let engine_slice g ~t0 ~t1 =
   List.map (clip_from t0) (Prt.reservations_in g.g_prt t0 t1)
 
-(* materialise the persistent plan as a [result] equivalent to what a
-   from-scratch replan at [now] would describe, for the validation
-   hooks: stored windows still ahead of [now], straddlers clipped,
-   windows of flows with no remaining demand dropped, each Coflow's
-   finish/setups recomputed over the kept windows. Only built when a
-   caller actually asks (the on_slice hook). *)
+(* the persistent plan as the [result] a from-scratch replan at [now]
+   would describe (see inter.mli); built only when a validation hook
+   asks *)
 let engine_view g ~now ~remaining =
   let per_coflow =
     let acc = ref [] in
-    for i = g.g_all.v_n - 1 downto 0 do
-      let e = g.g_all.v_arr.(i) in
-      let id = e.e_coflow.Coflow.id in
+    for i = Service_order.length g.g_all - 1 downto 0 do
+      let e = Service_order.get g.g_all i in
+      let id = e.coflow.Coflow.id in
       let rem = remaining id in
       let kept =
         List.filter_map
@@ -722,7 +530,7 @@ let engine_view g ~now ~remaining =
             if Prt.stop r <= now then None
             else if Demand.get rem r.Prt.src r.Prt.dst <= 0. then None
             else Some (clip_from now r))
-          e.e_plan.Sunflow.reservations
+          e.data.e_plan.Sunflow.reservations
       in
       let finish =
         List.fold_left (fun acc r -> Float.max acc (Prt.stop r)) now kept

@@ -8,30 +8,13 @@
     when lower-priority Coflows are considered — Fig. 2's example of C2
     shortening its reservation so as not to block C1). *)
 
-(** How to translate a high-level resource-management policy into a
-    priority ordering (paper §4.2, "Flexible Management Policies"). *)
-type policy =
-  | Fifo  (** arrival order — no Coflow jumps the queue *)
+(** The priority policy, re-exported from {!Service_order}, which
+    alone knows how each one ranks Coflows. *)
+type policy = Service_order.policy =
+  | Fifo
   | Shortest_first
-      (** ascending packet-switched lower bound [T_L^p] — the
-          shortest-Coflow-first policy the evaluation uses. {!schedule}
-          keys it on the demand it is given, so a replay that calls it
-          at every event re-ranks on {e remaining} demand, as Varys'
-          SEBF does; the incremental {!engine} keys it once, on the
-          {e original} demand at admission. These are different
-          policies (see the incremental replanning section). *)
   | Priority_classes of (Coflow.t -> int)
-      (** explicit classes, lower class served first; FIFO within a
-          class (privileged vs regular users, stage ordering, ...) *)
   | Custom of (Coflow.t -> Coflow.t -> int)
-      (** arbitrary comparator *)
-
-val sort : policy -> bandwidth:float -> Coflow.t list -> Coflow.t list
-(** Stable priority ordering of Coflows under a policy. Derived sort
-    keys ([Shortest_first]'s packet lower bound, [Priority_classes]'s
-    class) are computed once per Coflow, not per comparison. *)
-
-val policy_name : policy -> string
 
 type result = {
   prt : Prt.t;  (** the combined reservation table *)
@@ -73,19 +56,15 @@ val finish_of : result -> int -> float option
     before [now], where no successor query ever looks).
 
     Semantics differ from calling {!schedule} at every event in two
-    deliberate ways. Priority keys are fixed at admission (computed
-    from the Coflow's original demand, cached): under
-    [Shortest_first] this is a different policy from re-keying on
-    remaining demand, not a rounding difference — a Coflow that has
-    drained below a later, smaller arrival yields to it here and
-    keeps its lead under per-event {!schedule}, so finishes can move
-    by whole transfer times. And a retained Coflow's plan stays
-    anchored at its last (re)scheduling instant instead of being
-    re-derived from the remaining demand, which re-rounds every
-    boundary at each event. The engine's bit-exact oracle is
-    therefore its own [rebuild] mode, which makes the same decisions
-    while reconstructing the table from scratch at every event
-    instead of repairing it in place. *)
+    deliberate ways. The {!Service_order} ranks each Coflow once, on
+    its original demand: under [Shortest_first] a Coflow that has
+    drained below a later, smaller arrival yields to it here and keeps
+    its lead under per-event {!schedule}, so finishes can move by
+    whole transfer times. And a retained plan stays anchored at its
+    last (re)scheduling instant instead of being re-derived from the
+    remaining demand. The engine's bit-exact oracle is therefore its
+    own [rebuild] mode, which makes the same decisions while
+    reconstructing the table from scratch at every event. *)
 
 type engine
 
@@ -112,22 +91,14 @@ type config = private {
     (all-stop) every event tears the whole fabric down and reschedules
     everything, ablating the not-all-stop advantage.
 
-    [buckets] (default [0] = off, the exact-order behaviour) coarsens
-    the priority order into at most that many classes, FIFO within a
-    class. For [Shortest_first] the classes are exponentially spaced:
-    class 0 holds Coflows whose packet lower bound fits within one
-    reconfiguration delay, and each further class covers keys another
-    factor of [bucket_base] (default [4.]) longer — so a new arrival
-    sorts at the {e end} of its class and invalidates only strictly
-    lower classes' boundary conflicts instead of every Coflow with a
-    marginally larger key. [Priority_classes] classes are clamped into
-    [[0, buckets)]; [Fifo] and [Custom] have no numeric key and keep
-    their exact order (one class). Retained plans in clean later
-    classes are spliced back verbatim when their ports are still free,
-    and re-derived only on conflict — see {!schedule_incremental}.
-    Bucketing trades fidelity to the exact shortest-first order for
-    replan locality; CCT drift against the exact order is measured
-    (and gated) in the bench harness. *)
+    [buckets] (default [0] = off, the exact order) and [bucket_base]
+    (default [4.]) coarsen the order into classes, FIFO within a class
+    ({!Service_order.create}), so an arrival sorts at the end of its
+    class. Retained plans in clean later classes are spliced back
+    verbatim when their ports are still free, and re-derived only on
+    conflict. Bucketing trades fidelity to the exact shortest-first
+    order for replan locality; the bench harness measures and gates
+    the CCT drift. *)
 
 val config :
   ?carry_circuits:bool -> ?buckets:int -> ?bucket_base:float -> unit -> config
@@ -149,9 +120,7 @@ val engine :
   engine
 (** A fresh engine with no admitted Coflows, configured by [config]
     (default {!default_config}). It keeps one reservation table for
-    the whole fabric. [rebuild] selects the from-scratch oracle mode.
-    [Custom] comparators get an [(arrival, id)] tiebreak appended, so
-    they need not be total themselves. *)
+    the whole fabric. [rebuild] selects the from-scratch oracle mode. *)
 
 val schedule_incremental :
   engine ->
@@ -166,22 +135,15 @@ val schedule_incremental :
     plans the event invalidates — the arrivals, any Coflow whose
     reservation was mid-reconfiguration at [now], any stored plan
     finishing at or before [now] with demand left, every Coflow when
-    circuits do not carry over, and under a bucketed order the
-    arrivals' later bucket-mates. Under the exact order
-    ([buckets = 0]) everything from the first dirty Coflow's position
-    on is dirty as well. Dirty Coflows are re-run through
-    [Sunflow.schedule] — at [now], on the remaining demand reported by
-    [remaining] — in priority order. The repair is damage-bounded: a
-    dirty Coflow evicts later-priority windows only from the ports its
-    own demand touches before re-running, an evicted clean Coflow
-    re-admits its evicted windows verbatim when they still fit
-    (falling back to a full re-run only if a changed upstream plan now
-    occupies one of its ports), and a clean Coflow nobody evicted
-    keeps its plan at zero cost. With observability on, the step's
-    dirty count is recorded in the [inter.coflows_per_round]
+    circuits do not carry over, and those the order pulls in
+    ({!Service_order.pull_in}). Dirty Coflows are re-run through
+    [Sunflow.schedule] at [now], on the demand [remaining] reports,
+    in priority order; a dirty Coflow first evicts later windows from
+    the ports of its demand, and an evicted clean Coflow re-admits
+    its windows verbatim when they still fit (re-running otherwise).
+    The step's dirty count feeds the [inter.coflows_per_round]
     histogram. Raises [Invalid_argument] on an unknown finished id or
-    a duplicate arrival id. O(changed Coflows), not O(active
-    Coflows), per event when circuits carry. *)
+    a duplicate arrival id. *)
 
 val engine_size : engine -> int
 (** Number of Coflows currently admitted and unfinished. *)

@@ -12,8 +12,8 @@ let stage_bits = 4096
 let encode ~job ~stage = (job * stage_bits) + stage
 let decode id = (id / stage_bits, id mod stage_bits)
 
-(* Earlier pipeline stages first; FIFO inside a class comes from
-   Inter's tie-breaking, which the paper's example asks for. *)
+(* Earlier pipeline stages first; FIFO inside a class comes from the
+   service order's tie-breaking, which the paper's example asks for. *)
 let stage_policy =
   Inter.Priority_classes (fun (c : Coflow.t) -> snd (decode c.id))
 

@@ -3,6 +3,7 @@ module Demand = Sunflow_core.Demand
 module Inter = Sunflow_core.Inter
 module Order = Sunflow_core.Order
 module Deadline = Sunflow_core.Deadline
+module Service_order = Sunflow_core.Service_order
 module Circuit_sim = Sunflow_sim.Circuit_sim
 module Obs = Sunflow_obs
 
@@ -38,8 +39,8 @@ let h_event = Obs.Registry.histogram "serve.event_s"
 (* FIFO across arrival instants, EDF within one. A later arrival
    always sorts after every already-admitted Coflow — same-instant
    batches are admitted in [Deadline.edf] order, and equal-deadline
-   ties fall through to the engine's appended (arrival, id) tiebreak,
-   matching the batch sort's — so admission never invalidates an
+   ties fall to the service order's (arrival, id) tiebreak, as in
+   the batch's sort — so admission never invalidates an
    admitted plan's priority position. That is what turns admission
    into an O(one schedule) engine step and preserves the Varys-style
    guarantee: an admitted Coflow keeps (modulo straddler re-anchoring
@@ -145,7 +146,8 @@ let run ?(policy = Inter.Shortest_first) ?(order = Order.Ordered_port)
     let batch = go [] in
     match deadline_of with
     | None -> batch
-    | Some deadline_of -> Inter.sort (Deadline.edf ~deadline_of) ~bandwidth batch
+    | Some deadline_of ->
+      Service_order.sort (Deadline.edf ~deadline_of) ~bandwidth batch
   in
   (* deadline admission: keep the plan just scheduled if it meets the
      deadline *)

@@ -162,9 +162,9 @@ let anchored_planner ~rebuild ~policy ~order ~config ~delta ~bandwidth
   }
 
 (* The loop's state: the planner, the slice executor, the active set
-   by id and in admission order (newest first; this order reaches the
-   policy's ties), those entered since the last slice, and the
-   arrivals and finishes the next step hands the planner. *)
+   by id and in admission order (newest first), those entered since
+   the last slice, and the arrivals and finishes the next step hands
+   the planner. *)
 type loop = {
   p : planner;
   ex : Slice.t;

@@ -1,5 +1,6 @@
 module Deadline = Sunflow_core.Deadline
 module Inter = Sunflow_core.Inter
+module Service_order = Sunflow_core.Service_order
 module Coflow = Sunflow_core.Coflow
 module Demand = Sunflow_core.Demand
 module Units = Sunflow_core.Units
@@ -18,7 +19,7 @@ let deadline_table table (c : Coflow.t) = List.assoc c.Coflow.id table
 
 let test_edf_ordering () =
   let deadline_of = deadline_table [ (1, 3.); (2, 1.); (3, 2.) ] in
-  let sorted = Inter.sort (Deadline.edf ~deadline_of) ~bandwidth:b [ c1; c2; c3 ] in
+  let sorted = Service_order.sort (Deadline.edf ~deadline_of) ~bandwidth:b [ c1; c2; c3 ] in
   Alcotest.(check (list int)) "by deadline" [ 2; 3; 1 ]
     (List.map (fun c -> c.Coflow.id) sorted)
 
@@ -99,7 +100,7 @@ let copy prt =
    as the equivalence oracle for the schedule-once path, which removes
    a rejected plan's windows from the real table instead. *)
 let admit_copy_path ~deadline_of ~delta ~bandwidth coflows =
-  let ordered = Inter.sort (Deadline.edf ~deadline_of) ~bandwidth coflows in
+  let ordered = Service_order.sort (Deadline.edf ~deadline_of) ~bandwidth coflows in
   let prt = Prt.create () in
   let admitted = ref [] and rejected = ref [] in
   List.iter

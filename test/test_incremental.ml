@@ -386,34 +386,6 @@ let test_no_gc_pinning () =
      a *live* engine does not pin retired entries or windows *)
   ignore (Sys.opaque_identity eng)
 
-let test_inconsistent_comparator_detected () =
-  let flip = ref false in
-  let policy =
-    Inter.Custom
-      (fun a b ->
-        if !flip then compare b.Coflow.id a.Coflow.id
-        else compare a.Coflow.id b.Coflow.id)
-  in
-  let eng =
-    Inter.engine ~policy ~delta:(Units.ms 10.) ~bandwidth ()
-  in
-  let coflows =
-    List.init 4 (fun i ->
-        let d = Demand.create () in
-        Demand.set d i (8 + i) (Units.mb 5.);
-        Coflow.make ~id:(i + 1) ~arrival:0. d)
-  in
-  let remaining _ = Demand.create () in
-  Inter.schedule_incremental eng ~now:0. ~arrivals:coflows ~finished:[]
-    ~remaining;
-  flip := true;
-  Alcotest.check_raises "mutated comparator is detected, not corrupted"
-    (Invalid_argument
-       "Inter.remove_entry: entry not found at its ordered position \
-        (inconsistent comparator?)") (fun () ->
-      Inter.schedule_incremental eng ~now:1. ~arrivals:[] ~finished:[ 1 ]
-        ~remaining)
-
 let test_min_finish_option () =
   let eng =
     Inter.engine ~policy:Inter.Fifo ~delta:(Units.ms 10.) ~bandwidth ()
@@ -504,8 +476,6 @@ let suite =
     Alcotest.test_case "bucketed dirty suffix strictly smaller" `Quick
       test_dirty_suffix_smaller;
     Alcotest.test_case "retired entries not pinned" `Quick test_no_gc_pinning;
-    Alcotest.test_case "inconsistent comparator detected" `Quick
-      test_inconsistent_comparator_detected;
     Alcotest.test_case "engine_min_finish option" `Quick
       test_min_finish_option;
     Alcotest.test_case "Full re-keys shortest-first, anchored does not" `Quick

@@ -1,4 +1,5 @@
 module Inter = Sunflow_core.Inter
+module Service_order = Sunflow_core.Service_order
 module Coflow = Sunflow_core.Coflow
 module Demand = Sunflow_core.Demand
 module Units = Sunflow_core.Units
@@ -14,19 +15,6 @@ let mk id ?(arrival = 0.) flows = Coflow.make ~id ~arrival (Demand.of_list flows
 
 let big = mk 1 [ ((0, 5), Units.mb 100.) ]
 let small = mk 2 ~arrival:1. [ ((0, 6), Units.mb 5.) ]
-
-let test_sort_policies () =
-  let ids policy cs = List.map (fun c -> c.Coflow.id) (Inter.sort policy ~bandwidth:b cs) in
-  Alcotest.(check (list int)) "fifo by arrival" [ 1; 2 ]
-    (ids Inter.Fifo [ small; big ]);
-  Alcotest.(check (list int)) "shortest first" [ 2; 1 ]
-    (ids Inter.Shortest_first [ big; small ]);
-  Alcotest.(check (list int)) "classes override size" [ 1; 2 ]
-    (ids
-       (Inter.Priority_classes (fun c -> if c.Coflow.id = 1 then 0 else 1))
-       [ small; big ]);
-  Alcotest.(check (list int)) "custom comparator" [ 2; 1 ]
-    (ids (Inter.Custom (fun a b -> compare b.Coflow.id a.Coflow.id)) [ big; small ])
 
 let test_priority_unblocked () =
   (* the prioritized Coflow must finish exactly as if it were alone *)
@@ -117,7 +105,8 @@ let prop_highest_priority_alone_speed =
        (fun coflows ->
          let coflows = List.mapi (fun i c -> { c with Coflow.id = i }) coflows in
          let first =
-           List.hd (Inter.sort Inter.Shortest_first ~bandwidth:b coflows)
+           List.hd
+             (Service_order.sort Inter.Shortest_first ~bandwidth:b coflows)
          in
          let alone = (Sunflow.schedule ~delta ~bandwidth:b first).finish in
          let r =
@@ -127,11 +116,6 @@ let prop_highest_priority_alone_speed =
          match Inter.finish_of r first.Coflow.id with
          | Some f -> Util.close ~eps:1e-9 alone f
          | None -> false))
-
-let test_policy_names () =
-  Alcotest.(check string) "fifo" "fifo" (Inter.policy_name Inter.Fifo);
-  Alcotest.(check string) "scf" "shortest-coflow-first"
-    (Inter.policy_name Inter.Shortest_first)
 
 (* the engine's knobs are checked once, where the record is built; a
    NaN base once slipped through a [<= 1.] test *)
@@ -180,7 +164,6 @@ let test_validation () =
 
 let suite =
   [
-    Alcotest.test_case "sort policies" `Quick test_sort_policies;
     Alcotest.test_case "priority unblocked" `Quick test_priority_unblocked;
     Alcotest.test_case "lower priority shortened" `Quick
       test_lower_priority_shortened;
@@ -190,7 +173,6 @@ let suite =
       test_duplicate_ids_rejected;
     prop_all_port_constraints;
     prop_highest_priority_alone_speed;
-    Alcotest.test_case "policy names" `Quick test_policy_names;
     Alcotest.test_case "config rejects a non-finite bucket base" `Quick
       test_config_non_finite_base;
     Alcotest.test_case "argument validation" `Quick test_validation;
